@@ -8,7 +8,7 @@ accounting.
 """
 import math
 
-from qorch import CircuitBuilder, exchange_cost, new_state, probabilities, run
+from qorch import CircuitBuilder, State, exchange_cost, probabilities, run
 from qorch.gates import GateKind
 from qorch.circuit import Gate
 
@@ -48,7 +48,7 @@ print("teleported P(1):    ", ones / 2000)
 
 # The amplitude array is stored as equal worker chunks; results never depend
 # on the worker count, only the exchange accounting does.
-state = new_state(3, workers=2)
+state = State(3, workers=2)
 print("chunks:             ", [list(c) for c in state.chunks])
 state.apply(Gate(GateKind.H, (), (0,), None))
 print("post-h probabilities:", probabilities(state)[:2])

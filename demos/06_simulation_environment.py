@@ -8,8 +8,9 @@ simulator spanning several nodes), single-worker tasks pack one per node.
 """
 from qorch.circuit import CircuitBuilder
 from qorch.config import load_config
+from qorch.qpm import StateVectorBackend
 from qorch.qtm import Preferences, TaskManager
-from qorch.simenv import TimingModel, assess, configure, execute_plan
+from qorch.simenv import assess, configure, execute_plan
 
 config = load_config()
 registry = config.build_registry()
@@ -26,7 +27,7 @@ def sampled(n, seed):
 # Four single-worker tasks on four nodes: pure throughput, all start at 0.
 plan = configure(sim_nodes=4)
 queue = [(t, tm.route(t)) for t in (sampled(3, i) for i in range(4))]
-timed = assess(queue, plan, config.timing)
+timed = assess(queue, plan, registry)
 print("throughput starts:", [(a.task.task_id, a.start, a.mode_label()) for a in timed.assignments])
 
 # A gang(4) task followed by a single-worker task: the gang takes the whole
@@ -35,18 +36,20 @@ gang_task = sampled(4, 10)
 gang_task = tm.normalize(gang_task.circuit, 200, 10, Preferences(workers=4))
 small_task = sampled(3, 11)
 queue = [(gang_task, tm.route(gang_task)), (small_task, tm.route(small_task))]
-timed = assess(queue, plan, config.timing)
+timed = assess(queue, plan, registry)
 for a in timed.assignments:
     print(f"{a.task.task_id}: {a.mode_label():12s} nodes={a.nodes} "
           f"start={a.start:.6f} duration={a.duration:.6f}")
 
-# Executing the plan produces real counts; gang vs throughput changes only
-# the timeline, never the distribution.
-env = execute_plan(timed, registry, total_nodes=4)
+# Executing the plan runs each task through the task manager: real counts,
+# and each task reports the service time its assignment was planned with.
+# Gang vs throughput changes only the timeline, never the distribution.
+env = execute_plan(timed, tm, total_nodes=4)
 print("makespan:   ", round(env.makespan, 6))
 print("utilization:", round(env.utilization, 3))
 
-# The timing model rewards gang mode for worker-local circuits.
-timing = TimingModel(alpha=0.0, beta=1e-9, gamma=1e-9)
+# The state-vector backend's timing model rewards gang mode for
+# worker-local circuits.
+timing = StateVectorBackend(alpha=0.0, beta=1e-9, gamma=1e-9)
 c = CircuitBuilder(20).h(0).cx(0, 1).build()
-print("\nT(w=1):", timing.task_seconds(c, 1), " T(w=4):", timing.task_seconds(c, 4))
+print("\nT(w=1):", timing.service_time(c, 200, 1), " T(w=4):", timing.service_time(c, 200, 4))

@@ -32,7 +32,7 @@ from .circuit import (
 )
 from .gates import GateKind, gate_unitary
 from .qasm import QasmSyntaxError, UnsupportedFeature, parse_qasm, serialize_qasm
-from .statevec import Counts, ExecutionTrace, State, exchange_cost, new_state, probabilities, run
+from .statevec import Counts, ExecutionTrace, State, exchange_cost, probabilities, run
 
 __all__ = [
     "Barrier",
@@ -55,7 +55,6 @@ __all__ = [
     "gate_count",
     "gate_unitary",
     "interaction_components",
-    "new_state",
     "parse_qasm",
     "probabilities",
     "run",

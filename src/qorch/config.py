@@ -1,6 +1,10 @@
 """System configuration: one INI document with cluster, backend, routing,
 and simulation-environment blocks.
 
+Each backend block carries its own timing coefficients; the simulation
+environment block holds only the partition plan.  Values are checked here,
+so a bad key fails with its section and name before anything runs.
+
 Resolution order for the config path: explicit argument, the QORCH_CONFIG
 environment variable, then the packaged default.
 """
@@ -20,7 +24,6 @@ from .qpm import (
     StateVectorBackend,
 )
 from .qtm import RoutingConfig
-from .simenv import TimingModel
 
 ENV_CONFIG = "QORCH_CONFIG"
 
@@ -40,6 +43,7 @@ class BackendSettings:
     readout_flip_probability: float = 0.0
     alpha: float = 1e-3
     beta: float = 1e-9
+    gamma: float = 1e-9
     alpha_q: float = 1.0
     beta_q: float = 1e-6
 
@@ -51,7 +55,7 @@ class BackendSettings:
 
     def implementation(self):
         if self.kind is BackendKind.STATE_VECTOR:
-            return StateVectorBackend(self.alpha, self.beta)
+            return StateVectorBackend(self.alpha, self.beta, self.gamma)
         if self.kind is BackendKind.HARDWARE:
             return MockHardwareBackend(
                 self.readout_flip_probability, self.alpha_q, self.beta_q
@@ -66,7 +70,6 @@ class SystemConfig:
     backfill: bool
     backends: tuple[BackendSettings, ...]
     routing: RoutingConfig
-    timing: TimingModel
     partitions: tuple[tuple[str, int], ...] | None  # None = default plan
     text: str = ""  # verbatim snapshot for run directories
 
@@ -96,55 +99,64 @@ def parse_config(text: str) -> SystemConfig:
     except configparser.Error as exc:
         raise ConfigError(f"bad config: {exc}") from exc
 
-    cluster = parser["cluster"] if parser.has_section("cluster") else {}
-    nodes = int(cluster.get("nodes", 8))
+    def section(name: str):
+        return parser[name] if parser.has_section(name) else {}
+
+    cluster = section("cluster")
+    nodes = _number(cluster, "cluster", "nodes", 8, int, low=1)
     device = cluster.get("device") or None
-    backfill = _as_bool(cluster.get("backfill", "false"))
+    backfill = _as_bool(cluster, "cluster", "backfill", False)
 
     backends: list[BackendSettings] = []
-    for section in parser.sections():
-        if not section.startswith("backend:"):
+    for name in parser.sections():
+        if not name.startswith("backend:"):
             continue
-        raw = parser[section]
-        backend_id = section.split(":", 1)[1]
+        raw = parser[name]
+        backend_id = name.split(":", 1)[1]
         try:
             kind = BackendKind(raw.get("kind", "state_vector"))
         except ValueError as exc:
-            raise ConfigError(f"backend {backend_id!r}: {exc}") from exc
+            raise ConfigError(f"[{name}] kind: {exc}") from exc
         backends.append(
             BackendSettings(
                 id=backend_id,
                 kind=kind,
-                max_qubits=int(raw.get("max_qubits", 26)),
-                supports_mid_circuit=_as_bool(raw.get("supports_mid_circuit", "true")),
-                supports_conditionals=_as_bool(raw.get("supports_conditionals", "true")),
-                concurrency=int(raw.get("concurrency", 1)),
-                readout_flip_probability=float(raw.get("readout_flip_probability", 0.0)),
-                alpha=float(raw.get("alpha", 1e-3)),
-                beta=float(raw.get("beta", 1e-9)),
-                alpha_q=float(raw.get("alpha_q", 1.0)),
-                beta_q=float(raw.get("beta_q", 1e-6)),
+                max_qubits=_number(raw, name, "max_qubits", 26, int),
+                supports_mid_circuit=_as_bool(raw, name, "supports_mid_circuit", True),
+                supports_conditionals=_as_bool(raw, name, "supports_conditionals", True),
+                concurrency=_number(raw, name, "concurrency", 1, int),
+                readout_flip_probability=_number(
+                    raw, name, "readout_flip_probability", 0.0, low=0.0, high=1.0
+                ),
+                alpha=_number(raw, name, "alpha", 1e-3),
+                beta=_number(raw, name, "beta", 1e-9),
+                gamma=_number(raw, name, "gamma", 1e-9),
+                alpha_q=_number(raw, name, "alpha_q", 1.0),
+                beta_q=_number(raw, name, "beta_q", 1e-6),
             )
         )
     if not backends:
         raise ConfigError("config declares no [backend:*] sections")
     if device is not None and device not in {b.id for b in backends}:
-        raise ConfigError(f"cluster device {device!r} is not a configured backend")
+        raise ConfigError(f"[cluster] device: {device!r} is not a configured backend")
 
-    routing_raw = parser["routing"] if parser.has_section("routing") else {}
+    routing_raw = section("routing")
     routing = RoutingConfig(
-        sv_max=int(routing_raw.get("sv_max", 24)),
-        tn_depth_max=int(routing_raw.get("tn_depth_max", 1000)),
-        local_qubits_per_worker=int(routing_raw.get("local_qubits_per_worker", 20)),
-        gang_limit=int(routing_raw.get("gang_limit", 8)),
+        sv_max=_number(routing_raw, "routing", "sv_max", 24, int),
+        tn_depth_max=_number(routing_raw, "routing", "tn_depth_max", 1000, int),
+        local_qubits_per_worker=_number(
+            routing_raw, "routing", "local_qubits_per_worker", 20, int
+        ),
+        gang_limit=_number(routing_raw, "routing", "gang_limit", 8, int),
     )
 
-    sim_raw = parser["simenv"] if parser.has_section("simenv") else {}
-    timing = TimingModel(
-        alpha=float(sim_raw.get("alpha", 1e-3)),
-        beta=float(sim_raw.get("beta", 1e-9)),
-        gamma=float(sim_raw.get("gamma", 1e-9)),
-    )
+    sim_raw = section("simenv")
+    for key in ("alpha", "beta", "gamma"):
+        if key in sim_raw:
+            raise ConfigError(
+                f"[simenv] {key}: timing coefficients live in [backend:<id>]; "
+                f"move {key} there"
+            )
     partitions = _parse_partitions(sim_raw.get("partitions", "state_vector:all"))
 
     return SystemConfig(
@@ -153,10 +165,26 @@ def parse_config(text: str) -> SystemConfig:
         backfill=backfill,
         backends=tuple(backends),
         routing=routing,
-        timing=timing,
         partitions=partitions,
         text=text,
     )
+
+
+def _number(raw, section: str, key: str, default, kind=float, low=None, high=None):
+    """Read one numeric key, naming its section and key when it is bad."""
+    text = raw.get(key)
+    if text is None:
+        return default
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ConfigError(
+            f"[{section}] {key}: expected {kind.__name__}, got {text!r}"
+        ) from None
+    if (low is not None and value < low) or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"[{section}] {key}: must be {bounds}, got {text}")
+    return value
 
 
 def _parse_partitions(raw: str):
@@ -170,14 +198,17 @@ def _parse_partitions(raw: str):
             kind, count = entry.split(":")
             plan.append((kind.strip(), int(count)))
         except ValueError as exc:
-            raise ConfigError(f"bad partition entry {entry!r}") from exc
+            raise ConfigError(f"[simenv] partitions: bad entry {entry!r}") from exc
     return tuple(plan)
 
 
-def _as_bool(raw: str) -> bool:
-    value = str(raw).strip().lower()
+def _as_bool(raw, section: str, key: str, default: bool) -> bool:
+    text = raw.get(key)
+    if text is None:
+        return default
+    value = text.strip().lower()
     if value in ("1", "true", "yes", "on"):
         return True
     if value in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected boolean, got {raw!r}")
+    raise ConfigError(f"[{section}] {key}: expected boolean, got {text!r}")

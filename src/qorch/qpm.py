@@ -7,8 +7,10 @@ flips readout bits with a calibrated probability.  A tensor-network
 descriptor can be registered without an implementation; executing it raises
 NotImplementedError until an external plugin provides one.
 
-All service times are logical model values (seconds), never wall clock, so
-the schedulers above this layer stay deterministic.
+Each backend owns its timing model: ``service_time(circuit, shots, workers)``
+is a pure function of the request, ``execute`` reports it, and the planners
+above this layer read the same method.  All service times are logical model
+values (seconds), never wall clock, so the schedulers stay deterministic.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .circuit import Circuit, gate_count, has_conditionals, has_mid_circuit
 from .seeds import derive_seed
-from .statevec import Counts, ExecutionTrace, run
+from .statevec import Counts, ExecutionTrace, exchange_cost, run
 
 
 class BackendKind(str, Enum):
@@ -89,19 +91,28 @@ class ExecuteResult:
 
 
 class StateVectorBackend:
-    """Ideal chunked state-vector execution with a simple timing model."""
+    """Ideal chunked state-vector execution timed as
 
-    def __init__(self, alpha: float = 1e-3, beta: float = 1e-9):
+        T(circuit, w) = alpha + beta * gates * 2^n / w + gamma * exchange_cost(w)
+    """
+
+    def __init__(self, alpha: float = 1e-3, beta: float = 1e-9, gamma: float = 1e-9):
         self.alpha = alpha
         self.beta = beta
+        self.gamma = gamma
+
+    def service_time(self, circuit: Circuit, shots: int, workers: int) -> float:
+        n = circuit.num_qubits
+        compute = self.beta * gate_count(circuit) * 2**n / workers
+        comm = self.gamma * exchange_cost(circuit, n, workers) if n else 0.0
+        return self.alpha + compute + comm
 
     def execute(self, request: ExecuteRequest, descriptor: BackendDescriptor) -> ExecuteResult:
         counts, trace = run(
             request.circuit, request.shots, request.seed, request.workers,
             max_qubits=descriptor.max_qubits,
         )
-        g = gate_count(request.circuit)
-        service = self.alpha + self.beta * g * 2**request.circuit.num_qubits / request.workers
+        service = self.service_time(request.circuit, request.shots, request.workers)
         return ExecuteResult(request.task_id, counts, trace, descriptor.id, service)
 
     def calibration(self) -> CalibrationInfo:
@@ -124,6 +135,9 @@ class MockHardwareBackend:
         self.alpha_q = alpha_q
         self.beta_q = beta_q
 
+    def service_time(self, circuit: Circuit, shots: int, workers: int) -> float:
+        return self.alpha_q + self.beta_q * shots * gate_count(circuit)
+
     def execute(self, request: ExecuteRequest, descriptor: BackendDescriptor) -> ExecuteResult:
         counts, trace = run(
             request.circuit, request.shots, request.seed, workers=1,
@@ -131,8 +145,7 @@ class MockHardwareBackend:
         )
         if self.p > 0.0:
             counts = self._flip(counts, request.shots, request.seed)
-        g = gate_count(request.circuit)
-        service = self.alpha_q + self.beta_q * request.shots * g
+        service = self.service_time(request.circuit, request.shots, request.workers)
         return ExecuteResult(request.task_id, counts, trace, descriptor.id, service)
 
     def _flip(self, counts: Counts, shots: int, seed: int) -> Counts:
@@ -182,10 +195,7 @@ class BackendRegistry:
         return [e.descriptor for e in self._entries.values()]
 
     def descriptor(self, backend_id: str) -> BackendDescriptor:
-        try:
-            return self._entries[backend_id].descriptor
-        except KeyError:
-            raise UnknownBackend(backend_id) from None
+        return self._entry(backend_id).descriptor
 
     def get_calibration(self, backend_id: str) -> CalibrationInfo:
         entry = self._entry(backend_id)
@@ -196,27 +206,13 @@ class BackendRegistry:
 
     def execute(self, backend_id: str, request: ExecuteRequest) -> ExecuteResult:
         entry = self._entry(backend_id)
-        desc = entry.descriptor
-        c = request.circuit
-        if c.num_qubits > desc.max_qubits:
-            raise CircuitTooLarge(
-                f"circuit has {c.num_qubits} qubits; backend {desc.id!r} "
-                f"supports at most {desc.max_qubits}"
-            )
-        if not desc.supports_mid_circuit and has_mid_circuit(c):
-            raise MidCircuitUnsupported(
-                f"backend {desc.id!r} does not support mid-circuit measurement"
-            )
-        if not desc.supports_conditionals and has_conditionals(c):
-            raise MidCircuitUnsupported(
-                f"backend {desc.id!r} does not support conditioned gates"
-            )
-        if entry.implementation is None:
-            raise NotImplementedError(
-                f"backend {desc.id!r} ({desc.kind.value}) has no execution engine; "
-                "register an external plugin implementation"
-            )
-        return entry.implementation.execute(request, desc)
+        check_compatible(entry.descriptor, request.circuit)
+        return self._engine(entry).execute(request, entry.descriptor)
+
+    def service_time(self, backend_id: str, request: ExecuteRequest) -> float:
+        """The modeled seconds ``execute`` would report for this request."""
+        engine = self._engine(self._entry(backend_id))
+        return engine.service_time(request.circuit, request.shots, request.workers)
 
     def _entry(self, backend_id: str) -> _Entry:
         try:
@@ -224,20 +220,29 @@ class BackendRegistry:
         except KeyError:
             raise UnknownBackend(backend_id) from None
 
-
-# module-level operation aliases matching the registry surface
-def register_backend(registry: BackendRegistry, descriptor: BackendDescriptor,
-                     implementation=None) -> None:
-    registry.register(descriptor, implementation)
-
-
-def list_backends(registry: BackendRegistry) -> list[BackendDescriptor]:
-    return registry.list()
-
-
-def get_calibration(registry: BackendRegistry, backend_id: str) -> CalibrationInfo:
-    return registry.get_calibration(backend_id)
+    @staticmethod
+    def _engine(entry: _Entry):
+        if entry.implementation is None:
+            desc = entry.descriptor
+            raise NotImplementedError(
+                f"backend {desc.id!r} ({desc.kind.value}) has no execution engine; "
+                "register an external plugin implementation"
+            )
+        return entry.implementation
 
 
-def execute(registry: BackendRegistry, backend_id: str, request: ExecuteRequest) -> ExecuteResult:
-    return registry.execute(backend_id, request)
+def check_compatible(desc: BackendDescriptor, c: Circuit) -> None:
+    """Raise if the backend cannot take the circuit at all."""
+    if c.num_qubits > desc.max_qubits:
+        raise CircuitTooLarge(
+            f"circuit has {c.num_qubits} qubits; backend {desc.id!r} "
+            f"supports at most {desc.max_qubits}"
+        )
+    if not desc.supports_mid_circuit and has_mid_circuit(c):
+        raise MidCircuitUnsupported(
+            f"backend {desc.id!r} does not support mid-circuit measurement"
+        )
+    if not desc.supports_conditionals and has_conditionals(c):
+        raise MidCircuitUnsupported(
+            f"backend {desc.id!r} does not support conditioned gates"
+        )

@@ -5,10 +5,12 @@ follows qubit-count and depth heuristics unless user preferences name a
 backend, in which case the preference wins or fails loudly.  Separable
 circuits routed to simulator backends are cut into independent subcircuits
 southbound and their shot lists are recombined northbound.
+
+``execute_task`` is the one way a task runs, whichever integration model
+placed it.  A cut task's modeled service time is the sum of its pieces'.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import count
 
@@ -20,8 +22,11 @@ from .qpm import (
     BackendDescriptor,
     BackendKind,
     BackendRegistry,
+    CircuitTooLarge,
     ExecuteRequest,
     ExecuteResult,
+    MidCircuitUnsupported,
+    check_compatible,
 )
 from .seeds import derive_seed
 from .statevec import Counts, ExecutionTrace
@@ -92,37 +97,32 @@ def _floor_pow2(x: int) -> int:
     return 1 if x < 1 else 1 << (x.bit_length() - 1)
 
 
-class SubtaskRunner:
-    """Runs independent subtask calls; 'parallel' composes service times with
-    max, 'serial' with sum."""
+def piece_requests(task: QuantumTask, decision: RoutingDecision) -> list[ExecuteRequest]:
+    """The backend requests that run a routed task: one per cut piece, or the
+    whole circuit when it was not cut.  Planning and execution both use this
+    list, so a planned duration equals the executed service time."""
+    if decision.cut is None or len(decision.cut.subtasks) == 1:
+        return [ExecuteRequest(
+            task.task_id, task.circuit, task.shots, task.seed, decision.workers,
+        )]
+    return [
+        ExecuteRequest(
+            f"{task.task_id}.{index}", piece.circuit, task.shots, piece.seed,
+            min(decision.workers, 2**piece.circuit.num_qubits),
+        )
+        for index, piece in enumerate(decision.cut.subtasks)
+    ]
 
-    def __init__(self, mode: str = "parallel", max_workers: int | None = None):
-        if mode not in ("parallel", "serial"):
-            raise ValueError(f"unknown runner mode {mode!r}")
-        self.mode = mode
-        self.max_workers = max_workers
+
+class SubtaskRunner:
+    """Runs piece calls in order.
+
+    ``TaskManager.execute_task`` runs a task's pieces inline and does not use
+    this class; it stays only because bench/tracing.py patches ``run_all``.
+    """
 
     def run_all(self, calls):
-        if self.mode == "serial" or len(calls) <= 1:
-            return [call() for call in calls]
-        with ThreadPoolExecutor(max_workers=self.max_workers or len(calls)) as pool:
-            futures = [pool.submit(call) for call in calls]
-        # surface the first (lowest-index) failure, not the first to finish
-        results = []
-        first_error = None
-        for fut in futures:
-            exc = fut.exception()
-            if exc is not None and first_error is None:
-                first_error = exc
-            results.append(None if exc else fut.result())
-        if first_error is not None:
-            raise first_error
-        return results
-
-    def combine_times(self, times) -> float:
-        if not times:
-            return 0.0
-        return max(times) if self.mode == "parallel" else sum(times)
+        return [call() for call in calls]
 
 
 class TaskManager:
@@ -166,14 +166,14 @@ class TaskManager:
                 raise IncompatiblePreference(
                     f"preferred backend {prefs.backend_id!r} is not registered"
                 ) from None
-            self._check_fit(desc, c)
+            _check_preferred(desc, c)
         elif prefs.backend_kind is not None:
             kind = BackendKind(prefs.backend_kind)
             candidates = [d for d in self.registry.list() if d.kind is kind]
             if not candidates:
                 raise IncompatiblePreference(f"no backend of kind {kind.value!r}")
             desc = candidates[0]
-            self._check_fit(desc, c)
+            _check_preferred(desc, c)
         else:
             svs = [d for d in self.registry.list() if d.kind is BackendKind.STATE_VECTOR]
             tns = [d for d in self.registry.list() if d.kind is BackendKind.TENSOR_NETWORK]
@@ -196,23 +196,6 @@ class TaskManager:
         ):
             cut = self.cut(task)
         return RoutingDecision(desc.id, desc.kind, workers, cut)
-
-    def _check_fit(self, desc: BackendDescriptor, c: Circuit) -> None:
-        from .circuit import has_conditionals, has_mid_circuit
-
-        problems = []
-        if c.num_qubits > desc.max_qubits:
-            problems.append(
-                f"{c.num_qubits} qubits exceed max_qubits={desc.max_qubits}"
-            )
-        if not desc.supports_mid_circuit and has_mid_circuit(c):
-            problems.append("mid-circuit measurement unsupported")
-        if not desc.supports_conditionals and has_conditionals(c):
-            problems.append("conditioned gates unsupported")
-        if problems:
-            raise IncompatiblePreference(
-                f"backend {desc.id!r} incompatible: " + "; ".join(problems)
-            )
 
     def _pick_workers(self, desc: BackendDescriptor, n: int, prefs: Preferences) -> int:
         if prefs.workers is not None:
@@ -300,49 +283,30 @@ class TaskManager:
     # -- end to end -----------------------------------------------------------
 
     def execute_task(self, task: QuantumTask,
-                     runner: SubtaskRunner | None = None) -> ExecuteResult:
-        """Route, cut, execute (possibly concurrently), and aggregate one task."""
-        runner = runner or SubtaskRunner()
-        decision = self.route(task)
+                     decision: RoutingDecision | None = None) -> ExecuteResult:
+        """Run one task: route it unless a decision is given, execute each
+        piece, and aggregate the pieces' shots."""
+        if decision is None:
+            decision = self.route(task)
+        results = [
+            self.registry.execute(decision.backend_id, request)
+            for request in piece_requests(task, decision)
+        ]
+        if len(results) == 1:
+            return results[0]
+        counts = self.aggregate(decision.cut, [r.counts for r in results])
+        trace = ExecutionTrace(seed=task.seed)
+        for r in results:
+            trace = trace + r.trace
+        service = sum(r.modeled_service_time for r in results)
+        return ExecuteResult(task.task_id, counts, trace, decision.backend_id, service)
 
-        if decision.cut is not None and len(decision.cut.subtasks) > 1:
-            plan = decision.cut
 
-            def make_call(index: int, subtask: CutSubtask):
-                sub_workers = min(
-                    decision.workers, 2**subtask.circuit.num_qubits
-                )
-                request = ExecuteRequest(
-                    task_id=f"{task.task_id}.{index}",
-                    circuit=subtask.circuit,
-                    shots=task.shots,
-                    seed=subtask.seed,
-                    workers=_floor_pow2(sub_workers),
-                )
-                return lambda: self.registry.execute(decision.backend_id, request)
-
-            calls = [make_call(i, s) for i, s in enumerate(plan.subtasks)]
-            results = runner.run_all(calls)
-            counts = self.aggregate(plan, [r.counts for r in results])
-            trace = ExecutionTrace(seed=task.seed)
-            for r in results:
-                trace = trace + r.trace
-            service = runner.combine_times([r.modeled_service_time for r in results])
-            wait = runner.combine_times([r.queue_wait for r in results])
-            return ExecuteResult(
-                task.task_id, counts, trace, decision.backend_id, service, wait
-            )
-
-        request = ExecuteRequest(
-            task_id=task.task_id,
-            circuit=task.circuit,
-            shots=task.shots,
-            seed=task.seed,
-            workers=decision.workers,
-        )
-        result = self.registry.execute(decision.backend_id, request)
-        result.task_id = task.task_id
-        return result
+def _check_preferred(desc: BackendDescriptor, c: Circuit) -> None:
+    try:
+        check_compatible(desc, c)
+    except (CircuitTooLarge, MidCircuitUnsupported) as exc:
+        raise IncompatiblePreference(f"preferred backend incompatible: {exc}") from None
 
 
 def _owned_bits_value(key: str, subtask: CutSubtask, offsets: dict[str, int]) -> int:

@@ -166,6 +166,7 @@ class _JobRun:
     pending_total: int = 0
     pending_done: int = 0
     pending_results: list = field(default_factory=list)
+    pending_bare: bool = False  # a DeviceCall resumes with its grant, not a list
 
 
 @dataclass
@@ -442,6 +443,7 @@ class Cluster:
             run.pending_total = 1
             run.pending_done = 0
             run.pending_results = [None]
+            run.pending_bare = True
             self._request_from_workload(run, item.hold, item.tag, slot=0)
         elif isinstance(item, ParallelDeviceCalls):
             holds = tuple(item.holds)
@@ -451,6 +453,7 @@ class Cluster:
             run.pending_total = len(holds)
             run.pending_done = 0
             run.pending_results = [None] * len(holds)
+            run.pending_bare = False
             tags = item.tags or (None,) * len(holds)
             for slot, (hold, tag) in enumerate(zip(holds, tags)):
                 self._request_from_workload(run, hold, tag, slot)
@@ -505,7 +508,7 @@ class Cluster:
             results = run.pending_results
             run.pending_total = run.pending_done = 0
             run.pending_results = []
-            value = results[0] if len(results) == 1 else results
+            value = results[0] if run.pending_bare else results
             self._step(request.job_id, value)
 
     def _release_device(self) -> None:

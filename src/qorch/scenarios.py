@@ -228,8 +228,8 @@ class QuantumBatch:
             queue.append((task, decision))
         if queue:
             plan = configure(self.sim_nodes, self.system.config.partitions)
-            timed = assess(queue, plan, self.system.config.timing)
-            env = execute_plan(timed, self.system.registry, total_nodes=self.sim_nodes)
+            timed = assess(queue, plan, self.system.registry)
+            env = execute_plan(timed, self.tm, total_nodes=self.sim_nodes)
             by_id = {o.task_id: o for o in batch}
             for task_id, result in env.results.items():
                 outcome = by_id[task_id]

@@ -4,20 +4,17 @@ The nodes of a job's simulation partition are split by simulator kind.  A
 queue of routed tasks is turned into an execution plan: tasks wanting w > 1
 workers become gang assignments spanning w nodes of their kind partition,
 single-worker tasks pack one per free node (throughput), FIFO per kind so
-nothing starves.  Executing a plan drives the platform manager for real
-counts while completion times follow the logical timing model
-
-    T(task, w) = alpha + beta * gates * 2^n / w + gamma * exchange_cost(w)
+nothing starves.  An assignment's duration is the backend's modeled service
+time, summed over the task's cut pieces; executing the plan runs each task
+through the task manager, which reports that same number.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, gate_count
-from .qpm import BackendKind, BackendRegistry, ExecuteRequest, ExecuteResult
-from .qtm import QuantumTask, RoutingDecision
-from .statevec import exchange_cost
+from .qpm import BackendKind, BackendRegistry, ExecuteResult, UnknownBackend
+from .qtm import QuantumTask, RoutingDecision, TaskManager, piece_requests
 
 
 class Oversubscribed(ValueError):
@@ -26,19 +23,6 @@ class Oversubscribed(ValueError):
 
 class WorkersExceedPartition(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TimingModel:
-    alpha: float = 1e-3
-    beta: float = 1e-9
-    gamma: float = 1e-9
-
-    def task_seconds(self, circuit: Circuit, workers: int) -> float:
-        n = circuit.num_qubits
-        compute = self.beta * gate_count(circuit) * 2**n / workers
-        comm = self.gamma * exchange_cost(circuit, n, workers) if n else 0.0
-        return self.alpha + compute + comm
 
 
 @dataclass(frozen=True)
@@ -98,7 +82,7 @@ class ExecutionPlan:
         return max((a.end for a in self.assignments), default=0.0)
 
 
-def assess(queue, plan: SimPartitionPlan, timing: TimingModel) -> ExecutionPlan:
+def assess(queue, plan: SimPartitionPlan, registry: BackendRegistry) -> ExecutionPlan:
     """Turn routed tasks into a timed plan over the partition's nodes.
 
     ``queue`` holds (task, decision) pairs in arrival order.  Gang tasks wait
@@ -113,7 +97,7 @@ def assess(queue, plan: SimPartitionPlan, timing: TimingModel) -> ExecutionPlan:
         base += size
     totals = {kind: len(nodes) for kind, nodes in free.items()}
 
-    queues: dict[BackendKind, list[tuple[QuantumTask, RoutingDecision]]] = {}
+    queues: dict[BackendKind, list[tuple[QuantumTask, RoutingDecision, float]]] = {}
     out = ExecutionPlan()
     for task, decision in queue:
         kind = decision.backend_kind
@@ -131,7 +115,15 @@ def assess(queue, plan: SimPartitionPlan, timing: TimingModel) -> ExecutionPlan:
             )
             out.failures.append((task.task_id, f"WorkersExceedPartition: {reason}"))
             continue
-        queues.setdefault(kind, []).append((task, decision))
+        try:
+            duration = sum(
+                registry.service_time(decision.backend_id, request)
+                for request in piece_requests(task, decision)
+            )
+        except (UnknownBackend, NotImplementedError) as exc:
+            out.failures.append((task.task_id, f"{type(exc).__name__}: {exc}"))
+            continue
+        queues.setdefault(kind, []).append((task, decision, duration))
 
     completions: list[tuple[float, int, Assignment]] = []
     seq = 0
@@ -139,13 +131,12 @@ def assess(queue, plan: SimPartitionPlan, timing: TimingModel) -> ExecutionPlan:
     while True:
         for kind, pending in queues.items():
             while pending:
-                task, decision = pending[0]
+                task, decision, duration = pending[0]
                 if decision.workers > len(free[kind]):
                     break  # FIFO head blocks until its gang fits
                 pending.pop(0)
                 nodes = tuple(free[kind][: decision.workers])
                 free[kind] = free[kind][decision.workers :]
-                duration = timing.task_seconds(task.circuit, decision.workers)
                 assignment = Assignment(
                     task=task,
                     decision=decision,
@@ -183,9 +174,9 @@ class EnvironmentRun:
     utilization: float = 0.0
 
 
-def execute_plan(plan: ExecutionPlan, registry: BackendRegistry,
+def execute_plan(plan: ExecutionPlan, tm: TaskManager,
                  total_nodes: int | None = None) -> EnvironmentRun:
-    """Run every assignment through the platform manager.
+    """Run every assignment through the task manager.
 
     Counts are identical whether a task ran gang or throughput; only the
     timeline differs.  Per-task failures are recorded without aborting
@@ -197,20 +188,12 @@ def execute_plan(plan: ExecutionPlan, registry: BackendRegistry,
     busy = 0.0
     for assignment in plan.assignments:
         task = assignment.task
-        request = ExecuteRequest(
-            task_id=task.task_id,
-            circuit=task.circuit,
-            shots=task.shots,
-            seed=task.seed,
-            workers=assignment.workers,
-        )
         try:
-            result = registry.execute(assignment.decision.backend_id, request)
+            result = tm.execute_task(task, assignment.decision)
         except Exception as exc:
             env.failures[task.task_id] = f"{type(exc).__name__}: {exc}"
             continue
         result.queue_wait = assignment.start
-        result.modeled_service_time = assignment.duration
         env.results[task.task_id] = result
         busy += assignment.workers * assignment.duration
     env.makespan = plan.makespan

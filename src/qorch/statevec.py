@@ -182,16 +182,6 @@ def _apply_unitary(amps: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...]
     amps[:] = result.reshape(-1)
 
 
-def new_state(num_qubits: int, workers: int = 1, seed: int = 0) -> State:
-    """Fresh |0...0> state split into the given number of worker chunks."""
-    return State(num_qubits, workers, seed)
-
-
-def apply_instruction(state: State, instr: Instruction) -> ExecutionTrace:
-    """Apply one instruction to the state; returns the per-instruction trace delta."""
-    return state.apply(instr)
-
-
 def probabilities(state: State) -> np.ndarray:
     """|amplitude|^2 per basis index; sums to 1 within 1e-10."""
     return np.abs(state.amplitudes) ** 2

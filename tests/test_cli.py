@@ -121,3 +121,38 @@ def test_in_sequence_scenario_cli(tmp_path):
     )
     assert code == 0
     assert "iteration 0" in (out_dir / "report.txt").read_text()
+
+
+def _task_lines(out_dir):
+    lines = (out_dir / "report.txt").read_text().splitlines()
+    return [line for line in lines if line.startswith("task ")]
+
+
+def test_single_qc_single_circuit_scenario(tmp_path):
+    out_dir = tmp_path / "sc"
+    code = cli_main(
+        ["scenario", "single_circuit", "--model", "single_qc", "--sim-nodes", "0",
+         "--out", str(out_dir)]
+    )
+    assert code == 0
+    assert len(_task_lines(out_dir)) == 1
+
+
+def test_single_qc_submit(tmp_path, bell_file):
+    out_dir = tmp_path / "run"
+    code = cli_main(
+        ["submit", str(bell_file), "--shots", "100", "--model", "single_qc",
+         "--out", str(out_dir)]
+    )
+    assert code == 0
+    assert len(_task_lines(out_dir)) == 1
+
+
+def test_single_qc_one_circuit_ensemble(tmp_path):
+    out_dir = tmp_path / "ens"
+    code = cli_main(
+        ["scenario", "ensemble", "--k", "1", "--model", "single_qc",
+         "--out", str(out_dir)]
+    )
+    assert code == 0
+    assert len(_task_lines(out_dir)) == 1

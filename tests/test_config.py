@@ -11,7 +11,8 @@ def test_default_config_parses():
     assert [b.id for b in cfg.backends] == ["statevec", "mock-hw"]
     assert cfg.routing.sv_max == 24
     assert cfg.routing.local_qubits_per_worker == 20
-    assert cfg.timing.alpha == 1e-3
+    assert cfg.backends[0].alpha == 1e-3
+    assert cfg.backends[0].gamma == 1e-9
     assert cfg.partitions is None
 
 
@@ -60,3 +61,23 @@ def test_no_backends_rejected():
 def test_bad_kind_rejected():
     with pytest.raises(ConfigError):
         parse_config("[backend:x]\nkind = abacus\n")
+
+
+@pytest.mark.parametrize("text, section, key", [
+    ("[cluster]\nnodes = abc\n", "[cluster]", "nodes"),
+    ("[cluster]\nnodes = 0\n", "[cluster]", "nodes"),
+    ("[backend:hw]\nkind = hardware\nreadout_flip_probability = 2\n",
+     "[backend:hw]", "readout_flip_probability"),
+])
+def test_bad_value_names_section_and_key(text, section, key):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text + "\n[backend:sv]\nkind = state_vector\n")
+    assert section in str(info.value) and key in str(info.value)
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta", "gamma"])
+def test_leftover_simenv_timing_key_rejected(key):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"[backend:sv]\nkind = state_vector\n\n[simenv]\n{key} = 1e-3\n")
+    message = str(info.value)
+    assert "[simenv]" in message and key in message and "[backend:<id>]" in message

@@ -14,10 +14,6 @@ from qorch.qpm import (
     MockHardwareBackend,
     StateVectorBackend,
     UnknownBackend,
-    execute,
-    get_calibration,
-    list_backends,
-    register_backend,
 )
 
 
@@ -55,22 +51,19 @@ def registry():
 
 
 def test_register_and_list_order(registry):
-    ids = [d.id for d in list_backends(registry)]
+    ids = [d.id for d in registry.list()]
     assert ids == ["statevec", "mock-hw"]
 
 
 def test_duplicate_id_rejected(registry):
     with pytest.raises(DuplicateId):
-        register_backend(registry, sv_descriptor(), StateVectorBackend())
-    assert [d.id for d in list_backends(registry)] == ["statevec", "mock-hw"]
+        registry.register(sv_descriptor(), StateVectorBackend())
+    assert [d.id for d in registry.list()] == ["statevec", "mock-hw"]
 
 
 def test_register_tensor_network_stub(registry):
-    register_backend(
-        registry,
-        BackendDescriptor("tn", BackendKind.TENSOR_NETWORK, max_qubits=40),
-    )
-    assert list_backends(registry)[-1].kind is BackendKind.TENSOR_NETWORK
+    registry.register(BackendDescriptor("tn", BackendKind.TENSOR_NETWORK, max_qubits=40))
+    assert registry.list()[-1].kind is BackendKind.TENSOR_NETWORK
 
 
 def test_hardware_concurrency_must_be_one():
@@ -86,26 +79,26 @@ def test_hardware_concurrency_must_be_one():
 
 
 def test_statevec_calibration_is_ideal(registry):
-    cal = get_calibration(registry, "statevec")
+    cal = registry.get_calibration("statevec")
     assert cal.readout_flip_probability == 0.0
     assert cal.service_time_params[0] == 0.0
 
 
 def test_mock_hw_calibration_echoes_config(registry):
-    cal = get_calibration(registry, "mock-hw")
+    cal = registry.get_calibration("mock-hw")
     assert cal.readout_flip_probability == 0.02
 
 
 def test_unknown_backend(registry):
     with pytest.raises(UnknownBackend):
-        get_calibration(registry, "nope")
+        registry.get_calibration("nope")
 
 
 # -- execute -----------------------------------------------------------------
 
 
 def test_execute_bell_on_statevec(registry):
-    res = execute(registry, "statevec", ExecuteRequest("t1", bell(), 100, seed=1))
+    res = registry.execute("statevec", ExecuteRequest("t1", bell(), 100, seed=1))
     assert set(res.counts) <= {"00", "11"}
     assert res.counts.total() == 100
     assert res.backend_id == "statevec"
@@ -125,14 +118,14 @@ def test_mock_hw_p_zero_matches_statevec(registry):
     reg = BackendRegistry()
     reg.register(hw_descriptor(), MockHardwareBackend(readout_flip_probability=0.0))
     hw = reg.execute("mock-hw", ExecuteRequest("t", bell(), 2000, seed=11))
-    sv = execute(registry, "statevec", ExecuteRequest("t", bell(), 2000, seed=11))
+    sv = registry.execute("statevec", ExecuteRequest("t", bell(), 2000, seed=11))
     assert hw.counts == sv.counts
 
 
 def test_circuit_too_large(registry):
     big = CircuitBuilder(30).build()
     with pytest.raises(CircuitTooLarge):
-        execute(registry, "statevec", ExecuteRequest("t", big, 10, seed=0))
+        registry.execute("statevec", ExecuteRequest("t", big, 10, seed=0))
 
 
 def test_mid_circuit_unsupported_on_hardware(registry):
@@ -144,15 +137,13 @@ def test_mid_circuit_unsupported_on_hardware(registry):
         .build()
     )
     with pytest.raises(MidCircuitUnsupported):
-        execute(registry, "mock-hw", ExecuteRequest("t", c, 10, seed=0))
+        registry.execute("mock-hw", ExecuteRequest("t", c, 10, seed=0))
 
 
 def test_tensor_network_stub_not_implemented(registry):
-    register_backend(
-        registry, BackendDescriptor("tn", BackendKind.TENSOR_NETWORK, 40)
-    )
+    registry.register(BackendDescriptor("tn", BackendKind.TENSOR_NETWORK, 40))
     with pytest.raises(NotImplementedError):
-        execute(registry, "tn", ExecuteRequest("t", bell(), 10, seed=0))
+        registry.execute("tn", ExecuteRequest("t", bell(), 10, seed=0))
 
 
 def test_external_plugin_runs_when_registered(registry):
@@ -166,15 +157,13 @@ def test_external_plugin_runs_when_registered(registry):
                 ExecutionTrace(), descriptor.id, 1.0,
             )
 
-    register_backend(
-        registry, BackendDescriptor("tn", BackendKind.TENSOR_NETWORK, 40), FakeTNPlugin()
-    )
-    res = execute(registry, "tn", ExecuteRequest("t", bell(), 7, seed=0))
+    registry.register(BackendDescriptor("tn", BackendKind.TENSOR_NETWORK, 40), FakeTNPlugin())
+    res = registry.execute("tn", ExecuteRequest("t", bell(), 7, seed=0))
     assert res.counts == {"0": 7}
 
 
 def test_service_time_monotonicity():
-    sv = StateVectorBackend(alpha=1e-3, beta=1e-9)
+    sv = StateVectorBackend(alpha=1e-3, beta=1e-9, gamma=0.0)
     desc = sv_descriptor()
     c = bell()
     t_small = sv.execute(ExecuteRequest("a", c, 10, 0, workers=1), desc)
@@ -190,11 +179,11 @@ def test_service_time_monotonicity():
 
 def test_execute_does_not_mutate_request(registry):
     req = ExecuteRequest("t", bell(), 50, seed=5)
-    execute(registry, "statevec", req)
+    registry.execute("statevec", req)
     assert req.shots == 50 and req.seed == 5
 
 
 def test_results_reproducible(registry):
-    a = execute(registry, "mock-hw", ExecuteRequest("t", bell(), 500, seed=9))
-    b = execute(registry, "mock-hw", ExecuteRequest("t", bell(), 500, seed=9))
+    a = registry.execute("mock-hw", ExecuteRequest("t", bell(), 500, seed=9))
+    b = registry.execute("mock-hw", ExecuteRequest("t", bell(), 500, seed=9))
     assert a.counts == b.counts

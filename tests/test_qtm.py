@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import product_circuit
 from oracle import oracle_probabilities
@@ -19,8 +21,8 @@ from qorch.qtm import (
     Preferences,
     RoutingConfig,
     ShotMismatch,
-    SubtaskRunner,
     TaskManager,
+    piece_requests,
 )
 from qorch.statevec import Counts
 
@@ -329,13 +331,30 @@ def test_execute_task_incompatible_preference_surfaces():
         tm.execute_task(task)
 
 
-def test_serial_and_parallel_runners_agree():
+def test_cut_service_time_is_sum_of_pieces():
     tm = manager()
-    c = product_circuit([2, 2], 1, seed=10)
-    serial = tm.execute_task(tm.normalize(c, 500, 6), SubtaskRunner("serial"))
-    parallel = tm.execute_task(tm.normalize(c, 500, 6), SubtaskRunner("parallel"))
-    assert serial.counts == parallel.counts
-    assert serial.modeled_service_time >= parallel.modeled_service_time
+    task = tm.normalize(product_circuit([2, 2, 1], 1, seed=10), 500, 6)
+    decision = tm.route(task)
+    pieces = piece_requests(task, decision)
+    assert len(pieces) == 3
+    backend = StateVectorBackend()
+    expected = sum(backend.service_time(p.circuit, p.shots, p.workers) for p in pieces)
+    assert tm.execute_task(task).modeled_service_time == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+    log_workers=st.integers(0, 3),
+)
+def test_execute_task_counts_independent_of_workers(sizes, seed, log_workers):
+    workers = min(2**log_workers, 2 ** sum(sizes))
+    tm = manager()
+    c = product_circuit(sizes, 1, seed=seed)
+    base = tm.execute_task(tm.normalize(c, 200, seed))
+    other = tm.execute_task(tm.normalize(c, 200, seed, Preferences(workers=workers)))
+    assert other.counts == base.counts
 
 
 def test_aggregation_conserves_shots():

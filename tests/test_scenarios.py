@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import product_circuit
 from oracle import oracle_probabilities
 from qorch.circuit import Circuit, Gate, Measure
+from qorch.qasm import serialize_qasm
 from qorch.resman import Model
 from qorch.scenarios import (
     NonConvergence,
@@ -207,6 +209,20 @@ def test_submit_with_backend_preference(system):
         src, 400, seed=9, system=system, backend_id="mock-hw"
     )
     assert report.tasks[0].backend_id == "mock-hw"
+
+
+def test_separable_task_same_under_both_models(system):
+    src = serialize_qasm(product_circuit([2, 2], 1, seed=21))
+    per_job = run_submitted_circuit(src, 500, seed=4, system=system, sim_nodes=1)
+    single = run_submitted_circuit(
+        src, 500, seed=4, system=system, model=Model.SINGLE_QC, sim_nodes=0
+    )
+    tm = system.task_manager()
+    direct = tm.execute_task(tm.normalize(src, 500, 4))
+    for report in (per_job, single):
+        (task,) = report.tasks
+        assert task.counts == direct.counts
+        assert task.service_time == direct.modeled_service_time
 
 
 # -- determinism --------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import product_circuit
 from qorch.circuit import CircuitBuilder
 from qorch.qpm import (
     BackendDescriptor,
@@ -12,7 +13,6 @@ from qorch.simenv import (
     EnvironmentRun,
     Oversubscribed,
     SimPartitionPlan,
-    TimingModel,
     assess,
     configure,
     execute_plan,
@@ -30,8 +30,7 @@ def registry():
 
 
 def routed_tasks(n_tasks, n_qubits=3, workers=1, shots=50, seed=0, sv_workers_cfg=None):
-    reg = registry()
-    tm = TaskManager(reg, sv_workers_cfg or RoutingConfig())
+    tm = TaskManager(registry(), sv_workers_cfg or RoutingConfig())
     out = []
     for i in range(n_tasks):
         c = (
@@ -43,7 +42,7 @@ def routed_tasks(n_tasks, n_qubits=3, workers=1, shots=50, seed=0, sv_workers_cf
         prefs = Preferences(workers=workers) if workers != 1 else Preferences()
         task = tm.normalize(c, shots, seed + i, prefs)
         out.append((task, tm.route(task)))
-    return reg, out
+    return tm, out
 
 
 # -- configure ----------------------------------------------------------------
@@ -74,7 +73,7 @@ def test_configure_oversubscribed():
 
 def test_throughput_packs_one_per_node():
     _, queue = routed_tasks(4)
-    plan = assess(queue, configure(4), TimingModel())
+    plan = assess(queue, configure(4), registry())
     assert len(plan.assignments) == 4
     assert all(a.start == 0.0 for a in plan.assignments)
     assert all(a.run_mode == "throughput" for a in plan.assignments)
@@ -83,10 +82,10 @@ def test_throughput_packs_one_per_node():
 
 
 def test_gang_head_blocks_then_small_task():
-    reg, queue = routed_tasks(1, workers=4)
+    _, queue = routed_tasks(1, workers=4)
     _, single = routed_tasks(1)
     queue = queue + single
-    plan = assess(queue, configure(4), TimingModel())
+    plan = assess(queue, configure(4), registry())
     gang = plan.assignments[0]
     small = plan.assignments[1]
     assert gang.run_mode == "gang"
@@ -97,7 +96,7 @@ def test_gang_head_blocks_then_small_task():
 
 def test_workers_exceed_partition_fails_task():
     _, queue = routed_tasks(1, workers=8)
-    plan = assess(queue, configure(4), TimingModel())
+    plan = assess(queue, configure(4), registry())
     assert not plan.assignments
     assert len(plan.failures) == 1
     assert "WorkersExceedPartition" in plan.failures[0][1]
@@ -106,7 +105,7 @@ def test_workers_exceed_partition_fails_task():
 def test_fifo_no_starvation_mixed_queue():
     _, gang = routed_tasks(1, workers=2, seed=10)
     _, singles = routed_tasks(3, seed=20)
-    plan = assess(singles[:1] + gang + singles[1:], configure(2), TimingModel())
+    plan = assess(singles[:1] + gang + singles[1:], configure(2), registry())
     starts = {a.task.task_id: a.start for a in plan.assignments}
     ids = [a.task.task_id for a in sorted(plan.assignments, key=lambda a: (a.start, a.task.task_id))]
     # the gang task (second in queue) must not be passed by both later singles
@@ -117,47 +116,47 @@ def test_fifo_no_starvation_mixed_queue():
     assert len(ids) == 4
 
 
-# -- timing model -----------------------------------------------------------------
+# -- backend timing model -----------------------------------------------------------
 
 
 def test_timing_local_gates_scale_with_workers():
     c = CircuitBuilder(10).h(0).h(1).build()
-    timing = TimingModel(alpha=0.0, beta=1.0, gamma=1.0)
-    t1 = timing.task_seconds(c, 1)
-    t4 = timing.task_seconds(c, 4)
+    timing = StateVectorBackend(alpha=0.0, beta=1.0, gamma=1.0)
+    t1 = timing.service_time(c, 1, 1)
+    t4 = timing.service_time(c, 1, 4)
     assert t1 / t4 == pytest.approx(4.0)
 
 
 def test_timing_includes_exchange_term():
     c = CircuitBuilder(10).h(9).build()
-    timing = TimingModel(alpha=0.0, beta=1.0, gamma=1.0)
+    timing = StateVectorBackend(alpha=0.0, beta=1.0, gamma=1.0)
     expected = 1.0 * 1 * 1024 / 2 + 1.0 * exchange_cost(c, 10, 2)
-    assert timing.task_seconds(c, 2) == pytest.approx(expected)
+    assert timing.service_time(c, 1, 2) == pytest.approx(expected)
     assert exchange_cost(c, 10, 2) == 1024
 
 
 def test_speedup_sanity_local_circuit():
     c = CircuitBuilder(12).h(0).cx(0, 1).build()
-    timing = TimingModel(alpha=0.0)
-    assert timing.task_seconds(c, 2) < timing.task_seconds(c, 1)
+    timing = StateVectorBackend(alpha=0.0)
+    assert timing.service_time(c, 1, 2) < timing.service_time(c, 1, 1)
 
 
 # -- execute_plan --------------------------------------------------------------------
 
 
 def test_execute_plan_runs_counts():
-    reg, queue = routed_tasks(2, shots=100)
-    plan = assess(queue, configure(2), TimingModel())
-    env = execute_plan(plan, reg, total_nodes=2)
+    tm, queue = routed_tasks(2, shots=100)
+    plan = assess(queue, configure(2), tm.registry)
+    env = execute_plan(plan, tm, total_nodes=2)
     assert len(env.results) == 2
     for result in env.results.values():
         assert result.counts.total() == 100
 
 
 def test_parallel_makespan_is_max_not_sum():
-    reg, queue = routed_tasks(2)
-    plan = assess(queue, configure(2), TimingModel())
-    env = execute_plan(plan, reg, total_nodes=2)
+    tm, queue = routed_tasks(2)
+    plan = assess(queue, configure(2), tm.registry)
+    env = execute_plan(plan, tm, total_nodes=2)
     durations = [a.duration for a in plan.assignments]
     assert env.makespan == pytest.approx(max(durations))
 
@@ -169,10 +168,10 @@ def test_gang_vs_throughput_same_counts():
 
     gang_task = tm.normalize(c, 400, 7, Preferences(workers=4))
     tp_task = tm.normalize(c, 400, 7)
-    gang_plan = assess([(gang_task, tm.route(gang_task))], configure(4), TimingModel())
-    tp_plan = assess([(tp_task, tm.route(tp_task))], configure(4), TimingModel())
-    gang_env = execute_plan(gang_plan, reg)
-    tp_env = execute_plan(tp_plan, reg)
+    gang_plan = assess([(gang_task, tm.route(gang_task))], configure(4), reg)
+    tp_plan = assess([(tp_task, tm.route(tp_task))], configure(4), reg)
+    gang_env = execute_plan(gang_plan, tm)
+    tp_env = execute_plan(tp_plan, tm)
     gang_counts = next(iter(gang_env.results.values())).counts
     tp_counts = next(iter(tp_env.results.values())).counts
     assert gang_counts == tp_counts
@@ -181,7 +180,7 @@ def test_gang_vs_throughput_same_counts():
 def test_node_exclusivity_across_timeline():
     _, queue = routed_tasks(6)
     _, gang = routed_tasks(1, workers=2, seed=99)
-    plan = assess(queue[:3] + gang + queue[3:], configure(3), TimingModel())
+    plan = assess(queue[:3] + gang + queue[3:], configure(3), registry())
     spans = [(a.start, a.end, a.nodes) for a in plan.assignments]
     for i, (s1, e1, n1) in enumerate(spans):
         for s2, e2, n2 in spans[i + 1 :]:
@@ -190,12 +189,22 @@ def test_node_exclusivity_across_timeline():
 
 
 def test_per_task_failure_does_not_abort_siblings():
-    reg, queue = routed_tasks(2)
+    tm, queue = routed_tasks(2)
     # poison the second task with an unregistered backend id
     from dataclasses import replace
 
     poisoned = (queue[1][0], replace(queue[1][1], backend_id="ghost"))
-    plan = assess([queue[0], poisoned], configure(2), TimingModel())
-    env = execute_plan(plan, reg, total_nodes=2)
+    plan = assess([queue[0], poisoned], configure(2), tm.registry)
+    env = execute_plan(plan, tm, total_nodes=2)
     assert queue[0][0].task_id in env.results
     assert poisoned[0].task_id in env.failures
+
+
+def test_planned_duration_equals_executed_service_time():
+    tm = TaskManager(registry(), RoutingConfig())
+    task = tm.normalize(product_circuit([2, 2, 1], 1, seed=5), 200, 4, Preferences(workers=4))
+    decision = tm.route(task)
+    assert len(decision.cut.subtasks) == 3
+    plan = assess([(task, decision)], configure(4), tm.registry)
+    env = execute_plan(plan, tm, total_nodes=4)
+    assert env.results[task.task_id].modeled_service_time == plan.assignments[0].duration

@@ -12,7 +12,6 @@ from qorch.statevec import (
     State,
     exchange_cost,
     final_state,
-    new_state,
     probabilities,
     run,
 )
@@ -51,12 +50,12 @@ def teleport(theta):
 
 
 def test_new_state_single():
-    s = new_state(1, 1)
+    s = State(1, 1)
     np.testing.assert_array_equal(s.amplitudes, [1, 0])
 
 
 def test_new_state_chunks():
-    s = new_state(2, 2)
+    s = State(2, 2)
     chunks = s.chunks
     np.testing.assert_array_equal(chunks[0], [1, 0])
     np.testing.assert_array_equal(chunks[1], [0, 0])
@@ -64,24 +63,24 @@ def test_new_state_chunks():
 
 def test_new_state_worker_bound():
     with pytest.raises(ValueError):
-        new_state(3, 16)
+        State(3, 16)
     with pytest.raises(ValueError):
-        new_state(3, 3)  # not a power of two
+        State(3, 3)  # not a power of two
     with pytest.raises(ValueError):
-        new_state(0, 1)
+        State(0, 1)
 
 
-# -- apply_instruction -----------------------------------------------------
+# -- State.apply -----------------------------------------------------------
 
 
 def test_h_on_zero():
-    s = new_state(1)
+    s = State(1)
     s.apply(Gate(GateKind.H, (), (0,), None))
     np.testing.assert_allclose(s.amplitudes, [1 / math.sqrt(2)] * 2, atol=1e-15)
 
 
 def test_measure_collapses_and_normalizes():
-    s = new_state(1, seed=42)
+    s = State(1, seed=42)
     s.apply(Gate(GateKind.H, (), (0,), None))
     s.apply(Measure(0, "c", 0))
     bit = s.classical["c"]
@@ -93,7 +92,7 @@ def test_measure_collapses_and_normalizes():
 
 
 def test_unsatisfied_condition_is_noop():
-    s = new_state(1)
+    s = State(1)
     before = s.amplitudes.copy()
     delta = s.apply(Gate(GateKind.X, (), (0,), ("c", 1)))
     np.testing.assert_array_equal(s.amplitudes, before)
@@ -101,14 +100,14 @@ def test_unsatisfied_condition_is_noop():
 
 
 def test_satisfied_condition_applies():
-    s = new_state(1)
+    s = State(1)
     s.classical["c"] = 1
     s.apply(Gate(GateKind.X, (), (0,), ("c", 1)))
     np.testing.assert_allclose(s.amplitudes, [0, 1], atol=1e-15)
 
 
 def test_reset_forces_zero():
-    s = new_state(1, seed=3)
+    s = State(1, seed=3)
     s.apply(Gate(GateKind.X, (), (0,), None))
     from qorch.circuit import Reset
 
@@ -120,7 +119,7 @@ def test_reset_forces_zero():
 
 
 def test_probabilities_basics():
-    s = new_state(1)
+    s = State(1)
     np.testing.assert_allclose(probabilities(s), [1, 0])
     s.apply(Gate(GateKind.H, (), (0,), None))
     np.testing.assert_allclose(probabilities(s), [0.5, 0.5], atol=1e-15)
@@ -216,7 +215,7 @@ def test_dynamic_path_deterministic():
 
 def test_norm_preserved_through_random_circuit():
     c = random_gate_circuit(4, 4, seed=13)
-    s = new_state(4)
+    s = State(4)
     for instr in c.instructions:
         s.apply(instr)
         assert abs(np.linalg.norm(s.amplitudes) - 1) < 1e-10
