@@ -21,7 +21,7 @@ import numpy as np
 
 from .circuit import Circuit, gate_count, has_conditionals, has_mid_circuit
 from .seeds import derive_seed
-from .statevec import Counts, ExecutionTrace, exchange_cost, run
+from .statevec import Counts, ExecutionTrace, exchange_cost, format_keys, run
 
 
 class BackendKind(str, Enum):
@@ -124,7 +124,9 @@ class MockHardwareBackend:
 
     Flip draws come from one counter-keyed stream indexed by (shot, bit), so
     they are a pure function of (request seed, shot, bit) regardless of how
-    the shot list is enumerated.
+    the shot list is enumerated.  They are applied as one XOR of packed flip
+    rows over the expanded shot list (each sorted key repeated by its count),
+    and only the distinct results are formatted as keys.
     """
 
     def __init__(self, readout_flip_probability: float = 0.02,
@@ -155,21 +157,39 @@ class MockHardwareBackend:
         positions = [i for i, ch in enumerate(keys[0]) if ch != " "]
         rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, "readout")))
         flips = rng.random((shots, len(positions))) < self.p
-        out = Counts()
-        shot = 0
-        for key in keys:
-            for _ in range(counts[key]):
-                chars = list(key)
-                for j, pos in enumerate(positions):
-                    if flips[shot, j]:
-                        chars[pos] = "1" if chars[pos] == "0" else "0"
-                flipped = "".join(chars)
-                out[flipped] = out.get(flipped, 0) + 1
-                shot += 1
-        return Counts(sorted(out.items()))
+        chars = np.frombuffer("".join(keys).encode("ascii"), dtype=np.uint8)
+        key_bits = chars.reshape(len(keys), -1)[:, positions] == ord("1")
+        # Shot s reads the s-th key of the sorted keys, each repeated by its
+        # count, so its readout is that key XOR flip row s.
+        words = np.repeat(_pack_rows(key_bits), [counts[k] for k in keys], axis=0)
+        words ^= _pack_rows(flips)
+        # One word per row sorts as plain integers; the row-wise unique that
+        # keys wider than 64 bits need compares field by field and is about
+        # a hundred times slower.
+        if words.shape[1] == 1:
+            distinct, tally = np.unique(words[:, 0], return_counts=True)
+        else:
+            distinct, tally = np.unique(words, axis=0, return_counts=True)
+        rows = np.full((len(distinct), len(keys[0])), ord(" "), dtype=np.uint8)
+        rows[:, positions] = ord("0") + np.unpackbits(
+            distinct.view(np.uint8).reshape(len(distinct), -1), axis=1, count=len(positions))
+        return Counts(zip(format_keys(rows), tally.tolist()))
 
     def calibration(self) -> CalibrationInfo:
         return CalibrationInfo(self.p, (self.alpha_q, self.beta_q))
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Pack rows of bits into big-endian uint64 words, first bit most significant.
+
+    Rows of up to 64 bits pack into one word, so the word order is the
+    order of the rows read as bit strings; wider rows take one more word
+    per 64 bits and compare word by word.
+    """
+    packed = np.packbits(bits, axis=1)
+    words = np.zeros((len(bits), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    return words.view(">u8")
 
 
 @dataclass

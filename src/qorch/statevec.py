@@ -7,6 +7,10 @@ below ``n - log2(workers)`` touches amplitude pairs within single chunks;
 any other gate pairs amplitudes across chunks, and the trace charges the
 full ``2^n`` amplitude exchange for it.  The arithmetic itself is identical
 for every worker count, so results never depend on the partitioning.
+
+A static circuit costs one pass of its gates over the state, O(2^m) numpy
+work on the marginal of its m measured qubits, and Python work per distinct
+outcome drawn; nothing loops over all 2^m outcomes or over shots.
 """
 from __future__ import annotations
 
@@ -212,7 +216,9 @@ def final_state(c: Circuit, seed: int = 0, workers: int = 1) -> State:
 def _static_distribution(c: Circuit, workers: int):
     """Exact creg-bitstring distribution of a static circuit.
 
-    Returns (keys, probabilities, gates_applied, measures, exchanged).
+    Returns (keys_of, probabilities, gates_applied, measures, exchanged).
+    ``probabilities`` lists the outcomes in sorted-key order, and
+    ``keys_of(indices)`` formats the keys of the given entries.
     """
     state = State(c.num_qubits, workers)
     trace_gates = 0
@@ -248,23 +254,43 @@ def _static_distribution(c: Circuit, workers: int):
     else:
         marginal = np.array([1.0])
 
-    outcome_probs: dict[str, float] = {}
+    # Every measured qubit writes at least one creg bit, so outcome -> key is
+    # a bijection.  Keys share their layout, so they sort like the bits they
+    # print: cregs in declaration order, each highest bit first.  The qubit
+    # that first appears in that order at rank r fills bit m-1-r of the
+    # sorted index.  Later copies of a qubit, unwritten bits and bits written
+    # after a reset (constant 0) add nothing to the order.
     m = len(measured)
-    pos_of = {q: i for i, q in enumerate(measured)}
-    for z in range(2**m):
-        values: dict[str, int] = {}
-        for (creg, bit), q in writers.items():
-            b = 0 if q is None else (z >> pos_of[q]) & 1
-            current = values.get(creg, 0)
-            values[creg] = (current & ~(1 << bit)) | (b << bit)
-        key = " ".join(
-            format(values.get(name, 0), f"0{size}b") for name, size in c.cregs
-        )
-        outcome_probs[key] = outcome_probs.get(key, 0.0) + float(marginal[z])
-    keys = sorted(outcome_probs)
-    pvec = np.array([outcome_probs[k] for k in keys])
+    rank: dict[int, int] = {}
+    shifts = []  # per key character; shift m reads a bit that is always 0
+    codes = []
+    for k, (name, size) in enumerate(c.cregs):
+        if k:
+            shifts.append(m)
+            codes.append(ord(" "))
+        for bit in reversed(range(size)):
+            q = writers.get((name, bit))
+            shifts.append(m if q is None else m - 1 - rank.setdefault(q, len(rank)))
+            codes.append(ord("0"))
+    axis_of = {q: m - 1 - i for i, q in enumerate(measured)}
+    perm = [axis_of[q] for q in sorted(rank, key=rank.get)]
+    pvec = marginal.reshape((2,) * m).transpose(perm).reshape(-1)
     pvec = pvec / pvec.sum()
-    return keys, pvec, trace_gates, n_measures, exchanged
+
+    shift = np.array(shifts, dtype=np.int64)
+    base = np.array(codes, dtype=np.int64)
+
+    def keys_of(indices: np.ndarray) -> list[str]:
+        return format_keys((base + ((indices[:, None] >> shift) & 1)).astype(np.uint8))
+
+    return keys_of, pvec, trace_gates, n_measures, exchanged
+
+
+def format_keys(rows: np.ndarray) -> list[str]:
+    """Decode each row of ASCII codes into one key."""
+    text = rows.tobytes().decode("ascii")
+    width = rows.shape[1]
+    return [text[j * width:(j + 1) * width] for j in range(len(rows))]
 
 
 def run(c: Circuit, shots: int, seed: int = 0, workers: int = 1, *,
@@ -273,9 +299,10 @@ def run(c: Circuit, shots: int, seed: int = 0, workers: int = 1, *,
     """Execute a circuit for the given number of shots.
 
     Static circuits (terminal measurement, no conditionals) are executed once
-    and sampled multinomially; anything with feed-forward runs shot by shot
-    with collapse.  Identical (circuit, shots, seed, workers) always produces
-    identical Counts.
+    and sampled multinomially: one state pass, O(2^m) numpy work over the m
+    measured qubits' marginal, and a key formatted only per distinct outcome
+    drawn.  Anything with feed-forward runs shot by shot with collapse.
+    Identical (circuit, shots, seed, workers) always produces identical Counts.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
@@ -285,17 +312,16 @@ def run(c: Circuit, shots: int, seed: int = 0, workers: int = 1, *,
         )
     _check_workers(c.num_qubits, workers)
 
-    counts = Counts()
     if is_static(c) and not force_shot_by_shot:
-        keys, pvec, gates, measures, exchanged = _static_distribution(c, workers)
+        keys_of, pvec, gates, measures, exchanged = _static_distribution(c, workers)
         rng = np.random.default_rng(derive_seed(seed, "static"))
         draws = rng.multinomial(shots, pvec)
-        for key, count in zip(keys, draws):
-            if count:
-                counts[key] = int(count)
+        hits = np.flatnonzero(draws)
+        counts = Counts(zip(keys_of(hits), draws[hits].tolist()))
         trace = ExecutionTrace(gates, measures, exchanged, seed)
         return counts, trace
 
+    counts = Counts()
     trace = ExecutionTrace(seed=seed)
     for shot in range(shots):
         state = State(c.num_qubits, workers, seed=derive_seed(seed, "shot", shot))

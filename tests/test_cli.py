@@ -156,3 +156,16 @@ def test_single_qc_one_circuit_ensemble(tmp_path):
     )
     assert code == 0
     assert len(_task_lines(out_dir)) == 1
+
+
+def test_ghz20_single_circuit_scenario(tmp_path):
+    out_dir = tmp_path / "ghz20"
+    code = cli_main(
+        ["scenario", "single_circuit", "--n", "20", "--shots", "10000",
+         "--out", str(out_dir)]
+    )
+    assert code == 0
+    (line,) = _task_lines(out_dir)
+    dist = line.split("dist=", 1)[1].split()[0]
+    keys = {entry.split(":")[0] for entry in dist.split(";")}
+    assert keys == {"0" * 20, "1" * 20}
