@@ -88,6 +88,16 @@ def _run_dir(args, name: str) -> Path:
     return Path("runs") / f"{name}-s{seed}"
 
 
+def _finish(report, run_dir: Path) -> int:
+    """Write the run directory; a failed run exits 2 and says why on stderr."""
+    out = report.write(run_dir)
+    print(f"report written to {out}")
+    if report.status == "ok":
+        return 0
+    print(f"execution failed: {report.failure}", file=sys.stderr)
+    return 2
+
+
 def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -121,9 +131,7 @@ def cli_main(argv=None) -> int:
                 model=args.model, app_nodes=args.app_nodes, sim_nodes=args.sim_nodes,
                 backend_id=args.backend, workers=args.workers,
             )
-            out = report.write(_run_dir(args, "submit"))
-            print(f"report written to {out}")
-            return 0 if report.status == "ok" else 2
+            return _finish(report, _run_dir(args, "submit"))
 
         if args.command == "scenario":
             name = f"scenario-{args.pattern}"
@@ -142,15 +150,11 @@ def cli_main(argv=None) -> int:
                     print(f"report written to {out}")
                 print(f"execution failed: {exc}", file=sys.stderr)
                 return 2
-            out = report.write(_run_dir(args, name))
-            print(f"report written to {out}")
-            return 0 if report.status == "ok" else 2
+            return _finish(report, _run_dir(args, name))
 
         if args.command == "workflow":
             report = run_workflow(args.file, system, seed=args.seed)
-            out = report.write(_run_dir(args, "workflow"))
-            print(f"report written to {out}")
-            return 0 if report.status == "ok" else 2
+            return _finish(report, _run_dir(args, "workflow"))
 
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:

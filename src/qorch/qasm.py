@@ -3,17 +3,25 @@
 Accepted programs start with ``OPENQASM 2.0;`` and may use the built-in gate
 vocabulary (see gates.GateKind), register declarations, measure, reset,
 barrier, and ``if (creg == n)`` conditioned gates.  Register operands
-broadcast per the language rules.  Gate parameters are restricted to numeric
-literals and pi fractions (``pi``, ``pi/2``, ``3*pi/4``, ``-pi``, ...).
+broadcast per the language rules.
 
-Custom gate definitions, opaque declarations, includes other than
-``qelib1.inc`` and general parameter expressions are rejected with
-UnsupportedFeature.  All errors carry a 1-based line and column.
+Numbers use ASCII digits: integers (``12``) and reals (``0.5``, ``.5``,
+``5.``, ``1e-3``, ``2.5E+2``; an exponent needs at least one digit).  A gate
+parameter is ``[±]NUM``, ``[±]pi``, ``[±]NUM*pi`` or ``[±]pi*NUM``, and each
+pi form may end in ``/NUM``.  Other parameter expressions (``2*3``, ``1/2``,
+``pi*pi``, ``sin(1)``) are rejected, and so are a zero denominator and an
+angle that is not finite (``1e999``).
+
+Custom gate definitions, opaque declarations and includes other than
+``qelib1.inc`` raise UnsupportedFeature; malformed text raises
+QasmSyntaxError; bad register sizes, names, indices and operand counts raise
+circuit.ValidationError.  All errors carry a 1-based line and column.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from typing import NoReturn
 
 from .circuit import Barrier, Circuit, Gate, Instruction, Measure, Reset, ValidationError
 from .gates import GateKind
@@ -39,89 +47,66 @@ class UnsupportedFeature(QasmError):
 
 _KEYWORDS = {"OPENQASM", "include", "qreg", "creg", "measure", "reset", "barrier", "if", "gate", "opaque"}
 
-_SYMBOLS = ("->", "==", ";", ",", "(", ")", "[", "]", "+", "-", "*", "/", "{", "}")
+# One alternative per token kind, tried in order.  An ID starts with a
+# letter or "_" (checked in _tokenize: "[^\W\d]" also admits numerals such
+# as "²"); BAD catches any other character.  A REAL may end in a bare
+# exponent ("1e", "2.5e-") so that it stays one token; number() rejects it.
+_TOKEN = re.compile(
+    r"""
+    (?P<NL>\n)
+    | (?P<SKIP>[ \t\r]+)
+    | (?P<COMMENT>//[^\n]*)
+    | (?P<STR>"[^"\n]*")
+    | (?P<REAL>(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]*)?|[0-9]+[eE][+-]?[0-9]*)
+    | (?P<INT>[0-9]+)
+    | (?P<ID>[^\W\d]\w*)
+    | (?P<SYM>->|==|[;,()\[\]+\-*/{}])
+    | (?P<BAD>.)
+    """,
+    re.VERBOSE,
+)
+
+Token = tuple[str, str, int, int]  # kind, text, line, column
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ID INT REAL STR SYM EOF
-    text: str
-    line: int
-    col: int
+def _fail(cls: type[Exception], tok: Token, message: str) -> NoReturn:
+    """Raise ``cls`` at the token's position (ValidationError keeps it in its text)."""
+    _, _, line, col = tok
+    if cls is ValidationError:
+        raise ValidationError(f"line {line}, column {col}: {message}")
+    raise cls(line, col, message)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+def _tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    # end: past the last match other than a comment; EOF's column comes from it.
+    line, line_start, end = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "NL":
+            line, line_start, end = line + 1, m.end(), m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "COMMENT":
             continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
+        end = m.end()
+        if kind == "SKIP":
             continue
-        start_line, start_col = line, col
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0 or "\n" in text[i:j]:
-                raise QasmSyntaxError(start_line, start_col, "unterminated string")
-            tokens.append(_Token("STR", text[i + 1 : j], start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = seen_exp = False
-            while j < n:
-                d = text[j]
-                if d.isdigit():
-                    j += 1
-                elif d == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif d in "eE" and not seen_exp and j > i:
-                    seen_exp = True
-                    j += 1
-                    if j < n and text[j] in "+-":
-                        j += 1
-                else:
-                    break
-            lit = text[i:j]
-            kind = "REAL" if (seen_dot or seen_exp) else "INT"
-            tokens.append(_Token(kind, lit, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ID", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token("SYM", sym, start_line, start_col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise QasmSyntaxError(start_line, start_col, f"unexpected character {ch!r}")
-    tokens.append(_Token("EOF", "", line, col))
+        tok = (kind, lexeme, line, m.start() - line_start + 1)
+        if kind == "BAD" or (kind == "ID" and not (lexeme[0].isalpha() or lexeme[0] == "_")):
+            bad = "unterminated string" if lexeme == '"' else f"unexpected character {lexeme[0]!r}"
+            _fail(QasmSyntaxError, tok, bad)
+        tokens.append(("STR", lexeme[1:-1], *tok[2:]) if kind == "STR" else tok)
+    tokens.append(("EOF", "", line, end - line_start + 1))
     return tokens
 
 
-_GATE_ALIASES = {"U": GateKind.U, "CX": GateKind.CX}
+def _finite(start: Token, value: float) -> float:
+    if not math.isfinite(value):
+        _fail(QasmSyntaxError, start, "angle is not finite")
+    return value
+
+
+_GATES = {kind.value: kind for kind in GateKind} | {"U": GateKind.U, "CX": GateKind.CX}
 # qelib1 names outside the supported vocabulary; recognized so the error says
 # "unsupported" rather than "unknown".
 _KNOWN_UNSUPPORTED = {
@@ -135,76 +120,79 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.qregs: list[tuple[str, int, int]] = []  # name, size, offset
-        self.cregs: list[tuple[str, int]] = []
-        self.names: set[str] = set()
+        # Name -> its members: a qreg's flat qubit indices, a creg's (name, bit) pairs.
+        self.qregs: dict[str, range] = {}
+        self.cregs: dict[str, list[tuple[str, int]]] = {}
         self.num_qubits = 0
         self.instructions: list[Instruction] = []
 
     # token helpers ------------------------------------------------------
-    def peek(self) -> _Token:
+    def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
+    def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
+        if tok[0] != kind or (text is not None and tok[1] != text):
             want = text if text is not None else kind
-            got = tok.text if tok.kind != "EOF" else "end of input"
-            raise QasmSyntaxError(tok.line, tok.col, f"expected {want!r}, found {got!r}")
+            got = tok[1] if tok[0] != "EOF" else "end of input"
+            _fail(QasmSyntaxError, tok, f"expected {want!r}, found {got!r}")
         return self.next()
 
     def at_sym(self, sym: str) -> bool:
         tok = self.peek()
-        return tok.kind == "SYM" and tok.text == sym
+        return tok[0] == "SYM" and tok[1] == sym
+
+    def at_pi(self) -> bool:
+        tok = self.peek()
+        return tok[0] == "ID" and tok[1] == "pi"
 
     # grammar ------------------------------------------------------------
     def parse(self) -> Circuit:
         tok = self.peek()
-        if not (tok.kind == "ID" and tok.text == "OPENQASM"):
-            raise QasmSyntaxError(tok.line, tok.col, "program must begin with 'OPENQASM 2.0;'")
+        if tok[:2] != ("ID", "OPENQASM"):
+            _fail(QasmSyntaxError, tok, "program must begin with 'OPENQASM 2.0;'")
         self.next()
         version = self.peek()
-        if version.kind not in ("REAL", "INT"):
-            raise QasmSyntaxError(version.line, version.col, "expected version number")
-        if version.text != "2.0":
-            raise UnsupportedFeature(
-                version.line, version.col, f"only OpenQASM 2.0 is supported, got {version.text}"
-            )
+        if version[0] not in ("REAL", "INT"):
+            _fail(QasmSyntaxError, version, "expected version number")
+        if version[1] != "2.0":
+            _fail(UnsupportedFeature, version, f"only OpenQASM 2.0 is supported, got {version[1]}")
         self.next()
         self.expect("SYM", ";")
-        while self.peek().kind != "EOF":
+        while self.peek()[0] != "EOF":
             self.statement()
+        cregs = tuple((name, len(bits)) for name, bits in self.cregs.items())
         try:
-            return Circuit(self.num_qubits, tuple(self.cregs), tuple(self.instructions))
+            return Circuit(self.num_qubits, cregs, tuple(self.instructions))
         except ValidationError as exc:  # parser checks should make this unreachable
             raise QasmSyntaxError(1, 1, str(exc)) from exc
 
     def statement(self) -> None:
-        tok = self.peek()
-        if tok.kind != "ID":
-            raise QasmSyntaxError(tok.line, tok.col, f"expected statement, found {tok.text!r}")
-        if tok.text == "include":
+        kind, text, _, _ = tok = self.peek()
+        if kind != "ID":
+            _fail(QasmSyntaxError, tok, f"expected statement, found {text!r}")
+        if text == "include":
             self.next()
             path = self.expect("STR")
-            if path.text != "qelib1.inc":
-                raise UnsupportedFeature(path.line, path.col, f"cannot include {path.text!r}")
+            if path[1] != "qelib1.inc":
+                _fail(UnsupportedFeature, path, f"cannot include {path[1]!r}")
             self.expect("SYM", ";")
-        elif tok.text in ("qreg", "creg"):
-            self.register_decl(tok.text)
-        elif tok.text in ("gate", "opaque"):
-            raise UnsupportedFeature(tok.line, tok.col, f"{tok.text} definitions are not supported")
-        elif tok.text == "if":
+        elif text in ("qreg", "creg"):
+            self.register_decl(text)
+        elif text in ("gate", "opaque"):
+            _fail(UnsupportedFeature, tok, f"{text} definitions are not supported")
+        elif text == "if":
             self.if_statement()
-        elif tok.text == "measure":
+        elif text == "measure":
             self.measure_statement()
-        elif tok.text == "reset":
+        elif text == "reset":
             self.reset_statement()
-        elif tok.text == "barrier":
+        elif text == "barrier":
             self.barrier_statement()
         else:
             self.gate_statement(condition=None)
@@ -212,144 +200,95 @@ class _Parser:
     def register_decl(self, which: str) -> None:
         self.next()
         name_tok = self.expect("ID")
-        if name_tok.text in _KEYWORDS:
-            raise QasmSyntaxError(name_tok.line, name_tok.col, f"invalid register name {name_tok.text!r}")
+        name = name_tok[1]
+        if name in _KEYWORDS:
+            _fail(QasmSyntaxError, name_tok, f"invalid register name {name!r}")
         self.expect("SYM", "[")
         size_tok = self.expect("INT")
         self.expect("SYM", "]")
         self.expect("SYM", ";")
-        size = int(size_tok.text)
+        size = int(size_tok[1])
         if size < 1:
-            raise ValidationError(
-                f"line {size_tok.line}, column {size_tok.col}: register size must be positive"
-            )
-        if name_tok.text in self.names:
-            raise ValidationError(
-                f"line {name_tok.line}, column {name_tok.col}: duplicate register name {name_tok.text!r}"
-            )
-        self.names.add(name_tok.text)
+            _fail(ValidationError, size_tok, "register size must be positive")
+        if name in self.qregs or name in self.cregs:
+            _fail(ValidationError, name_tok, f"duplicate register name {name!r}")
         if which == "qreg":
-            self.qregs.append((name_tok.text, size, self.num_qubits))
+            self.qregs[name] = range(self.num_qubits, self.num_qubits + size)
             self.num_qubits += size
         else:
-            self.cregs.append((name_tok.text, size))
+            self.cregs[name] = [(name, i) for i in range(size)]
 
-    def argument(self) -> tuple[_Token, int | None]:
+    def argument(self) -> tuple[Token, int | None]:
         """Register reference: bare name or name[index]."""
         name = self.expect("ID")
         index = None
         if self.at_sym("["):
             self.next()
-            idx = self.expect("INT")
+            index = int(self.expect("INT")[1])
             self.expect("SYM", "]")
-            index = int(idx.text)
         return name, index
 
-    def resolve_qubits(self, name: _Token, index: int | None) -> list[int]:
-        for rname, size, offset in self.qregs:
-            if rname == name.text:
-                if index is None:
-                    return [offset + i for i in range(size)]
-                if not 0 <= index < size:
-                    raise ValidationError(
-                        f"line {name.line}, column {name.col}: index {index} out of "
-                        f"range for qreg {rname}[{size}]"
-                    )
-                return [offset + index]
-        raise ValidationError(
-            f"line {name.line}, column {name.col}: unknown qreg {name.text!r}"
-        )
+    def resolve(self, which: str, name: Token, index: int | None = None) -> list:
+        """Members of the named ``qreg`` or ``creg``: all of them, or the indexed one."""
+        members = (self.qregs if which == "qreg" else self.cregs).get(name[1])
+        if members is None:
+            _fail(ValidationError, name, f"unknown {which} {name[1]!r}")
+        if index is None:
+            return list(members)
+        if not 0 <= index < len(members):
+            _fail(ValidationError, name,
+                  f"index {index} out of range for {which} {name[1]}[{len(members)}]")
+        return [members[index]]
 
-    def resolve_bits(self, name: _Token, index: int | None) -> list[tuple[str, int]]:
-        for rname, size in self.cregs:
-            if rname == name.text:
-                if index is None:
-                    return [(rname, i) for i in range(size)]
-                if not 0 <= index < size:
-                    raise ValidationError(
-                        f"line {name.line}, column {name.col}: index {index} out of "
-                        f"range for creg {rname}[{size}]"
-                    )
-                return [(rname, index)]
-        raise ValidationError(
-            f"line {name.line}, column {name.col}: unknown creg {name.text!r}"
-        )
-
-    def creg_lookup(self, name: _Token) -> tuple[str, int]:
-        for rname, size in self.cregs:
-            if rname == name.text:
-                return rname, size
-        raise ValidationError(
-            f"line {name.line}, column {name.col}: unknown creg {name.text!r}"
-        )
+    def number(self, message: str = "expected number") -> tuple[Token, float]:
+        tok = self.peek()
+        if tok[0] not in ("INT", "REAL"):
+            _fail(QasmSyntaxError, tok, message)
+        if tok[1][-1] in "eE+-":
+            _fail(QasmSyntaxError, tok, f"exponent of {tok[1]!r} has no digits")
+        return self.next(), float(tok[1])
 
     def angle(self) -> float:
-        """Numeric literal or pi fraction with optional sign."""
+        """[±]NUM, or [±]pi / NUM*pi / pi*NUM with an optional /NUM."""
+        start = self.peek()
         sign = 1.0
         while self.at_sym("-") or self.at_sym("+"):
-            if self.next().text == "-":
+            if self.next()[1] == "-":
                 sign = -sign
         tok = self.peek()
-        if tok.kind in ("INT", "REAL"):
+        if tok[0] in ("INT", "REAL"):
+            value = self.number()[1]
+            if not self.at_sym("*"):
+                return _finite(start, sign * value)
+            star = self.next()
+            if not self.at_pi():
+                _fail(UnsupportedFeature, star, "only pi fractions are supported in parameters")
             self.next()
-            value = float(tok.text)
-            # forms like 3*pi or 3*pi/4
-            if self.at_sym("*"):
-                star = self.next()
-                pi_tok = self.peek()
-                if not (pi_tok.kind == "ID" and pi_tok.text == "pi"):
-                    raise UnsupportedFeature(
-                        star.line, star.col, "only pi fractions are supported in parameters"
-                    )
-                self.next()
-                value *= math.pi
-                if self.at_sym("/"):
-                    self.next()
-                    den = self.peek()
-                    if den.kind not in ("INT", "REAL"):
-                        raise QasmSyntaxError(den.line, den.col, "expected denominator")
-                    self.next()
-                    value /= float(den.text)
-            return sign * value
-        if tok.kind == "ID" and tok.text == "pi":
+            value *= math.pi
+        elif self.at_pi():
             self.next()
             value = math.pi
             if self.at_sym("*"):
                 self.next()
-                num = self.peek()
-                if num.kind not in ("INT", "REAL"):
-                    raise QasmSyntaxError(num.line, num.col, "expected factor after '*'")
-                self.next()
-                value *= float(num.text)
-            if self.at_sym("/"):
-                self.next()
-                den = self.peek()
-                if den.kind not in ("INT", "REAL"):
-                    raise QasmSyntaxError(den.line, den.col, "expected denominator")
-                self.next()
-                value /= float(den.text)
-            return sign * value
-        raise UnsupportedFeature(
-            tok.line, tok.col,
-            f"parameter {tok.text!r} is not a numeric literal or pi fraction",
-        )
+                value *= self.number("expected factor after '*'")[1]
+        else:
+            _fail(UnsupportedFeature, tok,
+                  f"parameter {tok[1]!r} is not a numeric literal or pi fraction")
+        if self.at_sym("/"):
+            self.next()
+            den_tok, den = self.number("expected denominator")
+            if den == 0.0:
+                _fail(QasmSyntaxError, den_tok, "division by zero")
+            value /= den
+        return _finite(start, sign * value)
 
     def gate_statement(self, condition: tuple[str, int] | None) -> None:
         name = self.expect("ID")
-        kind: GateKind | None = None
-        if name.text in _GATE_ALIASES:
-            kind = _GATE_ALIASES[name.text]
-        else:
-            try:
-                kind = GateKind(name.text)
-            except ValueError:
-                kind = None
+        kind = _GATES.get(name[1])
         if kind is None:
-            if name.text in _KNOWN_UNSUPPORTED:
-                raise UnsupportedFeature(
-                    name.line, name.col, f"gate {name.text!r} is outside the supported set"
-                )
-            raise UnsupportedFeature(name.line, name.col, f"unknown gate {name.text!r}")
+            if name[1] in _KNOWN_UNSUPPORTED:
+                _fail(UnsupportedFeature, name, f"gate {name[1]!r} is outside the supported set")
+            _fail(UnsupportedFeature, name, f"unknown gate {name[1]!r}")
 
         params: list[float] = []
         if self.at_sym("("):
@@ -361,54 +300,48 @@ class _Parser:
                     params.append(self.angle())
             self.expect("SYM", ")")
         if len(params) != kind.num_params:
-            raise ValidationError(
-                f"line {name.line}, column {name.col}: gate '{kind.value}' expects "
-                f"{kind.num_params} parameter(s), got {len(params)}"
-            )
+            _fail(ValidationError, name,
+                  f"gate '{kind.value}' expects {kind.num_params} parameter(s), got {len(params)}")
 
+        args = self.arguments()
+        if len(args) != kind.num_qubits:
+            _fail(ValidationError, name,
+                  f"gate '{kind.value}' expects {kind.num_qubits} operand(s), got {len(args)}")
+
+        resolved = [self.resolve("qreg", *arg) for arg in args]
+        reg_sizes = {len(r) for r in resolved if len(r) > 1}
+        if len(reg_sizes) > 1:
+            _fail(ValidationError, name, "broadcast operands must have equal size")
+        width = reg_sizes.pop() if reg_sizes else 1
+        for i in range(width):
+            qubits = tuple(r[i] if len(r) > 1 else r[0] for r in resolved)
+            if len(set(qubits)) != len(qubits):
+                _fail(ValidationError, name, "gate operands must be distinct")
+            self.instructions.append(Gate(kind, tuple(params), qubits, condition))
+
+    def arguments(self) -> list[tuple[Token, int | None]]:
+        """Comma-separated register references up to the closing ';'."""
         args = [self.argument()]
         while self.at_sym(","):
             self.next()
             args.append(self.argument())
         self.expect("SYM", ";")
-        if len(args) != kind.num_qubits:
-            raise ValidationError(
-                f"line {name.line}, column {name.col}: gate '{kind.value}' expects "
-                f"{kind.num_qubits} operand(s), got {len(args)}"
-            )
-
-        resolved = [self.resolve_qubits(tok, idx) for tok, idx in args]
-        reg_sizes = {len(r) for r in resolved if len(r) > 1}
-        if len(reg_sizes) > 1:
-            raise ValidationError(
-                f"line {name.line}, column {name.col}: broadcast operands must have equal size"
-            )
-        width = reg_sizes.pop() if reg_sizes else 1
-        for i in range(width):
-            qubits = tuple(r[i] if len(r) > 1 else r[0] for r in resolved)
-            if len(set(qubits)) != len(qubits):
-                raise ValidationError(
-                    f"line {name.line}, column {name.col}: gate operands must be distinct"
-                )
-            self.instructions.append(Gate(kind, tuple(params), qubits, condition))
+        return args
 
     def if_statement(self) -> None:
-        if_tok = self.next()
+        self.next()
         self.expect("SYM", "(")
-        creg_tok = self.expect("ID")
-        creg_name, _ = self.creg_lookup(creg_tok)
+        creg = self.expect("ID")
+        self.resolve("creg", creg)
         self.expect("SYM", "==")
-        value_tok = self.expect("INT")
+        value = self.expect("INT")
         self.expect("SYM", ")")
         body = self.peek()
-        if body.kind == "ID" and body.text in ("measure", "reset", "barrier", "if"):
-            raise UnsupportedFeature(
-                body.line, body.col, f"conditioned {body.text!r} is not supported"
-            )
-        if body.kind != "ID":
-            raise QasmSyntaxError(body.line, body.col, "expected gate after if(...)")
-        del if_tok
-        self.gate_statement(condition=(creg_name, int(value_tok.text)))
+        if body[0] == "ID" and body[1] in ("measure", "reset", "barrier", "if"):
+            _fail(UnsupportedFeature, body, f"conditioned {body[1]!r} is not supported")
+        if body[0] != "ID":
+            _fail(QasmSyntaxError, body, "expected gate after if(...)")
+        self.gate_statement(condition=(creg[1], int(value[1])))
 
     def measure_statement(self) -> None:
         m_tok = self.next()
@@ -416,13 +349,11 @@ class _Parser:
         self.expect("SYM", "->")
         dst = self.argument()
         self.expect("SYM", ";")
-        qubits = self.resolve_qubits(*src)
-        bits = self.resolve_bits(*dst)
+        qubits = self.resolve("qreg", *src)
+        bits = self.resolve("creg", *dst)
         if len(qubits) != len(bits):
-            raise ValidationError(
-                f"line {m_tok.line}, column {m_tok.col}: measure operands differ in "
-                f"size ({len(qubits)} vs {len(bits)})"
-            )
+            _fail(ValidationError, m_tok,
+                  f"measure operands differ in size ({len(qubits)} vs {len(bits)})")
         for q, (creg, bit) in zip(qubits, bits):
             self.instructions.append(Measure(q, creg, bit))
 
@@ -430,23 +361,14 @@ class _Parser:
         self.next()
         arg = self.argument()
         self.expect("SYM", ";")
-        for q in self.resolve_qubits(*arg):
+        for q in self.resolve("qreg", *arg):
             self.instructions.append(Reset(q))
 
     def barrier_statement(self) -> None:
         b_tok = self.next()
-        args = [self.argument()]
-        while self.at_sym(","):
-            self.next()
-            args.append(self.argument())
-        self.expect("SYM", ";")
-        qubits: list[int] = []
-        for arg in args:
-            qubits.extend(self.resolve_qubits(*arg))
+        qubits = [q for arg in self.arguments() for q in self.resolve("qreg", *arg)]
         if len(set(qubits)) != len(qubits):
-            raise ValidationError(
-                f"line {b_tok.line}, column {b_tok.col}: barrier qubits must be distinct"
-            )
+            _fail(ValidationError, b_tok, "barrier qubits must be distinct")
         self.instructions.append(Barrier(tuple(qubits)))
 
 

@@ -85,6 +85,7 @@ class RunReport:
     stages: list[dict] = field(default_factory=list)
     config_text: str = ""
     event_lines: str = ""
+    failure: str | None = None  # why a failed run failed; not written to report.txt
 
     def to_lines(self) -> list[str]:
         lines = [

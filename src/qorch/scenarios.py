@@ -292,6 +292,10 @@ def _assemble(system: System, scenario: str, seed: int, model, batch: QuantumBat
         iterations=iterations or [],
         config_text=system.config.text,
         event_lines=cluster.export_log(),
+        failure=next(
+            (rec.payload["reason"] for rec in cluster.log if rec.kind == "fail"),
+            next((o.error for o in batch.outcomes if o.error), None),
+        ),
     )
     return report
 

@@ -169,3 +169,29 @@ def test_ghz20_single_circuit_scenario(tmp_path):
     dist = line.split("dist=", 1)[1].split()[0]
     keys = {entry.split(":")[0] for entry in dist.split(";")}
     assert keys == {"0" * 20, "1" * 20}
+
+
+CORPUS = Path(__file__).parent / "corpus"
+
+
+@pytest.mark.parametrize("model", ["per_job", "single_qc"])
+def test_failed_submit_says_why(tmp_path, capsys, model):
+    out_dir = tmp_path / "run"
+    code = cli_main(
+        ["submit", str(CORPUS / "invalid" / "zero_denominator.qasm"),
+         "--model", model, "--out", str(out_dir)]
+    )
+    assert code == 2
+    assert (out_dir / "report.txt").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("execution failed: QasmSyntaxError: line 4, column 7: ")
+    assert "division by zero" in err
+
+
+def test_failed_scenario_says_why(tmp_path, capsys):
+    code = cli_main(
+        ["scenario", "single_circuit", "--n", "30", "--shots", "10",
+         "--out", str(tmp_path / "sc")]
+    )
+    assert code == 2
+    assert "execution failed: NoFeasibleBackend: " in capsys.readouterr().err

@@ -1,10 +1,20 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qorch.circuit import Barrier, Gate, Measure, Reset, ValidationError
+from qorch.circuit import Barrier, Circuit, Gate, Measure, Reset, ValidationError
 from qorch.gates import GateKind
-from qorch.qasm import QasmSyntaxError, UnsupportedFeature, parse_qasm, serialize_qasm
+from qorch.qasm import (
+    QasmError,
+    QasmSyntaxError,
+    UnsupportedFeature,
+    parse_qasm,
+    serialize_qasm,
+)
 
 BELL = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -140,8 +150,6 @@ def test_comments_skipped():
 
 
 def test_serialize_empty_circuit():
-    from qorch.circuit import Circuit
-
     text = serialize_qasm(Circuit(1))
     assert text == 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n'
 
@@ -152,8 +160,6 @@ def test_bell_round_trip():
 
 
 def test_angle_round_trip_bit_exact():
-    from qorch.circuit import Circuit
-
     c = Circuit(1, (), (Gate(GateKind.RX, (math.pi / 2,), (0,), None),))
     again = parse_qasm(serialize_qasm(c))
     assert again.instructions[0].params[0] == math.pi / 2
@@ -163,3 +169,122 @@ def test_conditional_round_trip():
     src = 'OPENQASM 2.0;\nqreg q[1];\ncreg c[2];\nmeasure q[0] -> c[1];\nif(c==2) z q[0];\n'
     c = parse_qasm(src)
     assert parse_qasm(serialize_qasm(c)) == c
+
+
+# -- the language, pinned -----------------------------------------------------
+
+CORPUS = Path(__file__).parent / "corpus"
+_POSITION = re.compile(r"^line (\d+), column (\d+): ")
+
+# Exception class, line and column of each invalid corpus program.
+INVALID = {
+    "arity_mismatch.qasm": (ValidationError, 4, 1),
+    "bad_include.qasm": (UnsupportedFeature, 2, 9),
+    "ccx_unsupported.qasm": (UnsupportedFeature, 4, 1),
+    "conditioned_measure.qasm": (UnsupportedFeature, 4, 10),
+    "creg_out_of_range.qasm": (ValidationError, 4, 17),
+    "custom_gate.qasm": (UnsupportedFeature, 2, 1),
+    "duplicate_name.qasm": (ValidationError, 3, 6),
+    "exponent_without_digits.qasm": (QasmSyntaxError, 4, 4),
+    "measure_size_mismatch.qasm": (ValidationError, 4, 1),
+    "missing_header.qasm": (QasmSyntaxError, 1, 1),
+    "non_ascii_digit.qasm": (QasmSyntaxError, 2, 8),
+    "nonfinite_angle.qasm": (QasmSyntaxError, 4, 4),
+    "opaque_gate.qasm": (UnsupportedFeature, 2, 1),
+    "param_expression.qasm": (UnsupportedFeature, 4, 5),
+    "qubit_out_of_range.qasm": (ValidationError, 3, 3),
+    "same_qubit_twice.qasm": (ValidationError, 4, 1),
+    "stray_character.qasm": (QasmSyntaxError, 3, 8),
+    "unknown_gate.qasm": (UnsupportedFeature, 3, 1),
+    "wrong_version.qasm": (UnsupportedFeature, 1, 10),
+    "zero_denominator.qasm": (QasmSyntaxError, 4, 7),
+}
+
+
+def _position(exc):
+    """(line, column) of a parse error; ValidationError carries it in its text."""
+    match = _POSITION.match(str(exc))
+    assert match, f"no position in {exc}"
+    line, col = int(match[1]), int(match[2])
+    if isinstance(exc, QasmError):
+        assert (exc.line, exc.column) == (line, col)
+    return line, col
+
+
+def test_invalid_table_covers_the_corpus():
+    assert sorted(p.name for p in (CORPUS / "invalid").glob("*.qasm")) == sorted(INVALID)
+
+
+@pytest.mark.parametrize("name", sorted(INVALID))
+def test_invalid_corpus_error_class_and_position(name):
+    cls, line, col = INVALID[name]
+    with pytest.raises((QasmError, ValidationError)) as err:
+        parse_qasm((CORPUS / "invalid" / name).read_text("utf-8"))
+    assert type(err.value) is cls
+    assert _position(err.value) == (line, col)
+
+
+_CREGS = (("c0", 1), ("c1", 3), ("flag", 2))
+_ANGLES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1.7976931348623157e308, math.pi, -math.pi / 3]
+)
+
+
+@st.composite
+def _circuits(draw):
+    n = draw(st.integers(0, 4))
+    cregs = tuple(draw(st.lists(st.sampled_from(_CREGS), unique=True, max_size=3)))
+    kinds = [k for k in GateKind if k.num_qubits <= n]
+    instrs = []
+    for _ in range(draw(st.integers(0, 12)) if n else 0):
+        op = draw(st.sampled_from(("gate", "measure", "reset", "barrier")))
+        if op == "gate" or (op == "measure" and not cregs):
+            kind = draw(st.sampled_from(kinds))
+            qubits = tuple(draw(st.permutations(range(n)))[: kind.num_qubits])
+            params = tuple(draw(_ANGLES) for _ in range(kind.num_params))
+            condition = None
+            if cregs and draw(st.booleans()):
+                name, size = draw(st.sampled_from(cregs))
+                condition = (name, draw(st.integers(0, 2**size - 1)))
+            instrs.append(Gate(kind, params, qubits, condition))
+        elif op == "measure":
+            name, size = draw(st.sampled_from(cregs))
+            instrs.append(Measure(draw(st.integers(0, n - 1)), name, draw(st.integers(0, size - 1))))
+        elif op == "reset":
+            instrs.append(Reset(draw(st.integers(0, n - 1))))
+        else:
+            perm = draw(st.permutations(range(n)))
+            instrs.append(Barrier(tuple(perm[: draw(st.integers(1, n))])))
+    return Circuit(n, cregs, tuple(instrs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_circuits())
+def test_serialize_parse_round_trip(circuit):
+    again = parse_qasm(serialize_qasm(circuit))
+    assert again == circuit
+    assert repr(again) == repr(circuit)  # angles bit-exact, -0.0 included
+
+
+_VALID = sorted((CORPUS / "valid").glob("*.qasm"))
+# Single characters of the language and around it, plus the short fragments
+# that reach the number and angle rules: exponents, zero denominators,
+# overflowing literals and digits that are not ASCII.
+_EDITS = ("",) + tuple("q[]();,->=*/+.0123456789eEpi \t\n\"_@xc") + (
+    "²", "٣", "½", "é", "/0", "e", "e+", "1e999", "*pi", "pi*", "/1e-999",
+)
+# Edits land where numbers and angles start or continue.
+_SPOTS = re.compile(r"[0-9(\[/]")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(_VALID), st.randoms(use_true_random=False))
+def test_edited_programs_raise_only_typed_errors(path, rng):
+    text = path.read_text("utf-8")
+    for _ in range(rng.randint(1, 3)):
+        at = rng.choice([m.end() for m in _SPOTS.finditer(text)] or [0])
+        text = text[:at] + rng.choice(_EDITS) + text[at + rng.randint(0, 2) :]
+    try:
+        parse_qasm(text)
+    except (QasmError, ValidationError) as exc:
+        _position(exc)
