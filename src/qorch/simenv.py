@@ -30,9 +30,6 @@ class SimPartitionPlan:
     partitions: tuple[tuple[BackendKind, int], ...]
     source: str  # "user_config" | "default"
 
-    def nodes_for(self, kind: BackendKind) -> int:
-        return sum(count for k, count in self.partitions if k is kind)
-
 
 def configure(sim_nodes: int, user_partitions=None) -> SimPartitionPlan:
     """Partition a job's simulation nodes by simulator kind.

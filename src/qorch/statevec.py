@@ -8,17 +8,23 @@ any other gate pairs amplitudes across chunks, and the trace charges the
 full ``2^n`` amplitude exchange for it.  The arithmetic itself is identical
 for every worker count, so results never depend on the partitioning.
 
-A static circuit costs one pass of its gates over the state, O(2^m) numpy
-work on the marginal of its m measured qubits, and Python work per distinct
-outcome drawn; nothing loops over all 2^m outcomes or over shots.
+``run`` samples every circuit with one depth-first walk over classical
+histories: a branch of k shots splits by a binomial draw at each measure or
+reset before the last gate, and past it samples its remaining measures from
+one marginal (O(2^m) numpy work for m measured qubits, Python work per
+distinct outcome drawn).  A static circuit is the root branch alone.  At most
+one pending sibling per measure level before the last gate is held, each a
+2^n copy.  ``ExecutionTrace`` counts the work per branch, not per shot.
 """
 from __future__ import annotations
 
+import copy
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Barrier, Circuit, Gate, Instruction, Measure, Reset, is_static
+from .circuit import Barrier, Circuit, Gate, Instruction, Measure, Reset
 from .gates import gate_unitary
 from .seeds import derive_seed
 
@@ -85,14 +91,9 @@ class State:
         self.rng = np.random.default_rng(seed)
 
     @property
-    def chunk_size(self) -> int:
-        return 2**self.num_qubits // self.workers
-
-    @property
     def chunks(self) -> list[np.ndarray]:
         """Views of the per-worker amplitude chunks (fixed boundaries)."""
-        cs = self.chunk_size
-        return [self.amplitudes[k * cs : (k + 1) * cs] for k in range(self.workers)]
+        return np.split(self.amplitudes, self.workers)
 
     @property
     def local_qubits(self) -> int:
@@ -104,69 +105,58 @@ class State:
     def apply(self, instr: Instruction) -> ExecutionTrace:
         """Apply one instruction in place; returns the trace delta."""
         delta = ExecutionTrace(seed=self.seed)
-        n = self.num_qubits
         if isinstance(instr, Gate):
             if instr.condition is not None:
                 name, value = instr.condition
                 if self.classical.get(name, 0) != value:
                     return delta
-            matrix = gate_unitary(instr.kind, instr.params)
-            local = all(q < self.local_qubits for q in instr.qubits)
-            if local and self.workers > 1:
-                width = self.chunk_size.bit_length() - 1
-                for chunk in self.chunks:
-                    _apply_unitary(chunk, matrix, instr.qubits, width)
-            else:
-                _apply_unitary(self.amplitudes, matrix, instr.qubits, n)
+            _apply_unitary(self.amplitudes, gate_unitary(instr.kind, instr.params),
+                           instr.qubits, self.num_qubits)
             delta.gates_applied = 1
-            delta.exchanged_amplitudes = 0 if local else 2**n
-        elif isinstance(instr, Measure):
-            bit = self._collapse(instr.qubit)
-            current = self.classical.get(instr.creg, 0)
-            self.classical[instr.creg] = (current & ~(1 << instr.bit)) | (bit << instr.bit)
-            delta.measures = 1
-        elif isinstance(instr, Reset):
-            bit = self._collapse(instr.qubit)
-            if bit == 1:
-                view = self.amplitudes.reshape((2,) * n)
-                axis = n - 1 - instr.qubit
-                zeros = [slice(None)] * n
-                ones = [slice(None)] * n
-                zeros[axis] = 0
-                ones[axis] = 1
-                view[tuple(zeros)] = view[tuple(ones)]
-                view[tuple(ones)] = 0
-        elif isinstance(instr, Barrier):
-            pass
-        else:
+            if any(q >= self.local_qubits for q in instr.qubits):
+                delta.exchanged_amplitudes = 2**self.num_qubits
+        elif isinstance(instr, (Measure, Reset)):
+            self.settle(instr, int(self.rng.random() < self.p_one(instr.qubit)))
+            delta.measures = int(isinstance(instr, Measure))
+        elif not isinstance(instr, Barrier):
             raise TypeError(f"unknown instruction {instr!r}")
         return delta
 
-    def _collapse(self, qubit: int) -> int:
-        """Sample the qubit, zero non-matching amplitudes, renormalize."""
-        n = self.num_qubits
-        view = self.amplitudes.reshape((2,) * n)
-        axis = n - 1 - qubit
-        ones = [slice(None)] * n
-        ones[axis] = 1
-        p_one = float(np.sum(np.abs(view[tuple(ones)]) ** 2))
-        bit = int(self.rng.random() < p_one)
-        discard = [slice(None)] * n
-        discard[axis] = 1 - bit
-        view[tuple(discard)] = 0
+    def _halves(self, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the amplitudes where the qubit reads 0 and where it reads 1."""
+        view = self.amplitudes.reshape(-1, 2, 2**qubit)
+        return view[:, 0], view[:, 1]
+
+    def p_one(self, qubit: int) -> float:
+        """Probability that the qubit reads 1, snapped to 0 or 1 within 1e-12."""
+        p = float(np.sum(np.abs(self._halves(qubit)[1]) ** 2))
+        return 0.0 if p < 1e-12 else 1.0 if p > 1 - 1e-12 else p
+
+    def settle(self, instr: Measure | Reset, bit: int) -> None:
+        """Collapse the qubit onto ``bit`` and renormalize; a measure records
+        the bit in its creg, and a reset then moves the qubit to 0."""
+        zeros, ones = self._halves(instr.qubit)
+        (ones if bit == 0 else zeros)[...] = 0
         self.amplitudes /= np.linalg.norm(self.amplitudes)
-        return bit
+        if isinstance(instr, Measure):
+            current = self.classical.get(instr.creg, 0)
+            self.classical[instr.creg] = (current & ~(1 << instr.bit)) | (bit << instr.bit)
+        elif bit == 1:
+            zeros[...] = ones
+            ones[...] = 0
+
+    def copy(self) -> "State":
+        """An independent copy of the amplitudes and classical registers."""
+        other = copy.copy(self)
+        other.amplitudes = self.amplitudes.copy()
+        other.classical = dict(self.classical)
+        return other
 
     def run_circuit(self, c: Circuit) -> ExecutionTrace:
         trace = ExecutionTrace(seed=self.seed)
         for instr in c.instructions:
             trace = trace + self.apply(instr)
         return trace
-
-    def creg_bitstring(self, cregs) -> str:
-        return " ".join(
-            format(self.classical.get(name, 0), f"0{size}b") for name, size in cregs
-        )
 
 
 def _apply_unitary(amps: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...],
@@ -213,41 +203,37 @@ def final_state(c: Circuit, seed: int = 0, workers: int = 1) -> State:
     return state
 
 
-def _static_distribution(c: Circuit, workers: int):
-    """Exact creg-bitstring distribution of a static circuit.
+def _static_distribution(state: State, instructions, cregs):
+    """Exact creg-bitstring distribution of reading ``state`` out through the
+    measures and resets in ``instructions``; gates there are ignored, and a
+    creg bit no measure writes keeps its value in ``state.classical``.
 
-    Returns (keys_of, probabilities, gates_applied, measures, exchanged).
-    ``probabilities`` lists the outcomes in sorted-key order, and
-    ``keys_of(indices)`` formats the keys of the given entries.
+    Returns (keys_of, probabilities, measures).  ``probabilities`` lists the
+    outcomes in sorted-key order, and ``keys_of(indices)`` formats the keys of
+    the given entries.
     """
-    state = State(c.num_qubits, workers)
-    trace_gates = 0
-    exchanged = 0
-    for instr in c.instructions:
-        if isinstance(instr, Gate):
-            delta = state.apply(instr)
-            trace_gates += delta.gates_applied
-            exchanged += delta.exchanged_amplitudes
-    # Suffix of measures/resets: everything is diagonal, so each creg bit is a
-    # function of the joint basis outcome.  A reset forces later reads to 0.
-    writers: dict[tuple[str, int], int | None] = {}
+    n = state.num_qubits
+    # Everything left is diagonal, so each creg bit is either a function of
+    # the joint basis outcome or a constant: unwritten, or read after a reset.
+    writers: dict[tuple[str, int], int] = {}
+    values = dict(state.classical)
     reset_seen: set[int] = set()
     n_measures = 0
-    for instr in c.instructions:
+    for instr in instructions:
         if isinstance(instr, Reset):
             reset_seen.add(instr.qubit)
         elif isinstance(instr, Measure):
             n_measures += 1
-            writers[(instr.creg, instr.bit)] = (
-                None if instr.qubit in reset_seen else instr.qubit
-            )
-    measured = sorted({q for q in writers.values() if q is not None})
+            values[instr.creg] = values.get(instr.creg, 0) & ~(1 << instr.bit)
+            if instr.qubit in reset_seen:
+                writers.pop((instr.creg, instr.bit), None)
+            else:
+                writers[(instr.creg, instr.bit)] = instr.qubit
+    measured = sorted(set(writers.values()))
     probs = np.abs(state.amplitudes) ** 2
     if measured:
-        view = probs.reshape((2,) * c.num_qubits)
-        drop = tuple(
-            c.num_qubits - 1 - q for q in range(c.num_qubits) if q not in measured
-        )
+        view = probs.reshape((2,) * n)
+        drop = tuple(n - 1 - q for q in range(n) if q not in measured)
         marginal = view.sum(axis=drop).reshape(-1) if drop else view.reshape(-1)
         # marginal index bit i corresponds to measured[i] (little-endian:
         # remaining axes keep their relative significance order)
@@ -258,20 +244,20 @@ def _static_distribution(c: Circuit, workers: int):
     # a bijection.  Keys share their layout, so they sort like the bits they
     # print: cregs in declaration order, each highest bit first.  The qubit
     # that first appears in that order at rank r fills bit m-1-r of the
-    # sorted index.  Later copies of a qubit, unwritten bits and bits written
-    # after a reset (constant 0) add nothing to the order.
+    # sorted index.  Later copies of a qubit and constant bits add nothing to
+    # the order.
     m = len(measured)
     rank: dict[int, int] = {}
     shifts = []  # per key character; shift m reads a bit that is always 0
     codes = []
-    for k, (name, size) in enumerate(c.cregs):
+    for k, (name, size) in enumerate(cregs):
         if k:
             shifts.append(m)
             codes.append(ord(" "))
         for bit in reversed(range(size)):
             q = writers.get((name, bit))
             shifts.append(m if q is None else m - 1 - rank.setdefault(q, len(rank)))
-            codes.append(ord("0"))
+            codes.append(ord("0") + (values.get(name, 0) >> bit & 1))
     axis_of = {q: m - 1 - i for i, q in enumerate(measured)}
     perm = [axis_of[q] for q in sorted(rank, key=rank.get)]
     pvec = marginal.reshape((2,) * m).transpose(perm).reshape(-1)
@@ -283,7 +269,7 @@ def _static_distribution(c: Circuit, workers: int):
     def keys_of(indices: np.ndarray) -> list[str]:
         return format_keys((base + ((indices[:, None] >> shift) & 1)).astype(np.uint8))
 
-    return keys_of, pvec, trace_gates, n_measures, exchanged
+    return keys_of, pvec, n_measures
 
 
 def format_keys(rows: np.ndarray) -> list[str]:
@@ -294,14 +280,15 @@ def format_keys(rows: np.ndarray) -> list[str]:
 
 
 def run(c: Circuit, shots: int, seed: int = 0, workers: int = 1, *,
-        force_shot_by_shot: bool = False,
         max_qubits: int = MAX_QUBITS) -> tuple[Counts, ExecutionTrace]:
     """Execute a circuit for the given number of shots.
 
-    Static circuits (terminal measurement, no conditionals) are executed once
-    and sampled multinomially: one state pass, O(2^m) numpy work over the m
-    measured qubits' marginal, and a key formatted only per distinct outcome
-    drawn.  Anything with feed-forward runs shot by shot with collapse.
+    A depth-first walk over classical histories: a branch of k shots splits
+    at a measure or reset before the last gate by k1 ~ Binomial(k, p1), and
+    past the last gate draws its k shots from ``_static_distribution``.  All
+    draws share one stream, so a static circuit is one pass and one draw.
+    At most one pending sibling per measure level before the last gate is
+    held, each a 2^n copy.  The trace counts work per branch, not per shot.
     Identical (circuit, shots, seed, workers) always produces identical Counts.
     """
     if shots < 1:
@@ -312,21 +299,37 @@ def run(c: Circuit, shots: int, seed: int = 0, workers: int = 1, *,
         )
     _check_workers(c.num_qubits, workers)
 
-    if is_static(c) and not force_shot_by_shot:
-        keys_of, pvec, gates, measures, exchanged = _static_distribution(c, workers)
-        rng = np.random.default_rng(derive_seed(seed, "static"))
-        draws = rng.multinomial(shots, pvec)
-        hits = np.flatnonzero(draws)
-        counts = Counts(zip(keys_of(hits), draws[hits].tolist()))
-        trace = ExecutionTrace(gates, measures, exchanged, seed)
-        return counts, trace
-
-    counts = Counts()
+    program = c.instructions
+    end = 1 + max((i for i, instr in enumerate(program) if isinstance(instr, Gate)),
+                  default=-1)
+    rng = np.random.default_rng(derive_seed(seed, "static"))
     trace = ExecutionTrace(seed=seed)
-    for shot in range(shots):
-        state = State(c.num_qubits, workers, seed=derive_seed(seed, "shot", shot))
-        trace = trace + state.run_circuit(c)
-        key = state.creg_bitstring(c.cregs)
-        counts[key] = counts.get(key, 0) + 1
-    trace.seed = seed
-    return Counts(sorted(counts.items())), trace
+    drawn = []
+    pending = [(State(c.num_qubits, workers), 0, shots)]
+    while pending:
+        state, start, k = pending.pop()
+        for pc in range(start, end):
+            instr = program[pc]
+            if not isinstance(instr, (Measure, Reset)):
+                trace = trace + state.apply(instr)
+                continue
+            ones = int(rng.binomial(k, state.p_one(instr.qubit)))
+            trace.measures += isinstance(instr, Measure)
+            bit = int(ones == k)
+            if 0 < ones < k:
+                sibling = state.copy()
+                sibling.settle(instr, 1)
+                pending.append((sibling, pc + 1, ones))
+                k -= ones
+            state.settle(instr, bit)
+        keys_of, pvec, measures = _static_distribution(state, program[end:], c.cregs)
+        trace.measures += measures
+        draws = rng.multinomial(k, pvec)
+        hits = np.flatnonzero(draws)
+        drawn.append(zip(keys_of(hits), draws[hits].tolist()))
+    if len(drawn) == 1:  # one branch draws distinct keys in sorted order
+        return Counts(drawn[0]), trace
+    tally: Counter[str] = Counter()
+    for part in drawn:
+        tally.update(dict(part))
+    return Counts(sorted(tally.items())), trace

@@ -1,5 +1,6 @@
 """Shared circuit generators for the test suite."""
 import numpy as np
+from hypothesis import strategies as st
 
 from qorch.circuit import CircuitBuilder
 from qorch.gates import GateKind
@@ -62,4 +63,31 @@ def product_circuit(component_sizes, layers, seed, measure=True):
         offset += size
     if measure:
         b.measure_all("c")
+    return b.build()
+
+
+@st.composite
+def feed_forward_programs(draw):
+    """Gates, conditioned gates, mid-circuit measures and resets in any order
+    over 1-4 qubits and two 1-2 bit cregs, ending with a measure."""
+    n = draw(st.integers(1, 4))
+    cregs = (("a", draw(st.integers(1, 2))), ("b", draw(st.integers(1, 2))))
+    qubit = st.integers(0, n - 1)
+    kinds = [GateKind.H, GateKind.X, GateKind.RY] + ([GateKind.CX] if n > 1 else [])
+    b = CircuitBuilder(n, cregs)
+    for _ in range(draw(st.integers(1, 12))):
+        op = draw(st.sampled_from(["gate", "if", "measure", "reset"]))
+        q = draw(qubit)
+        name, size = draw(st.sampled_from(cregs))
+        if op == "measure":
+            b.measure(q, name, draw(st.integers(0, size - 1)))
+        elif op == "reset":
+            b.reset(q)
+        else:
+            kind = draw(st.sampled_from(kinds))
+            qubits = (q, draw(qubit.filter(lambda p: p != q))) if kind.num_qubits == 2 else (q,)
+            params = (draw(st.floats(0, 2 * np.pi)),) if kind is GateKind.RY else ()
+            condition = (name, draw(st.integers(0, 2**size - 1))) if op == "if" else None
+            b.gate(kind, qubits, params, condition)
+    b.measure(draw(qubit), "b", 0)
     return b.build()

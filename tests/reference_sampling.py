@@ -1,15 +1,18 @@
-"""Reference loops for static sampling and mock-hardware readout flips.
+"""Reference loops for sampling and mock-hardware readout flips.
 
 These are the per-outcome key loop and the per-shot flip loop that
 ``qorch.statevec`` and ``qorch.qpm`` used before both were vectorised, kept
 unchanged so the vectorised code can be held to them bit for bit: same keys,
-same key order, same counts.
+same key order, same counts.  ``reference_shot_by_shot`` is the loop that
+sampled feed-forward circuits before the shot-branching walk: it re-runs the
+whole circuit from |0...0> for every shot, so it can only be compared with
+the walk in distribution.
 """
 import numpy as np
 
 from qorch.circuit import Gate, Measure, Reset
 from qorch.seeds import derive_seed
-from qorch.statevec import Counts, State
+from qorch.statevec import Counts, ExecutionTrace, State
 
 
 def reference_static_distribution(c, workers=1):
@@ -67,6 +70,21 @@ def reference_run(c, shots, seed=0, workers=1):
         if count:
             counts[key] = int(count)
     return counts
+
+
+def reference_shot_by_shot(c, shots, seed=0, workers=1):
+    """(counts, trace) of any circuit, collapsing shot by shot."""
+    counts = Counts()
+    trace = ExecutionTrace(seed=seed)
+    for shot in range(shots):
+        state = State(c.num_qubits, workers, seed=derive_seed(seed, "shot", shot))
+        trace = trace + state.run_circuit(c)
+        key = " ".join(
+            format(state.classical.get(name, 0), f"0{size}b") for name, size in c.cregs
+        )
+        counts[key] = counts.get(key, 0) + 1
+    trace.seed = seed
+    return Counts(sorted(counts.items())), trace
 
 
 def reference_flip(counts, shots, seed, p):

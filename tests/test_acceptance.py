@@ -80,7 +80,7 @@ def test_acceptance_2_worker_independence():
             counts, _ = run(circuit, 200, seed=seed, workers=w)
             assert counts == base_counts, f"case {case} w={w} counts differ"
             amps = final_state(circuit, seed=seed, workers=w).amplitudes
-            assert np.max(np.abs(amps - base_amps)) < 1e-12
+            assert np.array_equal(amps, base_amps), f"case {case} w={w} amplitudes differ"
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"worker sweep took {elapsed:.1f}s"
     announce(2, "worker independence w in {1,2,4}, 50 circuits")

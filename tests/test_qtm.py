@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import product_circuit
+from helpers import feed_forward_programs, product_circuit
 from oracle import oracle_probabilities
 from qorch.circuit import CircuitBuilder
 from qorch.qasm import QasmSyntaxError
@@ -24,6 +24,7 @@ from qorch.qtm import (
     TaskManager,
     piece_requests,
 )
+from qorch.scenarios import teleport_circuit
 from qorch.statevec import Counts
 
 BELL_SRC = 'OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\ncx q[0],q[1];\nmeasure q -> c;\n'
@@ -342,16 +343,20 @@ def test_cut_service_time_is_sum_of_pieces():
     assert tm.execute_task(task).modeled_service_time == expected
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
-    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    c=st.one_of(
+        st.builds(lambda sizes, seed: product_circuit(sizes, 1, seed=seed),
+                  st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 2**16)),
+        st.builds(teleport_circuit, st.floats(0, 2 * np.pi)),
+        feed_forward_programs(),
+    ),
     seed=st.integers(0, 2**16),
     log_workers=st.integers(0, 3),
 )
-def test_execute_task_counts_independent_of_workers(sizes, seed, log_workers):
-    workers = min(2**log_workers, 2 ** sum(sizes))
+def test_execute_task_counts_independent_of_workers(c, seed, log_workers):
+    workers = min(2**log_workers, 2**c.num_qubits)
     tm = manager()
-    c = product_circuit(sizes, 1, seed=seed)
     base = tm.execute_task(tm.normalize(c, 200, seed))
     other = tm.execute_task(tm.normalize(c, 200, seed, Preferences(workers=workers)))
     assert other.counts == base.counts

@@ -2,19 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chi2_contingency, chisquare
 
-from helpers import random_gate_circuit
+from helpers import feed_forward_programs, random_gate_circuit
 from oracle import oracle_probabilities, oracle_statevector
 from qorch.circuit import CircuitBuilder, Gate, Measure
 from qorch.gates import GateKind
 from qorch.statevec import (
     Counts,
     State,
+    _static_distribution,
     exchange_cost,
     final_state,
     probabilities,
     run,
 )
+from reference_sampling import reference_shot_by_shot
 
 
 def bell():
@@ -175,12 +180,11 @@ def test_run_probabilities_match_oracle_three_qubits():
 
 
 def test_static_distribution_matches_oracle_exactly():
-    from qorch.statevec import _static_distribution
-
     for seed in (3, 17, 29):
         measured = random_gate_circuit(3, 2, seed=seed, measure=True)
         gate_only = random_gate_circuit(3, 2, seed=seed, measure=False)
-        keys_of, pvec, _, _, _ = _static_distribution(measured, workers=1)
+        state = final_state(gate_only)
+        keys_of, pvec, _ = _static_distribution(state, measured.instructions, measured.cregs)
         keys = keys_of(np.arange(len(pvec)))
         expected = oracle_probabilities(gate_only)
         assert len(keys) == 8
@@ -204,7 +208,7 @@ def test_worker_independence():
         counts, _ = run(c, 300, seed=5, workers=w)
         assert counts == base_counts
         state = final_state(c, seed=5, workers=w)
-        assert np.max(np.abs(state.amplitudes - base_state.amplitudes)) < 1e-12
+        assert np.array_equal(state.amplitudes, base_state.amplitudes)
 
 
 def test_dynamic_path_deterministic():
@@ -232,21 +236,87 @@ def test_static_counts_sum_and_trace():
 
 
 def test_shot_by_shot_matches_static_distribution():
-    # static-path multinomial sampling and shot-by-shot collapse must agree
-    # in distribution; exact probabilities give the chi-square reference
-    from scipy.stats import chisquare
-
+    # the shot-branching walk and the shot-by-shot reference must agree in
+    # distribution; exact probabilities give the chi-square reference
     c = bell()
     exact = {"00": 0.5, "11": 0.5}
     for seed in range(10):
-        dynamic_counts, _ = run(c, 10000, seed=seed, force_shot_by_shot=True)
-        static_counts, _ = run(c, 10000, seed=seed)
-        for counts in (dynamic_counts, static_counts):
+        reference_counts, _ = reference_shot_by_shot(c, 10000, seed=seed)
+        walk_counts, _ = run(c, 10000, seed=seed)
+        for counts in (reference_counts, walk_counts):
             keys = sorted(set(counts) | set(exact))
             observed = np.array([counts.get(k, 0) for k in keys], dtype=float)
             expected = np.array([exact.get(k, 0.0) * 10000 for k in keys])
             _, p = chisquare(observed, expected)
             assert p > 0.001, f"seed {seed}"
+
+
+def _two_sample_p(a: Counts, b: Counts) -> float:
+    """Chi-square p-value that two count samples share one distribution.
+
+    Keys seen fewer than 20 times over both samples are pooled, and a pool
+    still under 20 is left out, so every tested cell is large enough for the
+    chi-square approximation.
+    """
+    keys = sorted(set(a) | set(b))
+    table = np.array([[a.get(k, 0) for k in keys], [b.get(k, 0) for k in keys]])
+    rare = table.sum(axis=0) < 20
+    table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
+    table = table[:, table.sum(axis=0) >= 20]
+    if table.shape[1] < 2:
+        return 1.0
+    return chi2_contingency(table, correction=False).pvalue
+
+
+@settings(max_examples=30, deadline=None)
+@given(c=feed_forward_programs(), seed=st.integers(0, 2**32 - 1))
+def test_walk_matches_shot_by_shot_on_feed_forward_programs(c, seed):
+    # false-alarm rate 1e-5 per example, so at most 3e-4 per run of the test
+    walk, _ = run(c, 4000, seed=seed)
+    reference, _ = reference_shot_by_shot(c, 1000, seed=seed)
+    assert walk.total() == 4000
+    assert _two_sample_p(walk, reference) > 1e-5
+
+
+@settings(max_examples=30, deadline=None)
+@given(c=feed_forward_programs(), seed=st.integers(0, 2**32 - 1))
+def test_feed_forward_worker_independence(c, seed):
+    base_counts, _ = run(c, 300, seed=seed)
+    base_state = final_state(c, seed=seed)
+    for w in (2, 4):
+        if w <= 2**c.num_qubits:
+            assert run(c, 300, seed=seed, workers=w)[0] == base_counts
+            state = final_state(c, seed=seed, workers=w)
+            assert np.array_equal(state.amplitudes, base_state.amplitudes)
+            assert state.classical == base_state.classical
+
+
+def test_p_one_snaps_exact_laws():
+    # ry(13pi/7) then ry(-6pi/7) is ry(pi), but rounding leaves p1 = 1 + 4e-16,
+    # which no binomial accepts; the snap restores the exact law
+    c = (
+        CircuitBuilder(2, (("m", 1), ("out", 1)))
+        .ry(13 * math.pi / 7, 0)
+        .ry(-6 * math.pi / 7, 0)
+        .measure(0, "m", 0)
+        .x(1, condition=("m", 1))
+        .measure(1, "out", 0)
+        .build()
+    )
+    state = State(2)
+    for instr in c.instructions[:2]:
+        state.apply(instr)
+    assert np.sum(np.abs(state.amplitudes[1::2]) ** 2) > 1.0
+    assert state.p_one(0) == 1.0
+    state.apply(Gate(GateKind.RY, (1e-6,), (1,), None))
+    assert 0.0 < np.sum(np.abs(state.amplitudes[2:]) ** 2) < 1e-12
+    assert state.p_one(1) == 0.0
+    for shots in (1, 7, 10000):
+        assert run(c, shots, seed=shots)[0] == {"1 1": shots}
+        for seed in range(3):
+            counts, _ = run(teleport(math.pi), shots, seed=seed)
+            ones = sum(v for k, v in counts.items() if k.split()[2] == "1")
+            assert ones / counts.total() == 1.0
 
 
 # -- exchange cost ---------------------------------------------------------

@@ -13,7 +13,7 @@ from helpers import random_gate_circuit
 from oracle import oracle_probabilities
 from qorch.circuit import CircuitBuilder
 from qorch.qpm import BackendDescriptor, BackendKind, ExecuteRequest, MockHardwareBackend
-from qorch.statevec import _static_distribution, run
+from qorch.statevec import _static_distribution, final_state, run
 from reference_sampling import reference_flip, reference_run
 
 HW = BackendDescriptor("mock-hw", BackendKind.HARDWARE, max_qubits=12,
@@ -142,7 +142,8 @@ def test_static_distribution_matches_oracle_marginals(case):
         b.gate(instr.kind, instr.qubits, instr.params)
     for q, (name, bit) in mapping.items():
         b.measure(q, name, bit)
-    keys_of, pvec, _, _, _ = _static_distribution(b.build(), workers=1)
+    c = b.build()
+    keys_of, pvec, _ = _static_distribution(final_state(gate_only), c.instructions, c.cregs)
     keys = keys_of(np.arange(len(pvec)))
     assert len(keys) == 2 ** len(mapping)
     assert keys == sorted(set(keys))
