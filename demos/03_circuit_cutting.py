@@ -4,9 +4,10 @@ Circuit cutting and result aggregation
 
 A circuit whose interaction graph is disconnected splits into independent
 subcircuits; executing the pieces and recombining their shot lists gives the
-same distribution as the uncut circuit.
+same distribution as the uncut circuit.  Each piece prints keys in the
+circuit's layout, so one merged shot is the bitwise OR of one shot per piece.
 """
-from qorch import CircuitBuilder, split_circuit
+from qorch import CircuitBuilder, Measure, split_circuit
 from qorch.config import load_config
 from qorch.qtm import TaskManager
 from qorch.statevec import run
@@ -21,9 +22,11 @@ circuit = (
     .measure_all("c")
     .build()
 )
+# Every piece keeps the circuit's creg layout and writes only its own bits.
 for piece in split_circuit(circuit):
+    writes = sorted((i.creg, i.bit) for i in piece.circuit.instructions if isinstance(i, Measure))
     print("subcircuit qubits:", piece.circuit.num_qubits,
-          " map:", piece.qubit_map, " owns:", piece.owned)
+          " map:", piece.qubit_map, " writes:", writes)
 
 # The task manager routes, cuts southbound, and aggregates northbound.
 system_config = load_config()

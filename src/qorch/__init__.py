@@ -19,7 +19,6 @@ from .circuit import (
     Barrier,
     Circuit,
     CircuitBuilder,
-    CregSlice,
     Gate,
     Measure,
     Reset,
@@ -39,7 +38,6 @@ __all__ = [
     "Circuit",
     "CircuitBuilder",
     "Counts",
-    "CregSlice",
     "ExecutionTrace",
     "Gate",
     "GateKind",

@@ -8,7 +8,7 @@ cutting decisions in the task manager.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .gates import GateKind
 
@@ -279,18 +279,17 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _creg_writers(c: Circuit) -> dict[str, set[int]]:
-    """creg name -> set of qubits measured into any of its bits."""
+def _components_uf(c: Circuit) -> _UnionFind:
+    uf = _UnionFind(c.num_qubits)
     writers: dict[str, set[int]] = {}
+    first_writer: dict[tuple[str, int], int] = {}
     for instr in c.instructions:
         if isinstance(instr, Measure):
             writers.setdefault(instr.creg, set()).add(instr.qubit)
-    return writers
-
-
-def _components_uf(c: Circuit) -> _UnionFind:
-    uf = _UnionFind(c.num_qubits)
-    writers = _creg_writers(c)
+            # A bit holds its last write, so every writer of one bit shares a
+            # component and the overwrite order stays the circuit's.
+            uf.union(first_writer.setdefault((instr.creg, instr.bit), instr.qubit),
+                     instr.qubit)
     for instr in c.instructions:
         if not isinstance(instr, Gate):
             continue
@@ -305,7 +304,8 @@ def _components_uf(c: Circuit) -> _UnionFind:
 
 
 def interaction_components(c: Circuit) -> list[set[int]]:
-    """Disjoint qubit sets coupled by multi-qubit gates or feed-forward.
+    """Disjoint qubit sets coupled by multi-qubit gates, feed-forward, or
+    measures into the same creg bit.
 
     Unreferenced qubits form singleton components; the result is sorted by
     smallest member and partitions ``{0..num_qubits-1}``.
@@ -317,135 +317,37 @@ def interaction_components(c: Circuit) -> list[set[int]]:
     return sorted(groups.values(), key=min)
 
 
-@dataclass(frozen=True)
-class CregSlice:
-    """Subcircuit creg bit ``j`` corresponds to original creg bit ``bits[j]``."""
-
-    name: str
-    bits: tuple[int, ...]
-
-
 @dataclass
 class Subcircuit:
     circuit: Circuit
     # subcircuit qubit index -> original qubit index
     qubit_map: dict[int, int] = field(default_factory=dict)
-    # ownership of original creg bits, used when recombining results
-    owned: tuple[CregSlice, ...] = ()
 
 
 def split_circuit(c: Circuit) -> list[Subcircuit]:
     """Split a circuit into independent subcircuits, one per interaction component.
 
-    Components that write the same creg bit are merged first so each original
-    bit has exactly one owner.  Cregs read by a condition but written nowhere
-    keep their full width in every reading subcircuit (their value is always
-    zero) while a single subcircuit owns their output bits.
+    Every piece keeps the circuit's cregs verbatim and writes only the bits
+    its own qubits are measured into, so every other bit reads 0 and all
+    pieces print keys in the circuit's layout.  No bit has writers in two
+    pieces, and a condition's creg is written only inside the reading
+    piece, so a piece sees the register values the whole circuit would.
     """
-    if c.num_qubits == 0:
-        slices = tuple(CregSlice(name, tuple(range(size))) for name, size in c.cregs)
-        return [Subcircuit(circuit=c, qubit_map={}, owned=slices)]
-
-    uf = _components_uf(c)
-
-    # Final value of each creg bit comes from its last writer; a bit written
-    # from two components would make the overwrite order unreproducible, so
-    # such components are merged.
-    bit_writers: dict[tuple[str, int], set[int]] = {}
-    for instr in c.instructions:
-        if isinstance(instr, Measure):
-            bit_writers.setdefault((instr.creg, instr.bit), set()).add(instr.qubit)
-    for qubits in bit_writers.values():
-        first = min(qubits)
-        for q in qubits:
-            uf.union(first, q)
-
-    groups: dict[int, set[int]] = {}
-    for q in range(c.num_qubits):
-        groups.setdefault(uf.find(q), set()).add(q)
-    components = sorted(groups.values(), key=min)
-    comp_index = {q: i for i, comp in enumerate(components) for q in comp}
-
-    # Original-bit ownership, keyed per creg: owner[name][bit] = component.
-    readers: dict[str, set[int]] = {}
-    for instr in c.instructions:
-        if isinstance(instr, Gate) and instr.condition is not None:
-            readers.setdefault(instr.condition[0], set()).add(
-                comp_index[instr.qubits[0]]
-            )
-    owned_bits: list[dict[str, list[int]]] = [dict() for _ in components]
-    full_width: list[set[str]] = [set() for _ in components]
-    for name, size in c.cregs:
-        written = sorted(b for (n, b) in bit_writers if n == name)
-        if written:
-            # Bits go to their writer's component; never-written bits follow
-            # the first writing component so the creg stays fully owned.
-            owner_of_bit = {}
-            for b in written:
-                owner_of_bit[b] = comp_index[min(bit_writers[(name, b)])]
-            default_owner = owner_of_bit[written[0]]
-            for b in range(size):
-                owner = owner_of_bit.get(b, default_owner)
-                owned_bits[owner].setdefault(name, []).append(b)
-        else:
-            owner = min(readers[name]) if name in readers else 0
-            owned_bits[owner].setdefault(name, []).extend(range(size))
-            full_width[owner].add(name)
-            for reader in readers.get(name, ()):
-                if reader != owner:
-                    full_width[reader].add(name)
-
     subs: list[Subcircuit] = []
-    for k, comp in enumerate(components):
+    for comp in interaction_components(c):
         qubits = sorted(comp)
-        qmap_rev = {orig: new for new, orig in enumerate(qubits)}
-
-        slices: list[CregSlice] = []
-        sub_cregs: list[tuple[str, int]] = []
-        bit_map: dict[tuple[str, int], tuple[str, int]] = {}
-        for name, size in c.cregs:
-            if name in full_width[k]:
-                sub_cregs.append((name, size))
-                for b in range(size):
-                    bit_map[(name, b)] = (name, b)
-                if name in owned_bits[k]:
-                    slices.append(CregSlice(name, tuple(range(size))))
-            elif name in owned_bits[k]:
-                bits = sorted(owned_bits[k][name])
-                sub_cregs.append((name, len(bits)))
-                for new, orig in enumerate(bits):
-                    bit_map[(name, orig)] = (name, new)
-                slices.append(CregSlice(name, tuple(bits)))
-
+        local = {orig: new for new, orig in enumerate(qubits)}
         instrs: list[Instruction] = []
         for instr in c.instructions:
-            if isinstance(instr, Gate):
-                if instr.qubits[0] in comp:
-                    instrs.append(
-                        Gate(
-                            instr.kind,
-                            instr.params,
-                            tuple(qmap_rev[q] for q in instr.qubits),
-                            instr.condition,
-                        )
-                    )
-            elif isinstance(instr, Measure):
-                if instr.qubit in comp:
-                    name, bit = bit_map[(instr.creg, instr.bit)]
-                    instrs.append(Measure(qmap_rev[instr.qubit], name, bit))
-            elif isinstance(instr, Reset):
-                if instr.qubit in comp:
-                    instrs.append(Reset(qmap_rev[instr.qubit]))
-            elif isinstance(instr, Barrier):
-                local = tuple(qmap_rev[q] for q in instr.qubits if q in comp)
-                if local:
-                    instrs.append(Barrier(local))
-
-        subs.append(
-            Subcircuit(
-                circuit=Circuit(len(qubits), tuple(sub_cregs), tuple(instrs)),
-                qubit_map={new: orig for new, orig in enumerate(qubits)},
-                owned=tuple(slices),
-            )
-        )
+            if isinstance(instr, Barrier):
+                kept = tuple(local[q] for q in instr.qubits if q in local)
+                if kept:
+                    instrs.append(Barrier(kept))
+            elif isinstance(instr, Gate):
+                if instr.qubits[0] in local:
+                    instrs.append(replace(instr, qubits=tuple(local[q] for q in instr.qubits)))
+            elif instr.qubit in local:
+                instrs.append(replace(instr, qubit=local[instr.qubit]))
+        subs.append(Subcircuit(Circuit(len(qubits), c.cregs, tuple(instrs)),
+                               dict(enumerate(qubits))))
     return subs

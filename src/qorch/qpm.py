@@ -61,7 +61,6 @@ class CalibrationInfo:
     readout_flip_probability: float
     # (fixed overhead seconds, seconds per shot*gate)
     service_time_params: tuple[float, float]
-    captured_at: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,6 @@ class ExecuteRequest:
     shots: int
     seed: int
     workers: int = 1
-    submitted_at: float = 0.0
 
     def __post_init__(self):
         if self.shots < 1:
@@ -154,26 +152,13 @@ class MockHardwareBackend:
         keys = sorted(counts)
         if not keys or keys == [""]:
             return counts
-        positions = [i for i, ch in enumerate(keys[0]) if ch != " "]
         rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, "readout")))
-        flips = rng.random((shots, len(positions))) < self.p
-        chars = np.frombuffer("".join(keys).encode("ascii"), dtype=np.uint8)
-        key_bits = chars.reshape(len(keys), -1)[:, positions] == ord("1")
+        flips = rng.random((shots, len(keys[0]) - keys[0].count(" "))) < self.p
         # Shot s reads the s-th key of the sorted keys, each repeated by its
         # count, so its readout is that key XOR flip row s.
-        words = np.repeat(_pack_rows(key_bits), [counts[k] for k in keys], axis=0)
+        words = np.repeat(pack_keys(keys), [counts[k] for k in keys], axis=0)
         words ^= _pack_rows(flips)
-        # One word per row sorts as plain integers; the row-wise unique that
-        # keys wider than 64 bits need compares field by field and is about
-        # a hundred times slower.
-        if words.shape[1] == 1:
-            distinct, tally = np.unique(words[:, 0], return_counts=True)
-        else:
-            distinct, tally = np.unique(words, axis=0, return_counts=True)
-        rows = np.full((len(distinct), len(keys[0])), ord(" "), dtype=np.uint8)
-        rows[:, positions] = ord("0") + np.unpackbits(
-            distinct.view(np.uint8).reshape(len(distinct), -1), axis=1, count=len(positions))
-        return Counts(zip(format_keys(rows), tally.tolist()))
+        return count_rows(words, keys[0])
 
     def calibration(self) -> CalibrationInfo:
         return CalibrationInfo(self.p, (self.alpha_q, self.beta_q))
@@ -190,6 +175,34 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
     words = np.zeros((len(bits), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
     words[:, :packed.shape[1]] = packed
     return words.view(">u8")
+
+
+def pack_keys(keys: list[str]) -> np.ndarray:
+    """Pack keys of one layout into ``_pack_rows`` words, one row per key;
+    the spaces between cregs are dropped."""
+    chars = np.frombuffer("".join(keys).encode("ascii"), dtype=np.uint8)
+    chars = chars.reshape(len(keys), -1)
+    return _pack_rows(chars[:, chars[0] != ord(" ")] == ord("1"))
+
+
+def count_rows(words: np.ndarray, template: str) -> Counts:
+    """Tally packed rows into Counts, keys sorted, printed in the layout of
+    the ``template`` key.  Rows compare as big-endian words, so words of
+    another byte order (``a | b`` of two ``>u8`` arrays gives native ones)
+    are converted first."""
+    words = words.astype(">u8", copy=False)
+    # One word per row sorts as plain integers; the row-wise unique that
+    # keys wider than 64 bits need compares field by field and is about
+    # a hundred times slower.
+    if words.shape[1] == 1:
+        distinct, tally = np.unique(words[:, 0], return_counts=True)
+    else:
+        distinct, tally = np.unique(words, axis=0, return_counts=True)
+    positions = [i for i, ch in enumerate(template) if ch != " "]
+    rows = np.full((len(distinct), len(template)), ord(" "), dtype=np.uint8)
+    rows[:, positions] = ord("0") + np.unpackbits(
+        distinct.view(np.uint8).reshape(len(distinct), -1), axis=1, count=len(positions))
+    return Counts(zip(format_keys(rows), tally.tolist()))
 
 
 @dataclass

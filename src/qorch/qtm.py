@@ -16,7 +16,7 @@ from itertools import count
 
 import numpy as np
 
-from .circuit import Circuit, CregSlice, interaction_components, split_circuit, depth
+from .circuit import Circuit, interaction_components, split_circuit, depth
 from .qasm import parse_qasm
 from .qpm import (
     BackendDescriptor,
@@ -27,6 +27,8 @@ from .qpm import (
     ExecuteResult,
     MidCircuitUnsupported,
     check_compatible,
+    count_rows,
+    pack_keys,
 )
 from .seeds import derive_seed
 from .statevec import Counts, ExecutionTrace
@@ -59,21 +61,18 @@ class QuantumTask:
     shots: int
     seed: int
     preferences: Preferences = Preferences()
-    origin_job_id: str | None = None
 
 
 @dataclass(frozen=True)
 class CutSubtask:
     circuit: Circuit
     qubit_map: dict[int, int]
-    owned: tuple[CregSlice, ...]
     seed: int
 
 
 @dataclass(frozen=True)
 class CutPlan:
     subtasks: tuple[CutSubtask, ...]
-    original_cregs: tuple[tuple[str, int], ...]
     seed: int
 
 
@@ -101,7 +100,7 @@ def piece_requests(task: QuantumTask, decision: RoutingDecision) -> list[Execute
     """The backend requests that run a routed task: one per cut piece, or the
     whole circuit when it was not cut.  Planning and execution both use this
     list, so a planned duration equals the executed service time."""
-    if decision.cut is None or len(decision.cut.subtasks) == 1:
+    if decision.cut is None:
         return [ExecuteRequest(
             task.task_id, task.circuit, task.shots, task.seed, decision.workers,
         )]
@@ -136,17 +135,13 @@ class TaskManager:
     # -- normalize ---------------------------------------------------------
 
     def normalize(self, source: str | Circuit, shots: int, seed: int,
-                  preferences: Preferences | None = None,
-                  origin_job_id: str | None = None) -> QuantumTask:
+                  preferences: Preferences | None = None) -> QuantumTask:
         """Wrap QASM text or an IR circuit into a task with a fresh id."""
         if shots < 1:
             raise ValueError("shots must be >= 1")
         circuit = parse_qasm(source) if isinstance(source, str) else source
         task_id = f"task-{next(self._ids):04d}"
-        return QuantumTask(
-            task_id, circuit, shots, seed,
-            preferences or Preferences(), origin_job_id,
-        )
+        return QuantumTask(task_id, circuit, shots, seed, preferences or Preferences())
 
     # -- route -------------------------------------------------------------
 
@@ -216,27 +211,23 @@ class TaskManager:
 
     def cut(self, task: QuantumTask) -> CutPlan:
         """Separability cut along interaction components; singleton when whole."""
-        subs = split_circuit(task.circuit)
         subtasks = tuple(
-            CutSubtask(
-                circuit=s.circuit,
-                qubit_map=s.qubit_map,
-                owned=s.owned,
-                seed=derive_seed(task.seed, "subtask", k),
-            )
-            for k, s in enumerate(subs)
+            CutSubtask(s.circuit, s.qubit_map, derive_seed(task.seed, "subtask", k))
+            for k, s in enumerate(split_circuit(task.circuit))
         )
-        return CutPlan(subtasks, task.circuit.cregs, task.seed)
+        return CutPlan(subtasks, task.seed)
 
     # -- aggregate ------------------------------------------------------------
 
     @staticmethod
     def aggregate(plan: CutPlan, results: list[Counts]) -> Counts:
-        """Recombine subtask shot lists into the original creg layout.
+        """Recombine subtask counts into the circuit's counts.
 
-        Each subtask's counts expand into a sorted shot list, shuffled by a
-        seed-derived permutation so pairing introduces no spurious
-        correlations; shot i of every subtask merges into output shot i.
+        Every piece prints keys in the circuit's layout and writes bits no
+        other piece writes, so a merged shot is the OR of one shot of each
+        piece.  Each piece's counts expand into a sorted list of packed
+        rows, shuffled by a seed-derived permutation so pairing introduces
+        no spurious correlations; shot i of every piece merges into shot i.
         """
         if len(results) != len(plan.subtasks):
             raise ShotMismatch(
@@ -247,38 +238,17 @@ class TaskManager:
             raise ShotMismatch(f"subtask shot totals differ: {sorted(totals)}")
         shots = totals.pop() if totals else 0
 
-        offsets: dict[str, int] = {}
-        acc = 0
-        for name, size in plan.original_cregs:
-            offsets[name] = acc
-            acc += size
-        total_bits = acc
-        if total_bits > 63:
-            raise ValueError("aggregation supports up to 63 classical bits")
-
-        merged = np.zeros(shots, dtype=np.uint64)
-        for k, (subtask, counts) in enumerate(zip(plan.subtasks, results)):
-            contribution = {
-                key: _owned_bits_value(key, subtask, offsets) for key in counts
-            }
-            expanded = np.concatenate(
-                [
-                    np.full(counts[key], contribution[key], dtype=np.uint64)
-                    for key in sorted(counts)
-                ]
-            ) if counts else np.zeros(0, dtype=np.uint64)
+        merged = None
+        for k, counts in enumerate(results):
+            keys = sorted(counts)
+            rows = np.repeat(pack_keys(keys), [counts[key] for key in keys], axis=0)
             rng = np.random.default_rng(derive_seed(plan.seed, "aggregate", k))
-            merged |= expanded[rng.permutation(shots)]
-
-        values, tallies = np.unique(merged, return_counts=True)
-        out = Counts()
-        for value, tally in zip(values, tallies):
-            key = " ".join(
-                format((int(value) >> offsets[name]) & ((1 << size) - 1), f"0{size}b")
-                for name, size in plan.original_cregs
-            )
-            out[key] = int(tally)
-        return Counts(sorted(out.items()))
+            rows = rows[rng.permutation(shots)]
+            if merged is None:
+                merged = rows
+            else:
+                merged |= rows
+        return count_rows(merged, keys[0])
 
     # -- end to end -----------------------------------------------------------
 
@@ -308,15 +278,3 @@ def _check_preferred(desc: BackendDescriptor, c: Circuit) -> None:
     except (CircuitTooLarge, MidCircuitUnsupported) as exc:
         raise IncompatiblePreference(f"preferred backend incompatible: {exc}") from None
 
-
-def _owned_bits_value(key: str, subtask: CutSubtask, offsets: dict[str, int]) -> int:
-    """Map one subtask outcome bitstring onto the original creg bit positions."""
-    groups = key.split(" ") if key else []
-    layout = subtask.circuit.cregs
-    values = {name: int(group, 2) if group else 0 for (name, _), group in zip(layout, groups)}
-    packed = 0
-    for cslice in subtask.owned:
-        sub_value = values.get(cslice.name, 0)
-        for j, original_bit in enumerate(cslice.bits):
-            packed |= ((sub_value >> j) & 1) << (offsets[cslice.name] + original_bit)
-    return packed

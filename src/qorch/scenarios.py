@@ -17,7 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import Circuit, CircuitBuilder
+from . import qtm
+from .circuit import Circuit, CircuitBuilder, ValidationError
+from .qasm import QasmError
 from .qtm import Preferences, QuantumTask, TaskManager
 from .report import RunReport, TaskRecord
 from .resman import Advance, DeviceCall, GeneratorWorkload, JobSpec, JobState, Model, ParallelDeviceCalls
@@ -269,7 +271,8 @@ def run_hybrid_job(system: System, model, app_nodes: int,
 
 
 def _assemble(system: System, scenario: str, seed: int, model, batch: QuantumBatch,
-              cluster, answer: str, iterations=None, status: str | None = None) -> RunReport:
+              cluster, answer: str, iterations=None, status: str | None = None,
+              failure: str | None = None) -> RunReport:
     metrics = cluster.metrics()
     waits = [o.queue_wait for o in batch.outcomes if o.error is None]
     report = RunReport(
@@ -292,7 +295,7 @@ def _assemble(system: System, scenario: str, seed: int, model, batch: QuantumBat
         iterations=iterations or [],
         config_text=system.config.text,
         event_lines=cluster.export_log(),
-        failure=next(
+        failure=failure or next(
             (rec.payload["reason"] for rec in cluster.log if rec.kind == "fail"),
             next((o.error for o in batch.outcomes if o.error), None),
         ),
@@ -417,11 +420,21 @@ def run_submitted_circuit(source: str, shots: int, seed: int, system: System,
                           model=Model.PER_JOB, app_nodes: int = 1, sim_nodes: int = 2,
                           backend_id: str | None = None,
                           workers: int | None = None) -> RunReport:
-    """One user-provided QASM program run as a hybrid job (the submit command)."""
+    """One user-provided QASM program run as a hybrid job (the submit command).
+
+    The program is parsed before the job is submitted, so one that cannot
+    parse fails with no job and an empty event log."""
     prefs = Preferences(backend_id=backend_id, workers=workers)
+    try:
+        # qtm's name, which normalize also parses through, so one hook sees every parse
+        circuit = qtm.parse_qasm(source)
+    except (QasmError, ValidationError) as exc:
+        batch = QuantumBatch(system, system.task_manager(), model, 0)
+        return _assemble(system, "submit", seed, model, batch, system.new_cluster(), "error",
+                         status="failed", failure=f"{type(exc).__name__}: {exc}")
 
     def body(batch: QuantumBatch):
-        task = batch.submit(source, shots, seed, prefs)
+        task = batch.submit(circuit, shots, seed, prefs)
         yield from batch.run_batch([task])
 
     batch, cluster = run_hybrid_job(system, model, app_nodes, sim_nodes, body)

@@ -147,19 +147,13 @@ def assess(queue, plan: SimPartitionPlan, registry: BackendRegistry) -> Executio
                 out.assignments.append(assignment)
                 heapq.heappush(completions, (assignment.end, seq, assignment))
                 seq += 1
-        if not completions:
+        if not completions or not any(queues.values()):
             break
-        now, _, finished = heapq.heappop(completions)
-        free[finished.kind] = sorted(free[finished.kind] + list(finished.nodes))
-        # drain every completion at this instant before rescheduling
+        # free every node that finishes at the next instant before rescheduling
+        now = completions[0][0]
         while completions and completions[0][0] == now:
-            _, _, more = heapq.heappop(completions)
-            free[more.kind] = sorted(free[more.kind] + list(more.nodes))
-        if not any(queues.values()):
-            while completions:
-                _, _, more = heapq.heappop(completions)
-                free[more.kind] = sorted(free[more.kind] + list(more.nodes))
-            break
+            _, _, finished = heapq.heappop(completions)
+            free[finished.kind] = sorted(free[finished.kind] + list(finished.nodes))
     return out
 
 

@@ -91,3 +91,48 @@ def feed_forward_programs(draw):
             b.gate(kind, qubits, params, condition)
     b.measure(draw(qubit), "b", 0)
     return b.build()
+
+
+@st.composite
+def cuttable_programs(draw):
+    """Programs over qubit groups with 2-qubit gates only inside a group, so
+    they usually cut: up to three cregs, partial and repeated writes, the
+    same bit written from two groups, ``if`` on written and unwritten cregs,
+    resets and barriers."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    n = sum(sizes)
+    order = draw(st.permutations(range(n)))
+    groups = [order[sum(sizes[:i]):sum(sizes[:i + 1])] for i in range(len(sizes))]
+    cregs = tuple((f"c{i}", draw(st.integers(1, 6)))
+                  for i in range(draw(st.integers(0, 3))))
+    ops = ["gate", "gate", "barrier", "reset"] + (["measure", "measure", "if"] if cregs else [])
+    b = CircuitBuilder(n, cregs)
+    for _ in range(draw(st.integers(1, 16))):
+        op = draw(st.sampled_from(ops))
+        group = draw(st.sampled_from(groups))
+        q = draw(st.sampled_from(group))
+        if op == "barrier":
+            b.barrier(*draw(st.lists(st.sampled_from(range(n)), min_size=1, unique=True)))
+        elif op == "reset":
+            b.reset(q)
+        elif op == "measure":
+            name, size = draw(st.sampled_from(cregs))
+            b.measure(q, name, draw(st.integers(0, size - 1)))
+        else:
+            condition = None
+            if op == "if":
+                name, size = draw(st.sampled_from(cregs))
+                condition = (name, draw(st.integers(0, 2**size - 1)))
+            if len(group) > 1 and draw(st.booleans()):
+                kind = draw(st.sampled_from([GateKind.CX, GateKind.CZ, GateKind.SWAP]))
+                qubits = (q, draw(st.sampled_from([p for p in group if p != q])))
+                b.gate(kind, qubits, condition=condition)
+            else:
+                kind = draw(st.sampled_from([GateKind.H, GateKind.X, GateKind.RY]))
+                params = (draw(st.floats(0, 2 * np.pi)),) if kind is GateKind.RY else ()
+                b.gate(kind, (q,), params, condition)
+    for q in range(n) if cregs else ():
+        if draw(st.booleans()):
+            name, size = draw(st.sampled_from(cregs))
+            b.measure(q, name, draw(st.integers(0, size - 1)))
+    return b.build()

@@ -1,0 +1,63 @@
+"""Write a fixed set of CLI run directories from this checkout.
+
+    python tests/run_dirs.py OUT
+
+runs, with the ``src/`` next to this file:
+
+- 8 scenarios, seed 5: single_circuit, ensemble and in_sequence under
+  per_job and single_qc, and two single_qc ensembles (seeds 5 and 6) on the
+  default config with ``device = mock-hw``;
+- a per_job and a single_qc ``submit`` of every ``tests/corpus/valid``
+  program, 1024 shots, seed 5.
+
+Each run writes ``OUT/<name>/{report.txt,events.log,config.ini}``, and one
+line per run, ``<name> exit=<code>``, goes to stdout.  Two checkouts give
+the same reports when ``diff -r`` of their OUT directories is clean.
+"""
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from qorch.cli import cli_main  # noqa: E402
+
+MODELS = ("per_job", "single_qc")
+
+
+def runs(out: Path):
+    """(name, argv) of every run, in order."""
+    mock_hw = out / "mock-hw.ini"
+    default = (ROOT / "src" / "qorch" / "data" / "default.ini").read_text("utf-8")
+    mock_hw.write_text(default.replace("device = statevec", "device = mock-hw"), "utf-8")
+    for model in MODELS:
+        for pattern in ("single_circuit", "ensemble", "in_sequence"):
+            yield f"scenario-{pattern}-{model}", ["scenario", pattern, "--seed", "5",
+                                                  "--model", model]
+    for seed in ("5", "6"):
+        yield f"scenario-ensemble-single_qc-mock-hw-s{seed}", [
+            "--config", str(mock_hw), "scenario", "ensemble", "--seed", seed,
+            "--model", "single_qc"]
+    for program in sorted((ROOT / "tests" / "corpus" / "valid").glob("*.qasm")):
+        for model in MODELS:
+            yield f"submit-{program.stem}-{model}", ["submit", str(program), "--shots", "1024",
+                                                     "--seed", "5", "--model", model]
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 1
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    for name, args in runs(out):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main(args + ["--out", str(out / name)])
+        print(f"{name} exit={code}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

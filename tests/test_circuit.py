@@ -150,6 +150,18 @@ def test_components_classical_feedforward():
     assert interaction_components(c) == [{0, 1}]
 
 
+def test_components_join_writers_of_one_bit():
+    c = (
+        CircuitBuilder(3, (("c", 2),))
+        .h(0)
+        .h(2)
+        .measure(0, "c", 1)
+        .measure(2, "c", 1)
+        .build()
+    )
+    assert interaction_components(c) == [{0, 2}, {1}]
+
+
 def test_components_partition_everything():
     c = CircuitBuilder(5).cx(1, 3).build()
     comps = interaction_components(c)
@@ -163,12 +175,17 @@ def test_components_partition_everything():
 # -- split_circuit --------------------------------------------------------
 
 
+def _written_bits(sub):
+    return {(i.creg, i.bit) for i in sub.circuit.instructions if isinstance(i, Measure)}
+
+
 def test_split_single_component_identity():
     subs = split_circuit(bell())
     assert len(subs) == 1
     assert subs[0].qubit_map == {0: 0, 1: 1}
     assert subs[0].circuit == bell()
-    assert subs[0].owned[0].bits == (0, 1)
+    assert subs[0].circuit.cregs == (("c", 2),)
+    assert _written_bits(subs[0]) == {("c", 0), ("c", 1)}
 
 
 def test_split_disconnected_three_qubits():
@@ -203,10 +220,10 @@ def test_split_creg_bitwise_by_writer():
     )
     subs = split_circuit(c)
     assert len(subs) == 2
-    assert subs[0].owned == (type(subs[0].owned[0])("c", (0,)),)
-    assert subs[1].owned == (type(subs[0].owned[0])("c", (1,)),)
-    assert subs[0].circuit.cregs == (("c", 1),)
-    assert subs[1].circuit.cregs == (("c", 1),)
+    # every piece keeps the circuit's layout and writes only its own bits
+    assert [s.circuit.cregs for s in subs] == [(("c", 2),), (("c", 2),)]
+    assert _written_bits(subs[0]) == {("c", 0)}
+    assert _written_bits(subs[1]) == {("c", 1)}
 
 
 def test_split_feedforward_uncuttable():

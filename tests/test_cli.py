@@ -188,6 +188,25 @@ def test_failed_submit_says_why(tmp_path, capsys, model):
     assert "division by zero" in err
 
 
+@pytest.mark.parametrize("model", ["per_job", "single_qc"])
+def test_unparsable_submit_queues_no_job(tmp_path, capsys, model):
+    out_dir = tmp_path / "run"
+    code = cli_main(
+        ["submit", str(CORPUS / "invalid" / "zero_denominator.qasm"),
+         "--model", model, "--out", str(out_dir)]
+    )
+    assert code == 2
+    assert (out_dir / "events.log").read_text() == ""
+    assert (out_dir / "report.txt").read_text() == (
+        f"qorch-report 1\nscenario submit\nseed 0\nmodel {model}\nstatus failed\n"
+        "answer error\nmetric makespan 0\nmetric mean_queue_wait 0\n"
+        "metric utilization 0\n"
+    )
+    assert capsys.readouterr().err == (
+        "execution failed: QasmSyntaxError: line 4, column 7: division by zero\n"
+    )
+
+
 def test_failed_scenario_says_why(tmp_path, capsys):
     code = cli_main(
         ["scenario", "single_circuit", "--n", "30", "--shots", "10",

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import feed_forward_programs, product_circuit
+from helpers import cuttable_programs, feed_forward_programs, product_circuit
 from oracle import oracle_probabilities
-from qorch.circuit import CircuitBuilder
+from qorch.circuit import CircuitBuilder, Measure
 from qorch.qasm import QasmSyntaxError
 from qorch.qpm import (
     BackendDescriptor,
@@ -26,6 +26,7 @@ from qorch.qtm import (
 )
 from qorch.scenarios import teleport_circuit
 from qorch.statevec import Counts
+from reference_cutting import reference_execute
 
 BELL_SRC = 'OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\ncx q[0],q[1];\nmeasure q -> c;\n'
 
@@ -228,7 +229,7 @@ def test_aggregate_singleton_identity():
 
 
 def test_aggregate_deterministic_components():
-    # subtask A always "0" owning c0; subtask B always "1" owning c1
+    # piece A writes c[0] = 0, piece B writes c[1] = 1; both print "c" whole
     tm = manager()
     c = (
         CircuitBuilder(2, (("c", 2),))
@@ -240,7 +241,7 @@ def test_aggregate_deterministic_components():
     task = tm.normalize(c, 50, 1)
     plan = tm.cut(task)
     assert len(plan.subtasks) == 2
-    results = [Counts({"0": 50}), Counts({"1": 50})]
+    results = [Counts({"00": 50}), Counts({"10": 50})]
     merged = tm.aggregate(plan, results)
     assert merged == Counts({"10": 50})
 
@@ -380,13 +381,30 @@ def test_cut_plan_bijection_and_bit_ownership():
             orig for s in plan.subtasks for orig in s.qubit_map.values()
         )
         assert originals == list(range(c.num_qubits))
-        # every original creg bit is owned by exactly one subtask
-        owned = [
-            (cs.name, bit)
+        # every piece keeps the layout, and each creg bit is measured in at
+        # most one piece
+        assert all(s.circuit.cregs == c.cregs for s in plan.subtasks)
+        written = [
+            {(i.creg, i.bit) for i in s.circuit.instructions if isinstance(i, Measure)}
             for s in plan.subtasks
-            for cs in s.owned
-            for bit in cs.bits
         ]
-        expected = [(name, b) for name, size in c.cregs for b in range(size)]
-        assert sorted(owned) == sorted(expected)
-        assert len(owned) == len(set(owned))
+        assert sum(len(bits) for bits in written) == len(set().union(*written))
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=cuttable_programs(), shots=st.sampled_from([1, 7, 1000]), seed=st.integers(0, 2**16))
+@example(c=product_circuit([2, 1, 2], 1, seed=3), shots=1000, seed=5)
+def test_execute_task_matches_reference_cutting(c, shots, seed):
+    tm = manager()
+    counts = tm.execute_task(tm.normalize(c, shots, seed)).counts
+    assert list(counts.items()) == list(reference_execute(c, shots, seed).items())
+
+
+def test_cut_past_63_classical_bits():
+    b = CircuitBuilder(3, (("c", 70),)).x(0).x(2)
+    c = b.measure(0, "c", 69).measure(1, "c", 35).measure(2, "c", 0).build()
+    tm = manager()
+    task = tm.normalize(c, 20, 4)
+    assert len(tm.route(task).cut.subtasks) == 3
+    expected = "1" + "0" * 68 + "1"
+    assert tm.execute_task(task).counts == Counts({expected: 20})
