@@ -15,13 +15,28 @@ yields steps the engine interprets:
 
 A plain float workload is shorthand for one Advance of that duration, and
 ``None`` makes a manually driven job that runs until release() is called.
+
+Scheduling is FIFO with optional EASY backfill (Lifka 1995; Mu'alem and
+Feitelson 2001): the head of the queue is granted as soon as its nodes are
+free; with backfill on, a later job may start first if it fits the free nodes
+now and its projected duration ends no later than the head's reservation,
+the earliest time projected completions free enough nodes for the head.
+The queue keeps each job's node count and projected duration from the moment
+it is queued, and running jobs are kept apart from finished ones, so an event
+costs a sort of the running jobs (at most one per node) and at most one walk
+of the queue, whatever the number of jobs submitted before.  The walk runs
+only when a job was queued, nodes were freed or the head changed since the
+last walk.  Otherwise it could grant nothing: the free nodes and the head's
+reservation are as the last walk left them, and a later clock only shortens
+the time left before the reservation.  The walk stops as soon as no node is
+free.  The grants, and so the event log, are those of a walk on every event.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import count
+from itertools import count, islice
 
 MAX_EVENTS = 1_000_000  # safety cap against runaway scenarios
 
@@ -160,7 +175,6 @@ class _JobRun:
     state: JobState = JobState.QUEUED
     allocation: Allocation | None = None
     generator: object = None
-    projected_end: float = float("inf")
     submit_seq: int = 0
     # outstanding device-call bookkeeping for the current yield
     pending_total: int = 0
@@ -191,7 +205,9 @@ class Cluster:
         self._heap: list[tuple[float, int, str, object]] = []
         self._seq = count()
         self._jobs: dict[str, _JobRun] = {}
-        self._queue: list[str] = []
+        self._queue: dict[str, tuple[int, float]] = {}  # job -> (nodes, projected duration)
+        self._live: dict[str, tuple[float, int]] = {}  # running job -> (projected end, nodes)
+        self._walk_due = False  # a job queued, nodes freed or the head changed since the last walk
         self._free: list[int] = list(range(config.total_nodes))
         self._device_holder: _DeviceRequest | None = None
         self._device_queue: list[_DeviceRequest] = []
@@ -330,11 +346,8 @@ class Cluster:
         return out
 
     def live_allocations(self) -> list[Allocation]:
-        return [
-            run.allocation
-            for run in self._jobs.values()
-            if run.state is JobState.RUNNING and run.allocation is not None
-        ]
+        """Allocations of the running jobs, in grant order."""
+        return [self._jobs[job_id].allocation for job_id in self._live]
 
     @property
     def device_grant_order(self) -> list[int]:
@@ -362,53 +375,55 @@ class Cluster:
         return run
 
     def _handle_submit(self, job_id: str) -> None:
-        self._queue.append(job_id)
+        spec = self._jobs[job_id].spec
+        self._queue[job_id] = (spec.app_nodes + spec.sim_nodes, _projected_duration(spec.workload))
+        self._walk_due = True
         self._record("submit", job_id)
-
-    def _fits(self, spec: JobSpec) -> bool:
-        return spec.app_nodes + spec.sim_nodes <= len(self._free)
 
     def _schedule_pass(self) -> None:
         # FIFO head first; all-or-nothing grants at this timestamp.
-        while self._queue and self._fits(self._jobs[self._queue[0]].spec):
-            self._grant(self._queue.pop(0))
-        if self.config.backfill and self._queue:
-            head = self._jobs[self._queue[0]].spec
-            head_start = self._earliest_start(head.app_nodes + head.sim_nodes)
-            for job_id in list(self._queue[1:]):
-                run = self._jobs[job_id]
-                if not self._fits(run.spec):
-                    continue
-                duration = _projected_duration(run.spec.workload)
-                if self.now + duration <= head_start:
-                    self._queue.remove(job_id)
-                    self._grant(job_id)
+        queue = self._queue
+        while queue:
+            head = next(iter(queue))
+            nodes, duration = queue[head]
+            if nodes > len(self._free):
+                break
+            del queue[head]
+            self._walk_due = True
+            self._grant(head, nodes, duration)
+        if not (self.config.backfill and self._walk_due and self._free and len(queue) > 1):
+            return
+        # EASY backfill: a later job starts now if it ends by the head's reservation.
+        self._walk_due = False
+        head_start = self._earliest_start(queue[next(iter(queue))][0])
+        for job_id, (nodes, duration) in list(islice(queue.items(), 1, None)):
+            free = len(self._free)
+            if not free:
+                break  # every job needs a node; only a grant here could free one
+            if nodes <= free and self.now + duration <= head_start:
+                del queue[job_id]
+                self._grant(job_id, nodes, duration)
 
     def _earliest_start(self, need: int) -> float:
         """Earliest time the head job could start, from projected completions."""
         free = len(self._free)
         if free >= need:
             return self.now
-        releases = sorted(
-            (run.projected_end, run.spec.app_nodes + run.spec.sim_nodes)
-            for run in self._jobs.values()
-            if run.state is JobState.RUNNING
-        )
-        for when, nodes in releases:
+        for when, nodes in sorted(self._live.values()):
             free += nodes
             if free >= need:
                 return when
         return float("inf")
 
-    def _grant(self, job_id: str) -> None:
+    def _grant(self, job_id: str, nodes: int, duration: float) -> None:
         run = self._jobs[job_id]
         spec = run.spec
         app = frozenset(self._free[: spec.app_nodes])
-        sim = frozenset(self._free[spec.app_nodes : spec.app_nodes + spec.sim_nodes])
-        self._free = self._free[spec.app_nodes + spec.sim_nodes :]
+        sim = frozenset(self._free[spec.app_nodes : nodes])
+        self._free = self._free[nodes:]
         run.allocation = Allocation(job_id, app, sim, self.now)
         run.state = JobState.RUNNING
-        run.projected_end = self.now + _projected_duration(spec.workload)
+        self._live[job_id] = (self.now + duration, nodes)
         self._record(
             "grant", job_id,
             app=_nodeset(app), sim=_nodeset(sim),
@@ -524,6 +539,8 @@ class Cluster:
         run = self._jobs[job_id]
         run.state = JobState.COMPLETED
         self._free = sorted(self._free + list(run.allocation.nodes))
+        del self._live[job_id]
+        self._walk_due = True
         self._record("complete", job_id)
         run.allocation = None
         run.generator = None
@@ -533,6 +550,8 @@ class Cluster:
         run.state = JobState.FAILED
         if run.allocation is not None:
             self._free = sorted(self._free + list(run.allocation.nodes))
+            del self._live[job_id]
+            self._walk_due = True
         self._record("fail", job_id, reason=reason)
         run.allocation = None
         run.generator = None

@@ -136,9 +136,21 @@ def _apply_builtin(stage: Stage, window: list[Counts]):
 def run_workflow(file: str | Path | WorkflowFile, system: System,
                  seed: int = 0) -> RunReport:
     """Execute stages in order; quantum stages route through the task manager,
-    classical stages run the named builtin on the current quantum window."""
+    classical stages run the named builtin on the current quantum window.
+
+    Every quantum stage's QASM is read and normalized before any stage runs,
+    so a stage that cannot parse fails the workflow before it starts."""
     wf = file if isinstance(file, WorkflowFile) else parse_workflow(file)
     tm = system.task_manager()
+    admitted = {}
+    for index, stage in enumerate(wf.stages):
+        if stage.kind == "quantum":
+            try:
+                source = (wf.base_dir / stage.qasm).read_text("utf-8")
+                admitted[index] = tm.normalize(source, stage.shots,
+                                               derive_seed(seed, "stage", index))
+            except Exception as exc:
+                raise StageFailure(stage.name, f"{type(exc).__name__}: {exc}") from exc
     tasks: list[TaskRecord] = []
     stage_lines: list[dict] = []
     window: list[Counts] = []
@@ -146,11 +158,8 @@ def run_workflow(file: str | Path | WorkflowFile, system: System,
     value = None
     for index, stage in enumerate(wf.stages):
         if stage.kind == "quantum":
-            qasm_path = wf.base_dir / stage.qasm
             try:
-                source = qasm_path.read_text("utf-8")
-                task = tm.normalize(source, stage.shots, derive_seed(seed, "stage", index))
-                result = tm.execute_task(task)
+                result = tm.execute_task(admitted[index])
             except Exception as exc:
                 raise StageFailure(stage.name, f"{type(exc).__name__}: {exc}") from exc
             window.append(result.counts)

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qorch import resman
 from qorch.resman import (
     Advance,
     Cluster,
@@ -16,6 +19,7 @@ from qorch.resman import (
     NotHeld,
     ParallelDeviceCalls,
 )
+from reference_scheduler import ReferenceCluster
 
 
 def cluster(nodes=8, device=None, backfill=False, on_event=None):
@@ -255,3 +259,145 @@ def test_fixed_workload_runs_to_completion():
     cl.run()
     complete = next(r for r in cl.log if r.kind == "complete")
     assert complete.time == 7.5
+
+
+# -- scheduler = reference scheduler -------------------------------------------
+
+INF = float("inf")
+
+
+def _body(kind, steps):
+    def body(ctx):
+        if kind == "raise":
+            raise RuntimeError("body raised at grant")
+        for step in steps:
+            yield step
+
+    return body
+
+
+@st.composite
+def job_streams(draw):
+    """(total nodes, backfill, device, specs): random hybrid jobs with tied
+    sizes, submit times and durations, and bodies that end at their grant."""
+    total = draw(st.integers(2, 8))
+    backfill = draw(st.booleans())
+    device = draw(st.sampled_from([None, "dev"]))
+    kinds = ["float", "fixed", "advance", "instant", "raise", "nodevice"]
+    if device is not None:
+        kinds += ["device", "parallel"]
+    times = st.sampled_from([0.0, 0.0, 1.0, 2.0, 2.5, 4.0, 7.0])
+    durations = st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.0, 5.0])
+    specs = []
+    for i in range(draw(st.integers(2, 24))):
+        kind = draw(st.sampled_from(kinds))
+        submit = draw(times)
+        if kind in ("device", "parallel"):
+            model, sim = Model.SINGLE_QC, 0
+            app = draw(st.integers(1, total))
+        else:
+            model = Model.PER_JOB
+            app = draw(st.integers(1, total - 1))
+            sim = draw(st.integers(1, total - app))
+        if kind == "float":
+            specs.append(JobSpec(f"j{i}", app, sim, model, draw(durations), submit))
+            continue
+        if kind == "fixed":
+            specs.append(JobSpec(f"j{i}", app, sim, model, FixedWorkload(draw(durations)), submit))
+            continue
+        steps = []
+        if kind == "advance":
+            steps = [Advance(draw(durations)) for _ in range(draw(st.integers(1, 2)))]
+        elif kind == "nodevice":
+            steps = [DeviceCall(draw(durations))]
+        elif kind == "device":
+            steps = [Advance(draw(durations)), DeviceCall(draw(durations), tag="t")]
+        elif kind == "parallel":
+            holds = tuple(draw(st.lists(durations, max_size=3)))
+            steps = [ParallelDeviceCalls(holds)]
+        actual = sum(getattr(s, "seconds", 0.0) + getattr(s, "hold", 0.0)
+                     + sum(getattr(s, "holds", ())) for s in steps)
+        projected = actual + draw(st.sampled_from([0.0, 0.0, 0.0, 1.0, 3.0, INF, -1.0]))
+        workload = GeneratorWorkload(_body(kind, steps), max(projected, 0.0))
+        specs.append(JobSpec(f"j{i}", app, sim, model, workload, submit))
+    return total, backfill, device, specs
+
+
+def _check_nodes(total):
+    def check(cl):
+        union = set()
+        for alloc in cl.live_allocations():
+            assert not (union & alloc.nodes), "node in two live allocations"
+            assert not (alloc.app & alloc.sim)
+            union |= alloc.nodes
+        assert not (union & set(cl._free)), "a node is both free and allocated"
+        assert len(union) + len(cl._free) == total, "nodes not conserved"
+
+    return check
+
+
+def _earliest_start(need: int, free: int, now: float, running) -> float:
+    if free >= need:
+        return now
+    for end, nodes in sorted(running):
+        free += nodes
+        if free >= need:
+            return end
+    return INF
+
+
+def _check_log(log: str, specs, total: int) -> None:
+    """Each job granted once and ended once, and no backfill grant pushes the
+    head past its reservation when every job ran within its projection."""
+    projected = {s.job_id: resman._projected_duration(s.workload) for s in specs}
+    size = {s.job_id: s.app_nodes + s.sim_nodes for s in specs}
+    queue, running, free = [], {}, total
+    granted, ended, promises = {}, {}, []
+    for line in log.splitlines():
+        time, kind, job, *detail = line.split(" ")
+        time = float(time)
+        if kind == "submit":
+            queue.append(job)
+        elif kind == "grant":
+            assert job in queue and job not in granted, job
+            payload = dict(kv.split("=") for kv in detail[0].split(","))
+            nodes = sum(len(payload[k].split("+")) for k in ("app", "sim") if payload[k] != "-")
+            assert nodes == size[job]
+            if queue[0] != job:
+                head = queue[0]
+                # A job granted and ended at this timestamp may have freed its
+                # nodes inside the walk, after the reservation was taken, so it
+                # counts as still running here; that only loosens the bound.
+                early = [j for j, t in ended.items() if t == time and granted[j] == time]
+                busy = [*running.values(), *((time + projected[j], size[j]) for j in early)]
+                start = _earliest_start(size[head], free - sum(size[j] for j in early), time, busy)
+                promises.append((head, start, job))
+            queue.remove(job)
+            granted[job] = time
+            running[job] = (time + projected[job], nodes)
+            free -= nodes
+        elif kind in ("complete", "fail"):
+            assert job in granted and job not in ended, job
+            ended[job] = time
+            free += running.pop(job)[1]
+    assert set(granted) == set(ended) == set(projected) and not queue and free == total
+    if all(ended[j] <= granted[j] + projected[j] for j in projected):
+        for head, start, job in promises:
+            assert granted[head] <= start, f"{job} pushed {head} past {start}"
+            assert ended[job] <= start, f"{job} ran past {head}'s reservation {start}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(stream=job_streams())
+def test_scheduler_matches_reference(stream):
+    total, backfill, device, specs = stream
+    config = ClusterConfig(total_nodes=total, single_qc_device=device, backfill=backfill)
+    logs = []
+    for make in (Cluster, ReferenceCluster):
+        cl = make(config, on_event=_check_nodes(total))
+        for spec in specs:
+            cl.submit_job(spec)
+        cl.run()
+        logs.append(cl.export_log())
+    assert logs[0] == logs[1]
+    _check_log(logs[0], specs, total)

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from qorch.circuit import ValidationError
+from qorch.qasm import parse_qasm
+from qorch.qtm import TaskManager
 from qorch.system import System
 from qorch.workflow import (
     StageFailure,
@@ -120,6 +124,27 @@ def test_stage_failure_carries_name(tmp_path, system):
     with pytest.raises(StageFailure) as err:
         run_workflow(path, system)
     assert err.value.stage == "broken"
+
+
+def test_bad_stage_fails_before_any_stage_runs(tmp_path, system, monkeypatch):
+    bad = Path(__file__).parent / "corpus" / "invalid" / "zero_denominator.qasm"
+    path = write_workflow(
+        tmp_path,
+        "[stage:a]\nkind = quantum\nqasm = bell.qasm\nshots = 10\n"
+        f"[stage:b]\nkind = quantum\nqasm = {bad}\nshots = 10\n",
+        {"bell.qasm": BELL},
+    )
+    calls = []
+    monkeypatch.setattr(TaskManager, "execute_task", lambda self, *a, **k: calls.append(a))
+    with pytest.raises(StageFailure) as err:
+        run_workflow(path, system)
+    with pytest.raises(Exception) as parse_error:
+        parse_qasm(bad.read_text("utf-8"))
+    assert err.value.stage == "b"
+    assert str(err.value) == (
+        f"stage 'b': {type(parse_error.value).__name__}: {parse_error.value}"
+    )
+    assert calls == []
 
 
 def test_classical_without_window_fails(tmp_path, system):
