@@ -8,7 +8,10 @@
 
 Every run writes a report, an event log, and a config snapshot into the run
 directory (--out, default runs/<command>-s<seed>).  Exit codes: 0 success,
-1 usage error, 2 execution failure.
+1 usage error, 2 execution failure.  A failed run (a failed task, a program
+refused at admission, an in_sequence loop that does not converge) still
+writes its run directory and prints ``execution failed: <reason>``; a bad
+parameter or config exits 2 before anything runs and writes nothing.
 """
 from __future__ import annotations
 
@@ -19,12 +22,7 @@ from pathlib import Path
 from .config import ConfigError, load_config
 from .report import render_summary
 from .resman import Model
-from .scenarios import (
-    NonConvergence,
-    ScenarioSpec,
-    run_scenario,
-    run_submitted_circuit,
-)
+from .scenarios import run_ensemble, run_in_sequence, run_single_circuit, run_submitted_circuit
 from .system import System
 from .workflow import run_workflow
 
@@ -124,33 +122,29 @@ def cli_main(argv=None) -> int:
                 )
             return 0
 
+        if args.command in ("submit", "scenario"):
+            place = dict(model=args.model, app_nodes=args.app_nodes, sim_nodes=args.sim_nodes)
         if args.command == "submit":
             source = Path(args.qasm).read_text("utf-8")
             report = run_submitted_circuit(
                 source, args.shots, args.seed, system,
-                model=args.model, app_nodes=args.app_nodes, sim_nodes=args.sim_nodes,
-                backend_id=args.backend, workers=args.workers,
+                backend_id=args.backend, workers=args.workers, **place,
             )
             return _finish(report, _run_dir(args, "submit"))
 
         if args.command == "scenario":
-            name = f"scenario-{args.pattern}"
-            spec = ScenarioSpec(
-                pattern=args.pattern, seed=args.seed, model=args.model,
-                app_nodes=args.app_nodes, sim_nodes=args.sim_nodes,
-                n=args.n, shots=args.shots, k=args.k, layers=args.layers,
-                theta=args.theta, tolerance=args.tolerance,
-                max_iterations=args.max_iterations,
-            )
-            try:
-                report = run_scenario(spec, system)
-            except NonConvergence as exc:
-                if exc.report is not None:
-                    out = exc.report.write(_run_dir(args, name))
-                    print(f"report written to {out}")
-                print(f"execution failed: {exc}", file=sys.stderr)
-                return 2
-            return _finish(report, _run_dir(args, name))
+            if args.pattern == "single_circuit":
+                report = run_single_circuit(args.n, args.shots, args.seed, system, **place)
+            elif args.pattern == "ensemble":
+                report = run_ensemble(
+                    args.k, args.n, args.layers, args.shots, args.seed, system, **place
+                )
+            else:
+                report = run_in_sequence(
+                    args.theta, args.shots, args.seed, system,
+                    tolerance=args.tolerance, max_iterations=args.max_iterations, **place,
+                )
+            return _finish(report, _run_dir(args, f"scenario-{args.pattern}"))
 
         if args.command == "workflow":
             report = run_workflow(args.file, system, seed=args.seed)

@@ -2,8 +2,9 @@
 and simulation-environment blocks.
 
 Each backend block carries its own timing coefficients; the simulation
-environment block holds only the partition plan.  Values are checked here,
-so a bad key fails with its section and name before anything runs.
+environment block holds only the partition plan.  Sections, keys and values
+are checked here, so an unknown or bad key fails with its section and name
+before anything runs.
 
 Resolution order for the config path: explicit argument, the QORCH_CONFIG
 environment variable, then the packaged default.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -70,7 +71,7 @@ class SystemConfig:
     backfill: bool
     backends: tuple[BackendSettings, ...]
     routing: RoutingConfig
-    partitions: tuple[tuple[str, int], ...] | None  # None = default plan
+    partitions: tuple[tuple[BackendKind, int | None], ...]  # count None = every sim node
     text: str = ""  # verbatim snapshot for run directories
 
     def build_registry(self) -> BackendRegistry:
@@ -78,6 +79,15 @@ class SystemConfig:
         for settings in self.backends:
             registry.register(settings.descriptor(), settings.implementation())
         return registry
+
+
+# the keys each section holds; "backend:" stands for every [backend:<id>]
+_KEYS = {
+    "cluster": {"nodes", "device", "backfill"},
+    "backend:": {f.name for f in fields(BackendSettings)} - {"id"},
+    "routing": {f.name for f in fields(RoutingConfig)},
+    "simenv": {"partitions"},
+}
 
 
 def default_config_text() -> str:
@@ -98,6 +108,8 @@ def parse_config(text: str) -> SystemConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"bad config: {exc}") from exc
+    for name in parser.sections():
+        _check_keys(name, parser[name])
 
     def section(name: str):
         return parser[name] if parser.has_section(name) else {}
@@ -150,14 +162,7 @@ def parse_config(text: str) -> SystemConfig:
         gang_limit=_number(routing_raw, "routing", "gang_limit", 8, int),
     )
 
-    sim_raw = section("simenv")
-    for key in ("alpha", "beta", "gamma"):
-        if key in sim_raw:
-            raise ConfigError(
-                f"[simenv] {key}: timing coefficients live in [backend:<id>]; "
-                f"move {key} there"
-            )
-    partitions = _parse_partitions(sim_raw.get("partitions", "state_vector:all"))
+    partitions = _parse_partitions(section("simenv").get("partitions", "state_vector:all"))
 
     return SystemConfig(
         nodes=nodes,
@@ -168,6 +173,25 @@ def parse_config(text: str) -> SystemConfig:
         partitions=partitions,
         text=text,
     )
+
+
+def _check_keys(name: str, raw) -> None:
+    """Refuse a section or key that nothing reads, naming it."""
+    prefix, colon, _ = name.partition(":")
+    known = _KEYS.get(prefix + colon)
+    if known is None:
+        raise ConfigError(
+            f"[{name}]: unknown section (have [cluster], [backend:<id>], [routing], [simenv])"
+        )
+    for key in raw:
+        if key in known:
+            continue
+        if name == "simenv" and key in ("alpha", "beta", "gamma"):
+            raise ConfigError(
+                f"[simenv] {key}: timing coefficients live in [backend:<id>]; "
+                f"move {key} there"
+            )
+        raise ConfigError(f"[{name}] {key}: unknown key (have {', '.join(sorted(known))})")
 
 
 def _number(raw, section: str, key: str, default, kind=float, low=None, high=None):
@@ -188,17 +212,22 @@ def _number(raw, section: str, key: str, default, kind=float, low=None, high=Non
 
 
 def _parse_partitions(raw: str):
-    raw = raw.strip()
+    """``kind:count`` entries, or one ``kind:all`` that gives the kind every node."""
     entries = [item.strip() for item in raw.split(",") if item.strip()]
-    if len(entries) == 1 and entries[0].endswith(":all"):
-        return None
     plan = []
     for entry in entries:
+        kind, _, count = (part.strip() for part in entry.partition(":"))
         try:
-            kind, count = entry.split(":")
-            plan.append((kind.strip(), int(count)))
-        except ValueError as exc:
-            raise ConfigError(f"[simenv] partitions: bad entry {entry!r}") from exc
+            kind = BackendKind(kind)
+        except ValueError:
+            raise ConfigError(f"[simenv] partitions: unknown kind in {entry!r}") from None
+        if count == "all" and len(entries) == 1:
+            plan.append((kind, None))
+            continue
+        try:
+            plan.append((kind, int(count)))
+        except ValueError:
+            raise ConfigError(f"[simenv] partitions: bad entry {entry!r}") from None
     return tuple(plan)
 
 

@@ -92,6 +92,12 @@ class RoutingConfig:
     gang_limit: int = 8
 
 
+def check_shots(shots: int) -> None:
+    """Every task samples at least one shot."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+
+
 def _floor_pow2(x: int) -> int:
     return 1 if x < 1 else 1 << (x.bit_length() - 1)
 
@@ -137,8 +143,7 @@ class TaskManager:
     def normalize(self, source: str | Circuit, shots: int, seed: int,
                   preferences: Preferences | None = None) -> QuantumTask:
         """Wrap QASM text or an IR circuit into a task with a fresh id."""
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
+        check_shots(shots)
         circuit = parse_qasm(source) if isinstance(source, str) else source
         task_id = f"task-{next(self._ids):04d}"
         return QuantumTask(task_id, circuit, shots, seed, preferences or Preferences())

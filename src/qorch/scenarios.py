@@ -4,11 +4,16 @@ Three drivers cover the hybrid usage patterns end to end on a simulated
 cluster: a repeatedly-sampled static circuit (GHZ), an ensemble of
 independent random circuits post-processed classically, and an in-sequence
 teleportation loop that uses mid-circuit measurement plus feed-forward and
-adapts its angle between submissions.
+adapts its angle between submissions.  A fourth runs one user-submitted QASM
+program (the ``submit`` command).
 
-Every driver runs as one hybrid job: under the per-job model its tasks are
-planned onto the job's own simulation partition (gang/throughput); under the
-single-QC model they serialize through the cluster device queue.
+Each driver checks its own parameters and raises ValueError before anything
+runs.  It then runs as one hybrid job through ``_run_job``, which returns
+the run's only result, a RunReport: a job or task that failed, a loop that
+did not converge (``NonConvergence``) and a program refused at admission all
+end as a failed report that says why.  Under the per-job model the job's
+tasks are planned onto its own simulation partition (gang/throughput); under
+the single-QC model they serialize through the cluster device queue.
 """
 from __future__ import annotations
 
@@ -18,11 +23,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import qtm
-from .circuit import Circuit, CircuitBuilder, ValidationError
+from .circuit import Circuit, CircuitBuilder
 from .qasm import QasmError
-from .qtm import Preferences, QuantumTask, TaskManager
-from .report import RunReport, TaskRecord
-from .resman import Advance, DeviceCall, GeneratorWorkload, JobSpec, JobState, Model, ParallelDeviceCalls
+from .qtm import Preferences, QuantumTask, TaskManager, check_shots
+from .report import RunReport, TaskRecord, counts_digest
+from .resman import Advance, DeviceCall, GeneratorWorkload, JobSpec, Model, ParallelDeviceCalls
 from .seeds import derive_seed
 from .simenv import assess, configure, execute_plan
 from .statevec import Counts
@@ -31,66 +36,6 @@ from .system import System
 
 class NonConvergence(RuntimeError):
     """The in-sequence loop hit its iteration cap before reaching target."""
-
-    def __init__(self, message: str, report: RunReport | None = None):
-        super().__init__(message)
-        self.report = report
-
-
-PATTERNS = ("in_sequence", "single_circuit", "ensemble")
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """A fully described scenario run: pattern, parameters, seed, placement."""
-
-    pattern: str
-    seed: int = 0
-    model: Model = Model.PER_JOB
-    app_nodes: int = 1
-    sim_nodes: int = 2
-    n: int = 3
-    shots: int = 10000
-    k: int = 4
-    layers: int = 2
-    theta: float = 0.3
-    tolerance: float = 0.02
-    max_iterations: int = 30
-
-    def __post_init__(self):
-        if self.pattern not in PATTERNS:
-            raise ValueError(f"unknown pattern {self.pattern!r} (have {PATTERNS})")
-        if self.shots < 1 or self.app_nodes < 1:
-            raise ValueError("shots and app_nodes must be positive")
-        if self.pattern == "single_circuit" and self.n < 2:
-            raise ValueError("single_circuit needs n >= 2")
-        if self.pattern == "ensemble" and (self.k < 1 or self.n < 1 or self.layers < 0):
-            raise ValueError("ensemble needs k >= 1, n >= 1, layers >= 0")
-        if self.pattern == "in_sequence":
-            if not 0.0 <= self.theta < 2.0 * math.pi:
-                raise ValueError("in_sequence needs theta in [0, 2*pi)")
-            if self.tolerance <= 0 or self.max_iterations < 1:
-                raise ValueError("in_sequence needs positive tolerance and cap")
-
-
-def run_scenario(spec: ScenarioSpec, system: System) -> RunReport:
-    """Dispatch a ScenarioSpec to its pattern driver."""
-    sim_nodes = 0 if Model(spec.model) is Model.SINGLE_QC else spec.sim_nodes
-    if spec.pattern == "single_circuit":
-        return run_single_circuit(
-            spec.n, spec.shots, spec.seed, system,
-            model=spec.model, app_nodes=spec.app_nodes, sim_nodes=sim_nodes,
-        )
-    if spec.pattern == "ensemble":
-        return run_ensemble(
-            spec.k, spec.n, spec.layers, spec.shots, spec.seed, system,
-            model=spec.model, app_nodes=spec.app_nodes, sim_nodes=sim_nodes,
-        )
-    return run_in_sequence(
-        spec.theta, spec.shots, spec.seed, system,
-        model=spec.model, app_nodes=spec.app_nodes, sim_nodes=sim_nodes,
-        tolerance=spec.tolerance, max_iterations=spec.max_iterations,
-    )
 
 
 # -- scenario circuits ---------------------------------------------------------
@@ -246,61 +191,58 @@ class QuantumBatch:
         return batch
 
 
-def run_hybrid_job(system: System, model, app_nodes: int,
-                   sim_nodes: int, body) -> tuple[QuantumBatch, object]:
-    """Run one hybrid job whose quantum workload is the scenario body."""
+def _run_job(system: System, scenario: str, seed: int, model, app_nodes: int,
+             sim_nodes: int, body, answer, iterations=(),
+             failure: str | None = None) -> RunReport:
+    """Run ``body`` as the hybrid job ``job-0001`` and report it.
+
+    ``answer`` maps the counts of the tasks that returned counts, in task
+    order, to the report's answer; with none, the answer is ``error``.  An
+    admission ``failure`` submits no job.  The run fails when admission
+    failed, the job failed, a task failed or the body set ``batch.failure``;
+    the first of these reasons is ``report.failure``.
+    """
     model = Model(model)
     cluster = system.new_cluster()
-    tm = system.task_manager()
-    batch = QuantumBatch(system, tm, model, sim_nodes)
+    batch = QuantumBatch(system, system.task_manager(), model, sim_nodes)
+    if failure is None:
+        def workload(ctx):
+            yield from body(batch)
 
-    def workload(ctx):
-        yield from body(batch)
-
-    spec = JobSpec(
-        job_id="job-0001",
-        app_nodes=app_nodes,
-        sim_nodes=sim_nodes if model is Model.PER_JOB else 0,
-        model=model,
-        workload=GeneratorWorkload(workload),
-        submit_time=0.0,
-    )
-    cluster.submit_job(spec)
-    cluster.run()
-    return batch, cluster
-
-
-def _assemble(system: System, scenario: str, seed: int, model, batch: QuantumBatch,
-              cluster, answer: str, iterations=None, status: str | None = None,
-              failure: str | None = None) -> RunReport:
-    metrics = cluster.metrics()
+        cluster.submit_job(JobSpec(
+            job_id="job-0001",
+            app_nodes=app_nodes,
+            sim_nodes=sim_nodes if model is Model.PER_JOB else 0,
+            model=model,
+            workload=GeneratorWorkload(workload),
+            submit_time=0.0,
+        ))
+        cluster.run()
+    reasons = [failure]
+    reasons += [rec.payload["reason"] for rec in cluster.log if rec.kind == "fail"]
+    reasons += [o.error for o in batch.outcomes]
+    if batch.failure is not None:
+        reasons.append(f"{type(batch.failure).__name__}: {batch.failure}")
+    failure = next((reason for reason in reasons if reason), None)
+    counts = [o.counts for o in batch.outcomes if o.counts is not None]
     waits = [o.queue_wait for o in batch.outcomes if o.error is None]
-    report = RunReport(
+    return RunReport(
         scenario=scenario,
         seed=seed,
-        model=Model(model).value,
-        status=status or (
-            "failed"
-            if cluster.job_state("job-0001") is JobState.FAILED
-            or any(o.error for o in batch.outcomes)
-            else "ok"
-        ),
-        answer=answer,
+        model=model.value,
+        status="failed" if failure else "ok",
+        answer=answer(counts) if counts else "error",
         metrics={
             "makespan": cluster.now,
-            "utilization": metrics["utilization"],
+            "utilization": cluster.metrics()["utilization"],
             "mean_queue_wait": float(np.mean(waits)) if waits else 0.0,
         },
         tasks=[o.record() for o in batch.outcomes],
-        iterations=iterations or [],
+        iterations=list(iterations),
         config_text=system.config.text,
         event_lines=cluster.export_log(),
-        failure=failure or next(
-            (rec.payload["reason"] for rec in cluster.log if rec.kind == "fail"),
-            next((o.error for o in batch.outcomes if o.error), None),
-        ),
+        failure=failure,
     )
-    return report
 
 
 # -- drivers -------------------------------------------------------------------
@@ -311,19 +253,16 @@ def run_single_circuit(n: int, shots: int, seed: int, system: System,
                        sim_nodes: int = 2) -> RunReport:
     """Sample a GHZ state repeatedly: one static circuit, one distribution."""
     circuit = ghz(n)
+    check_shots(shots)
 
     def body(batch: QuantumBatch):
         task = batch.submit(circuit, shots, derive_seed(seed, "task", 0))
         yield from batch.run_batch([task])
 
-    batch, cluster = run_hybrid_job(system, model, app_nodes, sim_nodes, body)
-    outcome = batch.outcomes[0] if batch.outcomes else None
-    if outcome is not None and outcome.counts is not None:
-        zero = "0" * n
-        answer = f"p_all_zeros={outcome.counts.frequency(zero):.6f}"
-    else:
-        answer = "error"
-    return _assemble(system, "single_circuit", seed, model, batch, cluster, answer)
+    return _run_job(
+        system, "single_circuit", seed, model, app_nodes, sim_nodes, body,
+        lambda counts: f"p_all_zeros={counts[0].frequency('0' * n):.6f}",
+    )
 
 
 def run_ensemble(k: int, n: int, layers: int, shots: int, seed: int, system: System,
@@ -333,8 +272,9 @@ def run_ensemble(k: int, n: int, layers: int, shots: int, seed: int, system: Sys
 
     The answer is the mean over circuits of the all-zeros outcome frequency.
     """
-    if k < 1:
-        raise ValueError("ensemble needs at least one circuit")
+    if k < 1 or n < 1 or layers < 0:
+        raise ValueError("ensemble needs k >= 1, n >= 1, layers >= 0")
+    check_shots(shots)
     circuits = [
         random_layered_circuit(n, layers, derive_seed(seed, "circuit", i))
         for i in range(k)
@@ -347,24 +287,26 @@ def run_ensemble(k: int, n: int, layers: int, shots: int, seed: int, system: Sys
         ]
         yield from batch.run_batch(tasks)
 
-    batch, cluster = run_hybrid_job(system, model, app_nodes, sim_nodes, body)
-    zero = "0" * n
-    freqs = [
-        o.counts.frequency(zero) for o in batch.outcomes if o.counts is not None
-    ]
-    answer = (
-        f"mean_zero_frequency={float(np.mean(freqs)):.6f}" if freqs else "error"
-    )
-    return _assemble(system, "ensemble", seed, model, batch, cluster, answer)
+    def answer(counts: list[Counts]) -> str:
+        mean = float(np.mean([c.frequency("0" * n) for c in counts]))
+        return f"mean_zero_frequency={mean:.6f}"
+
+    return _run_job(system, "ensemble", seed, model, app_nodes, sim_nodes, body, answer)
 
 
 def run_in_sequence(theta: float, shots_per_iter: int, seed: int, system: System,
                     model=Model.PER_JOB, app_nodes: int = 1, sim_nodes: int = 2,
                     tolerance: float = 0.02, max_iterations: int = 30) -> RunReport:
     """Teleportation feedback loop: bisect the preparation angle until the
-    teleported P(output=1) lands within tolerance of one half."""
+    teleported P(output=1) lands within tolerance of one half.
+
+    A loop still outside tolerance after ``max_iterations`` submissions
+    gives a failed report whose failure is ``NonConvergence: ...``."""
     if not 0.0 <= theta < 2.0 * math.pi:
-        raise ValueError("theta must be in [0, 2*pi)")
+        raise ValueError("in_sequence needs theta in [0, 2*pi)")
+    if tolerance <= 0 or max_iterations < 1:
+        raise ValueError("in_sequence needs positive tolerance and cap")
+    check_shots(shots_per_iter)
     iterations: list[dict] = []
 
     def measured_p1(counts: Counts) -> float:
@@ -381,7 +323,6 @@ def run_in_sequence(theta: float, shots_per_iter: int, seed: int, system: System
             )
             (outcome,) = yield from batch.run_batch([task], sequential=True)
             if outcome.error is not None:
-                batch.failure = RuntimeError(outcome.error)
                 return
             p1 = measured_p1(outcome.counts)
             iterations.append({"theta": f"{angle:.9g}", "p1": f"{p1:.6f}"})
@@ -397,23 +338,12 @@ def run_in_sequence(theta: float, shots_per_iter: int, seed: int, system: System
             f"no convergence after {max_iterations} iterations"
         )
 
-    batch, cluster = run_hybrid_job(system, model, app_nodes, sim_nodes, body)
-    if iterations:
-        answer = (
-            f"theta={iterations[-1]['theta']} p1={iterations[-1]['p1']} "
-            f"iterations={len(iterations)}"
-        )
-    else:
-        answer = "error"
-    report = _assemble(
-        system, "in_sequence", seed, model, batch, cluster, answer,
-        iterations=iterations,
-        status="failed" if batch.failure is not None else None,
-    )
-    if isinstance(batch.failure, NonConvergence):
-        batch.failure.report = report
-        raise batch.failure
-    return report
+    def answer(counts: list[Counts]) -> str:
+        last = iterations[-1]
+        return f"theta={last['theta']} p1={last['p1']} iterations={len(iterations)}"
+
+    return _run_job(system, "in_sequence", seed, model, app_nodes, sim_nodes, body,
+                    answer, iterations=iterations)
 
 
 def run_submitted_circuit(source: str, shots: int, seed: int, system: System,
@@ -422,27 +352,21 @@ def run_submitted_circuit(source: str, shots: int, seed: int, system: System,
                           workers: int | None = None) -> RunReport:
     """One user-provided QASM program run as a hybrid job (the submit command).
 
-    The program is parsed before the job is submitted, so one that cannot
-    parse fails with no job and an empty event log."""
+    The program is parsed and its shot count checked at admission, before
+    the job is submitted, so a refused program fails with no job and an
+    empty event log."""
     prefs = Preferences(backend_id=backend_id, workers=workers)
+    failure = None
     try:
         # qtm's name, which normalize also parses through, so one hook sees every parse
         circuit = qtm.parse_qasm(source)
-    except (QasmError, ValidationError) as exc:
-        batch = QuantumBatch(system, system.task_manager(), model, 0)
-        return _assemble(system, "submit", seed, model, batch, system.new_cluster(), "error",
-                         status="failed", failure=f"{type(exc).__name__}: {exc}")
+        check_shots(shots)
+    except (QasmError, ValueError) as exc:  # a circuit's ValidationError is a ValueError
+        failure = f"{type(exc).__name__}: {exc}"
 
     def body(batch: QuantumBatch):
         task = batch.submit(circuit, shots, seed, prefs)
         yield from batch.run_batch([task])
 
-    batch, cluster = run_hybrid_job(system, model, app_nodes, sim_nodes, body)
-    outcome = batch.outcomes[0] if batch.outcomes else None
-    if outcome is not None and outcome.counts is not None:
-        from .report import counts_digest
-
-        answer = f"counts={counts_digest(outcome.counts)}"
-    else:
-        answer = "error"
-    return _assemble(system, "submit", seed, model, batch, cluster, answer)
+    return _run_job(system, "submit", seed, model, app_nodes, sim_nodes, body,
+                    lambda counts: f"counts={counts_digest(counts[0])}", failure=failure)

@@ -28,26 +28,26 @@ class WorkersExceedPartition(ValueError):
 @dataclass(frozen=True)
 class SimPartitionPlan:
     partitions: tuple[tuple[BackendKind, int], ...]
-    source: str  # "user_config" | "default"
 
 
 def configure(sim_nodes: int, user_partitions=None) -> SimPartitionPlan:
     """Partition a job's simulation nodes by simulator kind.
 
-    A user plan is honored verbatim; the default gives every node to the
+    A user plan of (kind, count) pairs is honored verbatim; a count of None
+    gives that kind every node.  The default gives every node to the
     state-vector kind.
     """
     if user_partitions is None:
-        return SimPartitionPlan(
-            ((BackendKind.STATE_VECTOR, sim_nodes),), source="default"
-        )
-    partitions = tuple((BackendKind(k), int(n)) for k, n in user_partitions)
+        user_partitions = ((BackendKind.STATE_VECTOR, None),)
+    partitions = tuple(
+        (BackendKind(k), sim_nodes if n is None else int(n)) for k, n in user_partitions
+    )
     requested = sum(n for _, n in partitions)
     if requested > sim_nodes:
         raise Oversubscribed(
             f"partition plan wants {requested} nodes, only {sim_nodes} available"
         )
-    return SimPartitionPlan(partitions, source="user_config")
+    return SimPartitionPlan(partitions)
 
 
 @dataclass
@@ -165,13 +165,13 @@ class EnvironmentRun:
     utilization: float = 0.0
 
 
-def execute_plan(plan: ExecutionPlan, tm: TaskManager,
-                 total_nodes: int | None = None) -> EnvironmentRun:
+def execute_plan(plan: ExecutionPlan, tm: TaskManager, total_nodes: int) -> EnvironmentRun:
     """Run every assignment through the task manager.
 
     Counts are identical whether a task ran gang or throughput; only the
     timeline differs.  Per-task failures are recorded without aborting
-    sibling assignments.
+    sibling assignments.  Utilization is busy node time over ``total_nodes``
+    times the makespan.
     """
     env = EnvironmentRun()
     for task_id, reason in plan.failures:
@@ -188,10 +188,6 @@ def execute_plan(plan: ExecutionPlan, tm: TaskManager,
         env.results[task.task_id] = result
         busy += assignment.workers * assignment.duration
     env.makespan = plan.makespan
-    if total_nodes is None:
-        total_nodes = sum(
-            len(a.nodes) for a in plan.assignments
-        ) or 1
     if env.makespan > 0:
         env.utilization = busy / (total_nodes * env.makespan)
     return env

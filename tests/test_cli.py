@@ -214,3 +214,45 @@ def test_failed_scenario_says_why(tmp_path, capsys):
     )
     assert code == 2
     assert "execution failed: NoFeasibleBackend: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["per_job", "single_qc"])
+def test_nonconvergence_writes_failed_run(tmp_path, capsys, model):
+    out_dir = tmp_path / "run"
+    code = cli_main(
+        ["scenario", "in_sequence", "--max-iterations", "2", "--tolerance", "0.0001",
+         "--model", model, "--out", str(out_dir)]
+    )
+    assert code == 2
+    assert "status failed\n" in (out_dir / "report.txt").read_text()
+    assert len(_task_lines(out_dir)) == 2
+    assert capsys.readouterr().err == (
+        "execution failed: NonConvergence: no convergence after 2 iterations\n"
+    )
+
+
+@pytest.mark.parametrize("model", ["per_job", "single_qc"])
+def test_zero_shot_submit_refused_at_admission(tmp_path, capsys, bell_file, model):
+    out_dir = tmp_path / "run"
+    code = cli_main(["submit", str(bell_file), "--shots", "0", "--model", model,
+                     "--out", str(out_dir)])
+    assert code == 2
+    assert (out_dir / "events.log").read_text() == ""
+    assert "status failed\n" in (out_dir / "report.txt").read_text()
+    assert capsys.readouterr().err == "execution failed: ValueError: shots must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["single_circuit", "--n", "1"],
+    ["ensemble", "--k", "0"],
+    ["in_sequence", "--theta", "7"],
+    ["in_sequence", "--tolerance", "0"],
+    ["in_sequence", "--max-iterations", "0"],
+    ["single_circuit", "--shots", "0"],
+    ["ensemble", "--app-nodes", "0"],
+])
+def test_bad_scenario_parameter_writes_nothing(tmp_path, capsys, argv):
+    out_dir = tmp_path / "run"
+    assert cli_main(["scenario", *argv, "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    assert capsys.readouterr().err.startswith("execution failed: ")

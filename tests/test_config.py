@@ -2,6 +2,7 @@ import pytest
 
 from qorch.config import ConfigError, default_config_text, load_config, parse_config
 from qorch.qpm import BackendKind
+from qorch.simenv import configure
 
 
 def test_default_config_parses():
@@ -13,7 +14,7 @@ def test_default_config_parses():
     assert cfg.routing.local_qubits_per_worker == 20
     assert cfg.backends[0].alpha == 1e-3
     assert cfg.backends[0].gamma == 1e-9
-    assert cfg.partitions is None
+    assert cfg.partitions == ((BackendKind.STATE_VECTOR, None),)
 
 
 def test_default_registry_has_two_backends():
@@ -81,3 +82,31 @@ def test_leftover_simenv_timing_key_rejected(key):
         parse_config(f"[backend:sv]\nkind = state_vector\n\n[simenv]\n{key} = 1e-3\n")
     message = str(info.value)
     assert "[simenv]" in message and key in message and "[backend:<id>]" in message
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[cluster]\nbackfil = true\n", "[cluster] backfil"),
+    ("[routng]\nsv_max = 20\n", "[routng]"),
+    ("[backend:hw]\nkind = hardware\nalpah = 5\n", "[backend:hw] alpah"),
+    ("[backend]\nkind = hardware\n", "[backend]"),
+])
+def test_unknown_section_or_key_rejected(text, named):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text + "\n[backend:sv]\nkind = state_vector\n")
+    assert named in str(info.value)
+
+
+def test_partitions_all_honours_its_kind():
+    cfg = parse_config(
+        "[backend:sv]\nkind = state_vector\n\n[simenv]\npartitions = tensor_network:all\n"
+    )
+    assert cfg.partitions == ((BackendKind.TENSOR_NETWORK, None),)
+    assert configure(3, cfg.partitions).partitions == ((BackendKind.TENSOR_NETWORK, 3),)
+
+
+@pytest.mark.parametrize("entry", ["bogus:all", "bogus:3", "state_vector:2,bogus:1",
+                                   "state_vector:all,tensor_network:1", "state_vector:two"])
+def test_bad_partition_entry_rejected(entry):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"[backend:sv]\nkind = state_vector\n\n[simenv]\npartitions = {entry}\n")
+    assert "[simenv] partitions" in str(info.value)

@@ -9,7 +9,6 @@ from qorch.circuit import Circuit, Gate, Measure
 from qorch.qasm import serialize_qasm
 from qorch.resman import Model
 from qorch.scenarios import (
-    NonConvergence,
     ghz,
     random_layered_circuit,
     run_ensemble,
@@ -145,33 +144,24 @@ def test_in_sequence_uses_feedforward(system):
     assert mid[0] < len(c.instructions) - 1  # mid-circuit, not terminal
 
 
-def test_scenario_spec_validation():
-    from qorch.scenarios import ScenarioSpec
+BAD_PARAMETERS = {
+    "single_circuit-n1": lambda system: run_single_circuit(1, 100, 0, system),
+    "single_circuit-shots0": lambda system: run_single_circuit(3, 0, 0, system),
+    "ensemble-k0": lambda system: run_ensemble(0, 3, 2, 100, 0, system),
+    "ensemble-n0": lambda system: run_ensemble(2, 0, 2, 100, 0, system),
+    "ensemble-layers-1": lambda system: run_ensemble(2, 3, -1, 100, 0, system),
+    "ensemble-shots0": lambda system: run_ensemble(2, 3, 2, 0, 0, system),
+    "in_sequence-theta7": lambda system: run_in_sequence(7.0, 100, 0, system),
+    "in_sequence-shots0": lambda system: run_in_sequence(0.3, 0, 0, system),
+    "in_sequence-tolerance0": lambda system: run_in_sequence(0.3, 100, 0, system, tolerance=0.0),
+    "in_sequence-cap0": lambda system: run_in_sequence(0.3, 100, 0, system, max_iterations=0),
+}
 
-    with pytest.raises(ValueError):
-        ScenarioSpec(pattern="mystery")
-    with pytest.raises(ValueError):
-        ScenarioSpec(pattern="single_circuit", n=1)
-    with pytest.raises(ValueError):
-        ScenarioSpec(pattern="ensemble", k=0)
-    with pytest.raises(ValueError):
-        ScenarioSpec(pattern="in_sequence", theta=7.0)
-    ScenarioSpec(pattern="ensemble", k=2)  # valid
 
-
-def test_run_scenario_dispatch(system):
-    from qorch.scenarios import ScenarioSpec, run_scenario
-
-    report = run_scenario(
-        ScenarioSpec(pattern="single_circuit", n=3, shots=500, seed=2), system
-    )
-    assert report.scenario == "single_circuit"
-    report = run_scenario(
-        ScenarioSpec(pattern="ensemble", k=2, n=2, layers=1, shots=300,
-                     seed=2, model=Model.SINGLE_QC), system
-    )
-    assert report.scenario == "ensemble"
-    assert report.model == "single_qc"
+@pytest.mark.parametrize("case", sorted(BAD_PARAMETERS))
+def test_drivers_reject_bad_parameters(system, case):
+    with pytest.raises(ValueError):
+        BAD_PARAMETERS[case](system)
 
 
 def test_pattern_coverage():
@@ -186,11 +176,11 @@ def test_pattern_coverage():
 
 
 def test_in_sequence_nonconvergence(system):
-    with pytest.raises(NonConvergence) as err:
-        run_in_sequence(0.3, 1000, seed=1, system=system, tolerance=0.0001,
-                        max_iterations=3)
-    assert err.value.report is not None
-    assert err.value.report.status == "failed"
+    report = run_in_sequence(0.3, 1000, seed=1, system=system, tolerance=0.0001,
+                             max_iterations=3)
+    assert report.status == "failed"
+    assert report.failure == "NonConvergence: no convergence after 3 iterations"
+    assert len(report.iterations) == 3
 
 
 # -- submit -----------------------------------------------------------------------

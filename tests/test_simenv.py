@@ -51,7 +51,6 @@ def routed_tasks(n_tasks, n_qubits=3, workers=1, shots=50, seed=0, sv_workers_cf
 def test_configure_default_all_state_vector():
     plan = configure(8)
     assert plan.partitions == ((BackendKind.STATE_VECTOR, 8),)
-    assert plan.source == "default"
 
 
 def test_configure_user_plan_honored():
@@ -60,7 +59,6 @@ def test_configure_user_plan_honored():
         (BackendKind.STATE_VECTOR, 6),
         (BackendKind.TENSOR_NETWORK, 2),
     )
-    assert plan.source == "user_config"
 
 
 def test_configure_oversubscribed():
@@ -170,8 +168,8 @@ def test_gang_vs_throughput_same_counts():
     tp_task = tm.normalize(c, 400, 7)
     gang_plan = assess([(gang_task, tm.route(gang_task))], configure(4), reg)
     tp_plan = assess([(tp_task, tm.route(tp_task))], configure(4), reg)
-    gang_env = execute_plan(gang_plan, tm)
-    tp_env = execute_plan(tp_plan, tm)
+    gang_env = execute_plan(gang_plan, tm, total_nodes=4)
+    tp_env = execute_plan(tp_plan, tm, total_nodes=4)
     gang_counts = next(iter(gang_env.results.values())).counts
     tp_counts = next(iter(tp_env.results.values())).counts
     assert gang_counts == tp_counts
