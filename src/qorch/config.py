@@ -225,9 +225,12 @@ def _parse_partitions(raw: str):
             plan.append((kind, None))
             continue
         try:
-            plan.append((kind, int(count)))
+            nodes = int(count)
         except ValueError:
             raise ConfigError(f"[simenv] partitions: bad entry {entry!r}") from None
+        if nodes < 1:
+            raise ConfigError(f"[simenv] partitions: count below 1 in {entry!r}")
+        plan.append((kind, nodes))
     return tuple(plan)
 
 

@@ -4,9 +4,15 @@ Two-qubit matrices use a little-endian operand convention: the index of the
 4x4 matrix is ``bit(q1)*2 + bit(q0)`` where ``[q0, q1]`` is the operand list,
 matching the little-endian amplitude layout used by the simulator (qubit 0 is
 the least-significant amplitude index bit).
+
+``gate_entries`` gives the four entries of a one-qubit matrix as Python
+complex numbers.  Those of the fixed gates are built once from ``_FIXED``,
+and a parameterised gate computes its four with ``math``/``cmath``, so the
+simulator's kernels never build or copy a matrix per gate.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from enum import Enum
 
@@ -66,35 +72,46 @@ _FIXED = {
 }
 
 
+# (m00, m01, m10, m11) of each fixed one-qubit gate.
+_FIXED_ENTRIES = {
+    kind: tuple(complex(v) for v in matrix.flat)
+    for kind, matrix in _FIXED.items() if kind.num_qubits == 1
+}
+
+
+def gate_entries(kind: GateKind, params: tuple[float, ...] = ()) -> tuple[complex, ...]:
+    """Entries (m00, m01, m10, m11) of a one-qubit gate's matrix.
+
+    The caller checks the arity; ``gate_unitary`` does.
+    """
+    entries = _FIXED_ENTRIES.get(kind)
+    if entries is not None:
+        return entries
+    if kind is GateKind.RX:
+        (theta,) = params
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        return complex(c), -1j * s, -1j * s, complex(c)
+    if kind is GateKind.RY:
+        (theta,) = params
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        return complex(c), complex(-s), complex(s), complex(c)
+    if kind is GateKind.RZ:
+        (lam,) = params
+        return cmath.exp(-0.5j * lam), 0j, 0j, cmath.exp(0.5j * lam)
+    if kind is GateKind.U:
+        theta, phi, lam = params
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        return (complex(c), -cmath.exp(1j * lam) * s,
+                cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c)
+    raise ValueError(f"unknown gate kind {kind!r}")
+
+
 def gate_unitary(kind: GateKind, params: tuple[float, ...] = ()) -> np.ndarray:
     """Return the unitary for a gate kind; raises ValueError on arity mismatch."""
     if len(params) != kind.num_params:
         raise ValueError(
             f"gate '{kind.value}' expects {kind.num_params} parameter(s), got {len(params)}"
         )
-    if kind in _FIXED:
+    if kind.num_qubits == 2:
         return _FIXED[kind].copy()
-    if kind is GateKind.RX:
-        (theta,) = params
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if kind is GateKind.RY:
-        (theta,) = params
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if kind is GateKind.RZ:
-        (lam,) = params
-        return np.array(
-            [[np.exp(-0.5j * lam), 0], [0, np.exp(0.5j * lam)]], dtype=complex
-        )
-    if kind is GateKind.U:
-        theta, phi, lam = params
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
-        return np.array(
-            [
-                [c, -np.exp(1j * lam) * s],
-                [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-            ],
-            dtype=complex,
-        )
-    raise ValueError(f"unknown gate kind {kind!r}")
+    return np.array(gate_entries(kind, params), dtype=complex).reshape(2, 2)

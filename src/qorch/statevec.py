@@ -8,6 +8,18 @@ any other gate pairs amplitudes across chunks, and the trace charges the
 full ``2^n`` amplitude exchange for it.  The arithmetic itself is identical
 for every worker count, so results never depend on the partitioning.
 
+Gates update the amplitudes in place through sliced views, with no per-gate
+matrix: a one-qubit gate takes the halves where its qubit reads 0 and 1 from
+``amplitudes.reshape(-1, 2, 2^q)``, a two-qubit gate the four blocks of
+``reshape(-1, 2, 2^(hi-lo-1), 2, 2^lo)``.  Dense gates (h, y, rx, ry, u) mix
+the halves with the four entries from ``gates.gate_entries`` and x swaps
+them, one tile of at most 2^12 amplitudes per half at a time, so their
+temporaries stay in cache.  Diagonal gates (z, s, sdg, t, tdg, rz) multiply
+the halves in place and id does nothing.  cx swaps the target's two blocks
+where the control reads 1, cz negates the 11 block and swap exchanges the 01
+and 10 blocks; cx and swap copy one of the blocks they exchange, and cz and
+the diagonal gates copy nothing.
+
 ``run`` samples every circuit with one depth-first walk over classical
 histories: a branch of k shots splits by a binomial draw at each measure or
 reset before the last gate, and past it samples its remaining measures from
@@ -25,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Barrier, Circuit, Gate, Instruction, Measure, Reset
-from .gates import gate_unitary
+from .gates import GateKind, gate_entries
 from .seeds import derive_seed
 
 MAX_QUBITS = 26  # ~1 GiB of complex128 amplitudes; desk-scale ceiling
@@ -110,10 +122,9 @@ class State:
                 name, value = instr.condition
                 if self.classical.get(name, 0) != value:
                     return delta
-            _apply_unitary(self.amplitudes, gate_unitary(instr.kind, instr.params),
-                           instr.qubits, self.num_qubits)
+            _KERNELS[instr.kind](self.amplitudes, instr)
             delta.gates_applied = 1
-            if any(q >= self.local_qubits for q in instr.qubits):
+            if max(instr.qubits) >= self.local_qubits:
                 delta.exchanged_amplitudes = 2**self.num_qubits
         elif isinstance(instr, (Measure, Reset)):
             self.settle(instr, int(self.rng.random() < self.p_one(instr.qubit)))
@@ -122,20 +133,15 @@ class State:
             raise TypeError(f"unknown instruction {instr!r}")
         return delta
 
-    def _halves(self, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the amplitudes where the qubit reads 0 and where it reads 1."""
-        view = self.amplitudes.reshape(-1, 2, 2**qubit)
-        return view[:, 0], view[:, 1]
-
     def p_one(self, qubit: int) -> float:
         """Probability that the qubit reads 1, snapped to 0 or 1 within 1e-12."""
-        p = float(np.sum(np.abs(self._halves(qubit)[1]) ** 2))
+        p = float(np.sum(np.abs(_halves(self.amplitudes, qubit)[1]) ** 2))
         return 0.0 if p < 1e-12 else 1.0 if p > 1 - 1e-12 else p
 
     def settle(self, instr: Measure | Reset, bit: int) -> None:
         """Collapse the qubit onto ``bit`` and renormalize; a measure records
         the bit in its creg, and a reset then moves the qubit to 0."""
-        zeros, ones = self._halves(instr.qubit)
+        zeros, ones = _halves(self.amplitudes, instr.qubit)
         (ones if bit == 0 else zeros)[...] = 0
         self.amplitudes /= np.linalg.norm(self.amplitudes)
         if isinstance(instr, Measure):
@@ -159,21 +165,101 @@ class State:
         return trace
 
 
-def _apply_unitary(amps: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...],
-                   width: int) -> None:
-    """Contract a 2^k x 2^k matrix into the targeted axes of a 2^width vector.
+def _halves(amps: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the amplitudes where the qubit reads 0 and where it reads 1;
+    one-dimensional for qubit 0, which numpy iterates with less overhead."""
+    view = amps.reshape(-1, 2, 1 << qubit) if qubit else amps.reshape(-1, 2)
+    return view[:, 0], view[:, 1]
 
-    The matrix index convention puts the first operand in the least
-    significant bit: index = sum(bit(qubits[i]) << i).
-    """
-    k = len(qubits)
-    psi = amps.reshape((2,) * width)
-    tensor = matrix.reshape((2,) * (2 * k))
-    # tensor axes: (out[q_{k-1}] ... out[q_0], in[q_{k-1}] ... in[q_0])
-    in_axes = [width - 1 - q for q in reversed(qubits)]
-    contracted = np.tensordot(tensor, psi, axes=(list(range(k, 2 * k)), in_axes))
-    result = np.moveaxis(contracted, list(range(k)), in_axes)
-    amps[:] = result.reshape(-1)
+
+def _blocks(amps: np.ndarray, a: int, b: int) -> np.ndarray:
+    """A view whose ``[i, j]`` holds the amplitudes where qubit ``a`` reads i
+    and qubit ``b`` reads j."""
+    lo, hi = sorted((a, b))
+    view = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    return view.transpose((3, 1, 0, 2, 4) if a < b else (1, 3, 0, 2, 4))
+
+
+def _exchange(one: np.ndarray, other: np.ndarray) -> None:
+    kept = one.copy()
+    one[...] = other
+    other[...] = kept
+
+
+_TILE = 1 << 12  # amplitudes per half in one step of a dense update or an x
+
+
+def _tiled_halves(amps: np.ndarray, qubit: int):
+    """The halves of ``_halves`` as pairs of views of at most _TILE amplitudes
+    each, so work on one pair stays in cache.  Rows of at most four amplitudes
+    are cut into single columns, indexed by number, so numpy walks long
+    strided runs rather than many short ones."""
+    zeros, ones = _halves(amps, qubit)
+    if zeros.size <= _TILE:
+        yield zeros, ones
+        return
+    view = amps.reshape(-1, 2, 1 << qubit)
+    rows, columns = view.shape[0], view.shape[2]
+    if columns <= 4:
+        cuts, width = range(columns), 1
+    else:
+        width = min(columns, _TILE)
+        cuts = [slice(c, c + width) for c in range(0, columns, width)]
+    step = _TILE // width
+    for r in range(0, rows, step):
+        for cut in cuts:
+            yield view[r:r + step, 0, cut], view[r:r + step, 1, cut]
+
+
+def _mix(amps: np.ndarray, gate: Gate) -> None:
+    """A dense one-qubit gate: new0 = m00 a0 + m01 a1, new1 = m10 a0 + m11 a1."""
+    m00, m01, m10, m11 = gate_entries(gate.kind, gate.params)
+    for zeros, ones in _tiled_halves(amps, gate.qubits[0]):
+        carry = ones * m01
+        ones *= m11
+        ones += zeros * m10
+        zeros *= m00
+        zeros += carry
+
+
+def _phase(amps: np.ndarray, gate: Gate) -> None:
+    zeros, ones = _halves(amps, gate.qubits[0])
+    d0, _, _, d1 = gate_entries(gate.kind, gate.params)
+    if d0 != 1:
+        zeros *= d0
+    ones *= d1
+
+
+def _flip(amps: np.ndarray, gate: Gate) -> None:
+    for zeros, ones in _tiled_halves(amps, gate.qubits[0]):
+        _exchange(zeros, ones)
+
+
+def _cx(amps: np.ndarray, gate: Gate) -> None:
+    blocks = _blocks(amps, *gate.qubits)
+    _exchange(blocks[1, 0], blocks[1, 1])
+
+
+def _cz(amps: np.ndarray, gate: Gate) -> None:
+    both = _blocks(amps, *gate.qubits)[1, 1]
+    np.negative(both, out=both)
+
+
+def _swap(amps: np.ndarray, gate: Gate) -> None:
+    blocks = _blocks(amps, *gate.qubits)
+    _exchange(blocks[0, 1], blocks[1, 0])
+
+
+_KERNELS = {
+    GateKind.ID: lambda amps, gate: None,
+    GateKind.X: _flip,
+    **dict.fromkeys((GateKind.H, GateKind.Y, GateKind.RX, GateKind.RY, GateKind.U), _mix),
+    **dict.fromkeys((GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG,
+                     GateKind.RZ), _phase),
+    GateKind.CX: _cx,
+    GateKind.CZ: _cz,
+    GateKind.SWAP: _swap,
+}
 
 
 def probabilities(state: State) -> np.ndarray:

@@ -110,3 +110,12 @@ def test_bad_partition_entry_rejected(entry):
     with pytest.raises(ConfigError) as info:
         parse_config(f"[backend:sv]\nkind = state_vector\n\n[simenv]\npartitions = {entry}\n")
     assert "[simenv] partitions" in str(info.value)
+
+
+@pytest.mark.parametrize("entry", ["state_vector:-1", "state_vector:0"])
+def test_partition_count_below_one_rejected(entry):
+    with pytest.raises(ConfigError) as info:
+        parse_config("[backend:sv]\nkind = state_vector\n\n"
+                     f"[simenv]\npartitions = {entry},tensor_network:3\n")
+    message = str(info.value)
+    assert "[simenv] partitions" in message and entry in message

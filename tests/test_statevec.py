@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from scipy.stats import chi2_contingency, chisquare
 
 from helpers import feed_forward_programs, random_gate_circuit
 from oracle import oracle_probabilities, oracle_statevector
-from qorch.circuit import CircuitBuilder, Gate, Measure
-from qorch.gates import GateKind
+from qorch.circuit import Circuit, CircuitBuilder, Gate, Measure
+from qorch.gates import GateKind, gate_unitary
 from qorch.statevec import (
     Counts,
     State,
@@ -19,6 +20,7 @@ from qorch.statevec import (
     probabilities,
     run,
 )
+from reference_kernel import _apply_unitary
 from reference_sampling import reference_shot_by_shot
 
 
@@ -118,6 +120,86 @@ def test_reset_forces_zero():
 
     s.apply(Reset(0))
     np.testing.assert_allclose(s.amplitudes, [1, 0], atol=1e-12)
+
+
+# -- gate kernels ----------------------------------------------------------
+
+_DIAGONAL = (GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG, GateKind.RZ,
+             GateKind.CZ)
+
+
+def _random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return psi / np.linalg.norm(psi)
+
+
+def _reference(gate, psi, n):
+    expected = psi.copy()
+    _apply_unitary(expected, gate_unitary(gate.kind, gate.params), gate.qubits, n)
+    return expected
+
+
+@st.composite
+def gates_on_states(draw):
+    kind = draw(st.sampled_from(list(GateKind)))
+    n = draw(st.integers(kind.num_qubits, 8))
+    qubits = tuple(draw(st.permutations(range(n)))[:kind.num_qubits])
+    angle = st.one_of(st.sampled_from([0.0, 2 * math.pi, -2 * math.pi]),
+                      st.floats(-1e3, 1e3))
+    params = tuple(draw(angle) for _ in range(kind.num_params))
+    return Gate(kind, params, qubits), n, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=gates_on_states())
+def test_apply_matches_reference_kernel(case):
+    gate, n, seed = case
+    psi = _random_state(n, seed)
+    expected = _reference(gate, psi, n)
+    for workers in (1, 2, 4):
+        if workers > 2**n:
+            continue
+        state = State(n, workers)
+        state.amplitudes[:] = psi
+        delta = state.apply(gate)
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-13)
+        assert delta.gates_applied == 1
+        assert delta.exchanged_amplitudes == exchange_cost(Circuit(n, (), (gate,)), n, workers)
+
+
+def test_every_qubit_of_a_tiled_state_matches_reference_kernel():
+    # n = 15 puts 2^14 amplitudes in each half, so dense updates and x run in tiles
+    n = 15
+    psi = _random_state(n, 0)
+    for kind in GateKind:
+        for q in range(n):
+            qubits = (q, (q + 5) % n)[:kind.num_qubits]
+            gate = Gate(kind, (0.7, -1.3, 2.9)[:kind.num_params], qubits)
+            state = State(n)
+            state.amplitudes[:] = psi
+            state.apply(gate)
+            np.testing.assert_allclose(state.amplitudes, _reference(gate, psi, n),
+                                       rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+@pytest.mark.parametrize("placement", [0, 8, 15])
+def test_apply_peak_memory(kind, placement):
+    n = 16
+    qubits = (placement, (placement + 7) % n)[:kind.num_qubits]
+    gate = Gate(kind, (0.7, -1.3, 2.9)[:kind.num_params], qubits)
+    state = State(n)
+    state.amplitudes[:] = _random_state(n, 1)
+    state.apply(gate)
+    tracemalloc.start()
+    try:
+        state.apply(gate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    limit = 0.5 if kind in _DIAGONAL else 1.5
+    assert peak <= limit * 16 * 2**n
 
 
 # -- probabilities ---------------------------------------------------------
