@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -37,11 +37,10 @@ class ConfigError(ValueError):
 class BackendSettings:
     id: str
     kind: BackendKind
-    max_qubits: int
+    max_qubits: int = 26
     supports_mid_circuit: bool = True
     supports_conditionals: bool = True
-    concurrency: int = 1
-    readout_flip_probability: float = 0.0
+    readout_flip_probability: float = field(default=0.0, metadata={"range": (0.0, 1.0)})
     alpha: float = 1e-3
     beta: float = 1e-9
     gamma: float = 1e-9
@@ -51,7 +50,7 @@ class BackendSettings:
     def descriptor(self) -> BackendDescriptor:
         return BackendDescriptor(
             self.id, self.kind, self.max_qubits,
-            self.supports_mid_circuit, self.supports_conditionals, self.concurrency,
+            self.supports_mid_circuit, self.supports_conditionals,
         )
 
     def implementation(self):
@@ -130,37 +129,14 @@ def parse_config(text: str) -> SystemConfig:
         except ValueError as exc:
             raise ConfigError(f"[{name}] kind: {exc}") from exc
         backends.append(
-            BackendSettings(
-                id=backend_id,
-                kind=kind,
-                max_qubits=_number(raw, name, "max_qubits", 26, int),
-                supports_mid_circuit=_as_bool(raw, name, "supports_mid_circuit", True),
-                supports_conditionals=_as_bool(raw, name, "supports_conditionals", True),
-                concurrency=_number(raw, name, "concurrency", 1, int),
-                readout_flip_probability=_number(
-                    raw, name, "readout_flip_probability", 0.0, low=0.0, high=1.0
-                ),
-                alpha=_number(raw, name, "alpha", 1e-3),
-                beta=_number(raw, name, "beta", 1e-9),
-                gamma=_number(raw, name, "gamma", 1e-9),
-                alpha_q=_number(raw, name, "alpha_q", 1.0),
-                beta_q=_number(raw, name, "beta_q", 1e-6),
-            )
+            BackendSettings(backend_id, kind, **_field_values(BackendSettings, raw, name))
         )
     if not backends:
         raise ConfigError("config declares no [backend:*] sections")
     if device is not None and device not in {b.id for b in backends}:
         raise ConfigError(f"[cluster] device: {device!r} is not a configured backend")
 
-    routing_raw = section("routing")
-    routing = RoutingConfig(
-        sv_max=_number(routing_raw, "routing", "sv_max", 24, int),
-        tn_depth_max=_number(routing_raw, "routing", "tn_depth_max", 1000, int),
-        local_qubits_per_worker=_number(
-            routing_raw, "routing", "local_qubits_per_worker", 20, int
-        ),
-        gang_limit=_number(routing_raw, "routing", "gang_limit", 8, int),
-    )
+    routing = RoutingConfig(**_field_values(RoutingConfig, section("routing"), "routing"))
 
     partitions = _parse_partitions(section("simenv").get("partitions", "state_vector:all"))
 
@@ -192,6 +168,22 @@ def _check_keys(name: str, raw) -> None:
                 f"move {key} there"
             )
         raise ConfigError(f"[{name}] {key}: unknown key (have {', '.join(sorted(known))})")
+
+
+def _field_values(cls, raw, section: str) -> dict:
+    """The fields of the dataclass ``cls`` that the section sets, each read as
+    the type of its default, bounded by its ``range`` metadata; a field the
+    section leaves out keeps its default."""
+    values = {}
+    for f in fields(cls):
+        if f.default is MISSING or f.name not in raw:
+            continue
+        if isinstance(f.default, bool):
+            values[f.name] = _as_bool(raw, section, f.name, f.default)
+        else:
+            values[f.name] = _number(raw, section, f.name, f.default, type(f.default),
+                                     *f.metadata.get("range", ()))
+    return values
 
 
 def _number(raw, section: str, key: str, default, kind=float, low=None, high=None):

@@ -53,14 +53,11 @@ class BackendDescriptor:
     max_qubits: int
     supports_mid_circuit: bool = True
     supports_conditionals: bool = True
-    concurrency: int = 1
 
 
 @dataclass(frozen=True)
 class CalibrationInfo:
     readout_flip_probability: float
-    # (fixed overhead seconds, seconds per shot*gate)
-    service_time_params: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,7 @@ class StateVectorBackend:
         return ExecuteResult(request.task_id, counts, trace, descriptor.id, service)
 
     def calibration(self) -> CalibrationInfo:
-        return CalibrationInfo(0.0, (0.0, 0.0))
+        return CalibrationInfo(0.0)
 
 
 class MockHardwareBackend:
@@ -161,7 +158,7 @@ class MockHardwareBackend:
         return count_rows(words, keys[0])
 
     def calibration(self) -> CalibrationInfo:
-        return CalibrationInfo(self.p, (self.alpha_q, self.beta_q))
+        return CalibrationInfo(self.p)
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -220,8 +217,6 @@ class BackendRegistry:
     def register(self, descriptor: BackendDescriptor, implementation=None) -> None:
         if descriptor.id in self._entries:
             raise DuplicateId(f"backend {descriptor.id!r} already registered")
-        if descriptor.kind is BackendKind.HARDWARE and descriptor.concurrency != 1:
-            raise ValueError("hardware backends must have concurrency 1")
         self._entries[descriptor.id] = _Entry(descriptor, implementation)
 
     def list(self) -> list[BackendDescriptor]:
@@ -234,7 +229,7 @@ class BackendRegistry:
         entry = self._entry(backend_id)
         impl = entry.implementation
         if impl is None or not hasattr(impl, "calibration"):
-            return CalibrationInfo(0.0, (0.0, 0.0))
+            return CalibrationInfo(0.0)
         return impl.calibration()
 
     def execute(self, backend_id: str, request: ExecuteRequest) -> ExecuteResult:

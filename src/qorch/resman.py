@@ -13,8 +13,10 @@ yields steps the engine interprets:
     yield DeviceCall(hold, tag)       # FIFO device access; resumes after hold
     yield ParallelDeviceCalls(holds)  # several outstanding requests at once
 
-A plain float workload is shorthand for one Advance of that duration, and
-``None`` makes a manually driven job that runs until release() is called.
+A job reaches its nodes and the device only through these steps: it holds
+its nodes from its grant until its body returns or raises, and the device
+for each call's hold.  A plain float workload is shorthand for one Advance
+of that duration.
 
 Scheduling is FIFO with optional EASY backfill (Lifka 1995; Mu'alem and
 Feitelson 2001): the head of the queue is granted as soon as its nodes are
@@ -54,10 +56,6 @@ class NoDevice(RuntimeError):
     pass
 
 
-class NotHeld(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class ClusterConfig:
     total_nodes: int
@@ -75,7 +73,7 @@ class JobSpec:
     app_nodes: int
     sim_nodes: int
     model: Model
-    workload: object = None  # float duration, Workload-like, or None (manual)
+    workload: object  # float duration or Workload-like
     submit_time: float = 0.0
 
 
@@ -175,23 +173,19 @@ class _JobRun:
     state: JobState = JobState.QUEUED
     allocation: Allocation | None = None
     generator: object = None
-    submit_seq: int = 0
-    # outstanding device-call bookkeeping for the current yield
-    pending_total: int = 0
-    pending_done: int = 0
-    pending_results: list = field(default_factory=list)
-    pending_bare: bool = False  # a DeviceCall resumes with its grant, not a list
+    # the grants of the current step's device calls, None while one is outstanding
+    grants: list = field(default_factory=list)
+    bare: bool = False  # a DeviceCall resumes with its grant, not a list
 
 
 @dataclass
 class _DeviceRequest:
-    seq: int
     job_id: str
-    hold: float | None
+    hold: float
     tag: str | None
     requested_at: float
-    slot: int | None = None  # index into the job's pending_results, None if manual
-    granted_at: float | None = None
+    slot: int  # index into the job's grants
+    granted_at: float = 0.0
     wait: float = 0.0
 
 
@@ -211,8 +205,6 @@ class Cluster:
         self._free: list[int] = list(range(config.total_nodes))
         self._device_holder: _DeviceRequest | None = None
         self._device_queue: list[_DeviceRequest] = []
-        self._device_request_order: list[int] = []
-        self._device_grant_order: list[int] = []
         self._events_processed = 0
         self.on_event = on_event
 
@@ -222,6 +214,8 @@ class Cluster:
         """Queue a job; never-satisfiable specs are rejected immediately."""
         if spec.job_id in self._jobs:
             raise InvalidSpec(f"duplicate job id {spec.job_id!r}")
+        if spec.workload is None:
+            raise InvalidSpec(f"job {spec.job_id!r} has no workload")
         if spec.app_nodes < 1:
             raise InvalidSpec("app_nodes must be >= 1")
         model = Model(spec.model)
@@ -237,7 +231,7 @@ class Cluster:
                 f"job needs {spec.app_nodes + spec.sim_nodes} nodes, cluster has "
                 f"{self.config.total_nodes}"
             )
-        run = _JobRun(spec=spec, submit_seq=next(self._seq))
+        run = _JobRun(spec=spec)
         self._jobs[spec.job_id] = run
         self._push(spec.submit_time, "submit", spec.job_id)
         return spec.job_id
@@ -261,7 +255,7 @@ class Cluster:
             elif kind == "wake":
                 self._step(payload, None)
             elif kind == "device_release":
-                self._auto_release(payload)
+                self._release_device(payload)
         self._schedule_pass()
         if self.on_event is not None:
             self.on_event(self)
@@ -270,36 +264,6 @@ class Cluster:
     def run(self) -> None:
         while self.tick() is not None:
             pass
-
-    def acquire_device(self, job_id: str, hold: float | None = None):
-        """FIFO exclusive device access; DeviceGrant now or the queue position."""
-        run = self._running(job_id)
-        if Model(run.spec.model) is not Model.SINGLE_QC:
-            raise NoDevice(f"job {job_id!r} runs under the per-job model")
-        if self.config.single_qc_device is None:
-            raise NoDevice("cluster has no single-QC device")
-        request = _DeviceRequest(
-            next(self._seq), job_id, hold, None, self.now, slot=None
-        )
-        self._device_queue.append(request)
-        self._device_request_order.append(request.seq)
-        self._pump_device()
-        if self._device_holder is request:
-            return DeviceGrant(self.now, 0.0)
-        return self._device_queue.index(request) + 1
-
-    def release(self, job_id: str) -> None:
-        """Return the device if held, else the job's node allocation."""
-        run = self._jobs.get(job_id)
-        if self._device_holder is not None and self._device_holder.job_id == job_id:
-            self._release_device()
-            self._schedule_pass()
-            return
-        if run is not None and run.state is JobState.RUNNING:
-            self._complete(job_id)
-            self._schedule_pass()
-            return
-        raise NotHeld(f"job {job_id!r} holds no allocation or device")
 
     def metrics(self) -> dict:
         """Waits, turnarounds, node utilization, and the device wait distribution."""
@@ -349,14 +313,6 @@ class Cluster:
         """Allocations of the running jobs, in grant order."""
         return [self._jobs[job_id].allocation for job_id in self._live]
 
-    @property
-    def device_grant_order(self) -> list[int]:
-        return list(self._device_grant_order)
-
-    @property
-    def device_request_order(self) -> list[int]:
-        return list(self._device_request_order)
-
     def export_log(self) -> str:
         return "\n".join(rec.to_line() for rec in self.log) + ("\n" if self.log else "")
 
@@ -367,12 +323,6 @@ class Cluster:
 
     def _record(self, kind: str, job_id: str, **payload) -> None:
         self.log.append(EventRecord(self.now, kind, job_id, payload))
-
-    def _running(self, job_id: str) -> _JobRun:
-        run = self._jobs.get(job_id)
-        if run is None or run.state is not JobState.RUNNING:
-            raise InvalidSpec(f"job {job_id!r} is not running")
-        return run
 
     def _handle_submit(self, job_id: str) -> None:
         spec = self._jobs[job_id].spec
@@ -428,146 +378,97 @@ class Cluster:
             "grant", job_id,
             app=_nodeset(app), sim=_nodeset(sim),
         )
-        workload = _as_workload(spec.workload)
-        if workload is not None:
-            ctx = JobContext(job_id, self, run.allocation)
-            run.generator = workload.body(ctx)
-            self._step(job_id, None)
+        ctx = JobContext(job_id, self, run.allocation)
+        run.generator = _as_workload(spec.workload).body(ctx)
+        self._step(job_id, None)
 
     def _step(self, job_id: str, value) -> None:
         run = self._jobs[job_id]
-        if run.state is not JobState.RUNNING or run.generator is None:
-            return
         try:
             if isinstance(value, BaseException):
                 item = run.generator.throw(value)
             else:
                 item = run.generator.send(value)
         except StopIteration:
-            self._complete(job_id)
+            self._end(job_id)
             return
         except NoDevice:
-            self._fail(job_id, "NoDevice")
+            self._end(job_id, "NoDevice")
             return
         except Exception as exc:  # workload programming error
-            self._fail(job_id, f"{type(exc).__name__}: {exc}")
+            self._end(job_id, f"{type(exc).__name__}: {exc}")
             return
         if isinstance(item, Advance):
             self._push(self.now + item.seconds, "wake", job_id)
-        elif isinstance(item, DeviceCall):
-            run.pending_total = 1
-            run.pending_done = 0
-            run.pending_results = [None]
-            run.pending_bare = True
-            self._request_from_workload(run, item.hold, item.tag, slot=0)
+            return
+        if isinstance(item, DeviceCall):
+            holds, tags, run.bare = (item.hold,), (item.tag,), True
         elif isinstance(item, ParallelDeviceCalls):
-            holds = tuple(item.holds)
+            holds, run.bare = tuple(item.holds), False
             if not holds:
                 self._step(job_id, [])
                 return
-            run.pending_total = len(holds)
-            run.pending_done = 0
-            run.pending_results = [None] * len(holds)
-            run.pending_bare = False
             tags = item.tags or (None,) * len(holds)
-            for slot, (hold, tag) in enumerate(zip(holds, tags)):
-                self._request_from_workload(run, hold, tag, slot)
         else:
-            self._fail(job_id, f"workload yielded unknown step {item!r}")
-
-    def _request_from_workload(self, run: _JobRun, hold: float, tag, slot: int) -> None:
-        spec = run.spec
-        if Model(spec.model) is not Model.SINGLE_QC or self.config.single_qc_device is None:
-            self._step(spec.job_id, NoDevice(f"job {spec.job_id!r} has no device access"))
+            self._end(job_id, f"workload yielded unknown step {item!r}")
             return
-        request = _DeviceRequest(
-            next(self._seq), spec.job_id, hold, tag, self.now, slot
-        )
-        self._device_queue.append(request)
-        self._device_request_order.append(request.seq)
+        if Model(run.spec.model) is not Model.SINGLE_QC:
+            self._step(job_id, NoDevice(f"job {job_id!r} has no device access"))
+            return
+        run.grants = [None] * len(holds)
+        for slot, (hold, tag) in enumerate(zip(holds, tags)):
+            self._device_queue.append(_DeviceRequest(job_id, hold, tag, self.now, slot))
         self._pump_device()
 
     def _pump_device(self) -> None:
-        while self._device_holder is None and self._device_queue:
+        if self._device_holder is None and self._device_queue:
             request = self._device_queue.pop(0)
-            run = self._jobs.get(request.job_id)
-            if request.slot is not None and (
-                run is None or run.state is not JobState.RUNNING
-            ):
-                continue  # the job failed while queued; drop its request
             request.granted_at = self.now
             request.wait = self.now - request.requested_at
             self._device_holder = request
-            self._device_grant_order.append(request.seq)
             self._record(
                 "device_acquire", request.job_id,
                 wait=request.wait, tag=request.tag or "",
                 device=self.config.single_qc_device,
             )
-            if request.hold is not None:
-                self._push(self.now + request.hold, "device_release", request)
-            return  # manual holds wait for an explicit release()
+            self._push(self.now + request.hold, "device_release", request)
 
-    def _auto_release(self, request: _DeviceRequest) -> None:
-        if self._device_holder is not request:
-            return  # released manually in the meantime
-        self._release_device()
-        run = self._jobs.get(request.job_id)
-        if run is None or request.slot is None:
-            return
-        run.pending_results[request.slot] = DeviceGrant(
-            request.granted_at, request.wait, request.tag
-        )
-        run.pending_done += 1
-        if run.pending_done == run.pending_total:
-            results = run.pending_results
-            run.pending_total = run.pending_done = 0
-            run.pending_results = []
-            value = results[0] if run.pending_bare else results
-            self._step(request.job_id, value)
-
-    def _release_device(self) -> None:
-        holder = self._device_holder
+    def _release_device(self, request: _DeviceRequest) -> None:
         self._device_holder = None
         self._record(
-            "device_release", holder.job_id,
-            tag=holder.tag or "", device=self.config.single_qc_device,
+            "device_release", request.job_id,
+            tag=request.tag or "", device=self.config.single_qc_device,
         )
         self._pump_device()
+        run = self._jobs[request.job_id]
+        run.grants[request.slot] = DeviceGrant(request.granted_at, request.wait, request.tag)
+        if None not in run.grants:
+            grants, run.grants = run.grants, []
+            self._step(request.job_id, grants[0] if run.bare else grants)
 
-    def _complete(self, job_id: str) -> None:
+    def _end(self, job_id: str, reason: str | None = None) -> None:
+        """Return the job's nodes: it completed, or it failed for ``reason``."""
         run = self._jobs[job_id]
-        run.state = JobState.COMPLETED
         self._free = sorted(self._free + list(run.allocation.nodes))
         del self._live[job_id]
         self._walk_due = True
-        self._record("complete", job_id)
-        run.allocation = None
-        run.generator = None
-
-    def _fail(self, job_id: str, reason: str) -> None:
-        run = self._jobs[job_id]
-        run.state = JobState.FAILED
-        if run.allocation is not None:
-            self._free = sorted(self._free + list(run.allocation.nodes))
-            del self._live[job_id]
-            self._walk_due = True
-        self._record("fail", job_id, reason=reason)
+        if reason is None:
+            run.state = JobState.COMPLETED
+            self._record("complete", job_id)
+        else:
+            run.state = JobState.FAILED
+            self._record("fail", job_id, reason=reason)
         run.allocation = None
         run.generator = None
 
 
 def _as_workload(workload):
-    if workload is None:
-        return None
     if isinstance(workload, (int, float)):
         return FixedWorkload(float(workload))
     return workload
 
 
 def _projected_duration(workload) -> float:
-    if workload is None:
-        return float("inf")
     if isinstance(workload, (int, float)):
         return float(workload)
     return getattr(workload, "projected_duration", float("inf"))

@@ -12,6 +12,10 @@ Builtins:
     select_max [<bitstring>]                 index of the max-frequency counts
                                              (default key: all zeros)
 
+``parse_workflow`` reads every stage's shot count and checks every builtin's
+argument count and numbers, so a bad value fails with a ``ValidationError``
+naming its stage and key before any stage runs.
+
 Example:
 
     [stage:prepare]
@@ -36,7 +40,13 @@ from .seeds import derive_seed
 from .statevec import Counts
 from .system import System
 
-BUILTINS = ("threshold_count", "mean_probability", "select_max")
+# each builtin's parameters: a [bracketed] one may be left out, and a
+# <fraction> is read as a number
+BUILTINS = {
+    "threshold_count": ("<bitstring>", "<fraction>"),
+    "mean_probability": ("<bitstring>",),
+    "select_max": ("[<bitstring>]",),
+}
 
 
 class UnknownBuiltin(ValueError):
@@ -56,7 +66,7 @@ class Stage:
     qasm: str | None = None
     shots: int = 0
     op: str | None = None
-    args: tuple[str, ...] = ()
+    args: tuple = ()  # a builtin's arguments, a <fraction> as a float
 
 
 @dataclass(frozen=True)
@@ -84,24 +94,48 @@ def parse_workflow(path: str | Path) -> WorkflowFile:
             qasm = raw.get("qasm")
             if not qasm:
                 raise ValidationError(f"quantum stage {name!r} needs a qasm file")
-            stages.append(
-                Stage(name, "quantum", qasm=qasm, shots=int(raw.get("shots", 1024)))
-            )
+            shots = raw.get("shots", "1024")
+            try:
+                shots = int(shots)
+            except ValueError:
+                raise ValidationError(
+                    f"stage {name!r}: shots: expected int, got {shots!r}"
+                ) from None
+            stages.append(Stage(name, "quantum", qasm=qasm, shots=shots))
         elif kind == "classical":
             op = raw.get("op", "")
             if op not in BUILTINS:
                 raise UnknownBuiltin(
                     f"stage {name!r}: unknown builtin {op!r} (have {', '.join(BUILTINS)})"
                 )
-            args = tuple(
-                a.strip() for a in raw.get("args", "").split(",") if a.strip()
-            )
-            stages.append(Stage(name, "classical", op=op, args=args))
+            args = [a.strip() for a in raw.get("args", "").split(",") if a.strip()]
+            stages.append(Stage(name, "classical", op=op, args=_builtin_args(name, op, args)))
         else:
             raise ValidationError(f"stage {name!r} has unknown kind {kind!r}")
     if not stages:
         raise ValidationError("workflow has no stages")
     return WorkflowFile(tuple(stages), path.parent)
+
+
+def _builtin_args(stage: str, op: str, args: list[str]) -> tuple:
+    """Check a builtin's argument count and read its <fraction> as a number."""
+    params = BUILTINS[op]
+    fewest = sum(not p.startswith("[") for p in params)
+    if not fewest <= len(args) <= len(params):
+        raise ValidationError(
+            f"stage {stage!r}: args: {op} takes {', '.join(params)}, got {len(args)} arguments"
+        )
+    values = []
+    for param, text in zip(params, args):
+        if param == "<fraction>":
+            try:
+                text = float(text)
+            except ValueError:
+                raise ValidationError(
+                    f"stage {stage!r}: args: {param} must be a number, got {text!r}"
+                ) from None
+        values.append(text)
+    return tuple(values)
 
 
 def _all_zeros_key(counts: Counts) -> str:
@@ -113,14 +147,10 @@ def _apply_builtin(stage: Stage, window: list[Counts]):
     if not window:
         raise StageFailure(stage.name, "no quantum output to post-process")
     if stage.op == "threshold_count":
-        if len(stage.args) != 2:
-            raise StageFailure(stage.name, "threshold_count needs <bitstring> <fraction>")
-        key, threshold = stage.args[0], float(stage.args[1])
+        key, threshold = stage.args
         return window[-1].frequency(key) >= threshold
     if stage.op == "mean_probability":
-        if len(stage.args) != 1:
-            raise StageFailure(stage.name, "mean_probability needs <bitstring>")
-        key = stage.args[0]
+        (key,) = stage.args
         return sum(c.frequency(key) for c in window) / len(window)
     if stage.op == "select_max":
         key = stage.args[0] if stage.args else None

@@ -8,7 +8,10 @@ runs, with the ``src/`` next to this file:
   per_job and single_qc, and two single_qc ensembles (seeds 5 and 6) on the
   default config with ``device = mock-hw``;
 - a per_job and a single_qc ``submit`` of every ``tests/corpus/valid``
-  program, 1024 shots, seed 5.
+  program, 1024 shots, seed 5;
+- a ``workflow`` run, seed 5, of ``OUT/workflow-files/flow.ini``: quantum
+  stages on the bell, ghz5 and teleport corpus programs, copied next to it,
+  and classical stages that use each of the three builtins.
 
 Each run writes ``OUT/<name>/{report.txt,events.log,config.ini}``, and one
 line per run, ``<name> exit=<code>``, goes to stdout.  Two checkouts give
@@ -26,6 +29,42 @@ from qorch.cli import cli_main  # noqa: E402
 
 MODELS = ("per_job", "single_qc")
 
+WORKFLOW = """\
+[stage:bell]
+kind = quantum
+qasm = bell.qasm
+shots = 1024
+
+[stage:bell-11]
+kind = classical
+op = threshold_count
+args = 11, 0.45
+
+[stage:ghz5]
+kind = quantum
+qasm = ghz5.qasm
+shots = 1024
+
+[stage:ghz5-again]
+kind = quantum
+qasm = ghz5.qasm
+shots = 256
+
+[stage:ghz5-ones]
+kind = classical
+op = mean_probability
+args = 11111
+
+[stage:teleport]
+kind = quantum
+qasm = teleport.qasm
+shots = 1024
+
+[stage:pick]
+kind = classical
+op = select_max
+"""
+
 
 def runs(out: Path):
     """(name, argv) of every run, in order."""
@@ -40,10 +79,17 @@ def runs(out: Path):
         yield f"scenario-ensemble-single_qc-mock-hw-s{seed}", [
             "--config", str(mock_hw), "scenario", "ensemble", "--seed", seed,
             "--model", "single_qc"]
-    for program in sorted((ROOT / "tests" / "corpus" / "valid").glob("*.qasm")):
+    corpus = ROOT / "tests" / "corpus" / "valid"
+    for program in sorted(corpus.glob("*.qasm")):
         for model in MODELS:
             yield f"submit-{program.stem}-{model}", ["submit", str(program), "--shots", "1024",
                                                      "--seed", "5", "--model", model]
+    files = out / "workflow-files"
+    files.mkdir(exist_ok=True)
+    for stem in ("bell", "ghz5", "teleport"):
+        (files / f"{stem}.qasm").write_bytes((corpus / f"{stem}.qasm").read_bytes())
+    (files / "flow.ini").write_text(WORKFLOW, "utf-8")
+    yield "workflow", ["workflow", str(files / "flow.ini"), "--seed", "5"]
 
 
 def main(argv) -> int:

@@ -35,7 +35,7 @@ def sv_descriptor(backend_id="statevec", max_qubits=26):
 def hw_descriptor(backend_id="mock-hw"):
     return BackendDescriptor(
         backend_id, BackendKind.HARDWARE, max_qubits=12,
-        supports_mid_circuit=False, supports_conditionals=False, concurrency=1,
+        supports_mid_circuit=False, supports_conditionals=False,
     )
 
 
@@ -66,22 +66,12 @@ def test_register_tensor_network_stub(registry):
     assert registry.list()[-1].kind is BackendKind.TENSOR_NETWORK
 
 
-def test_hardware_concurrency_must_be_one():
-    reg = BackendRegistry()
-    with pytest.raises(ValueError):
-        reg.register(
-            BackendDescriptor("hw", BackendKind.HARDWARE, 5, concurrency=2),
-            MockHardwareBackend(),
-        )
-
-
 # -- calibration -------------------------------------------------------------
 
 
 def test_statevec_calibration_is_ideal(registry):
     cal = registry.get_calibration("statevec")
     assert cal.readout_flip_probability == 0.0
-    assert cal.service_time_params[0] == 0.0
 
 
 def test_mock_hw_calibration_echoes_config(registry):

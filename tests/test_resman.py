@@ -15,8 +15,6 @@ from qorch.resman import (
     JobSpec,
     JobState,
     Model,
-    NoDevice,
-    NotHeld,
     ParallelDeviceCalls,
 )
 from reference_scheduler import ReferenceCluster
@@ -29,7 +27,7 @@ def cluster(nodes=8, device=None, backfill=False, on_event=None):
     )
 
 
-def job(job_id, a, s, model=Model.PER_JOB, workload=None, submit=0.0):
+def job(job_id, a, s, model=Model.PER_JOB, workload=1.0, submit=0.0):
     return JobSpec(job_id, a, s, model, workload, submit)
 
 
@@ -52,6 +50,12 @@ def test_single_qc_with_sim_nodes_rejected():
     cl = cluster(8, device="dev")
     with pytest.raises(InvalidSpec):
         cl.submit_job(job("A", 2, 1, model=Model.SINGLE_QC))
+
+
+def test_job_without_workload_rejected():
+    cl = cluster(8)
+    with pytest.raises(InvalidSpec, match="no workload"):
+        cl.submit_job(job("A", 2, 4, workload=None))
 
 
 def test_single_qc_without_device_rejected():
@@ -140,12 +144,17 @@ def test_co_allocation_atomic():
 
 
 def test_sole_requester_immediate_grant():
+    grants = []
+
+    def body(ctx):
+        yield Advance(2.0)
+        grants.append((yield DeviceCall(hold=3.0, tag="t")))
+
     cl = cluster(4, device="dev")
-    cl.submit_job(job("A", 1, 0, model=Model.SINGLE_QC, workload=None))
-    cl.tick()
-    grant = cl.acquire_device("A")
-    assert isinstance(grant, DeviceGrant)
-    assert grant.wait == 0.0
+    cl.submit_job(job("A", 1, 0, Model.SINGLE_QC, GeneratorWorkload(body, 5.0)))
+    cl.run()
+    assert grants == [DeviceGrant(granted_at=2.0, wait=0.0, tag="t")]
+    assert cl.job_state("A") is JobState.COMPLETED
 
 
 def test_second_requester_waits_remaining_service():
@@ -167,62 +176,52 @@ def test_second_requester_waits_remaining_service():
 
 
 def test_per_job_acquire_raises_no_device():
+    def body(ctx):
+        yield DeviceCall(hold=1.0)
+
     cl = cluster(4, device="dev")
-    cl.submit_job(job("A", 1, 1, model=Model.PER_JOB, workload=None))
-    cl.tick()
-    with pytest.raises(NoDevice):
-        cl.acquire_device("A")
+    cl.submit_job(job("A", 1, 1, Model.PER_JOB, GeneratorWorkload(body, 1.0)))
+    cl.run()
+    assert cl.job_state("A") is JobState.FAILED
+    fail = next(r for r in cl.log if r.kind == "fail")
+    assert fail.payload == {"reason": "NoDevice"}
+    assert not any(r.kind == "device_acquire" for r in cl.log)
+    assert not cl.live_allocations()
 
 
 def test_device_fifo_order():
-    def body(holds):
+    def body(delay, holds):
         def inner(ctx):
+            yield Advance(delay)
             yield ParallelDeviceCalls(tuple(holds))
 
         return inner
 
     cl = cluster(8, device="dev")
-    cl.submit_job(job("A", 1, 0, Model.SINGLE_QC, GeneratorWorkload(body([5.0, 5.0]), 10)))
-    cl.submit_job(job("B", 1, 0, Model.SINGLE_QC, GeneratorWorkload(body([3.0]), 3)))
+    cl.submit_job(job("A", 1, 0, Model.SINGLE_QC, GeneratorWorkload(body(0.0, [5.0, 5.0]), 10)))
+    cl.submit_job(job("B", 1, 0, Model.SINGLE_QC, GeneratorWorkload(body(1.0, [3.0]), 4)))
+    cl.submit_job(job("C", 1, 0, Model.SINGLE_QC, GeneratorWorkload(body(0.5, [1.0]), 2), 1.0))
     cl.run()
-    order = cl.device_grant_order
-    requested = cl.device_request_order
-    # grants form an order-preserving subsequence of requests
-    it = iter(requested)
-    assert all(any(g == r for r in it) for g in order)
+    acquires = [r for r in cl.log if r.kind == "device_acquire"]
+    # each acquire's request time is its time less its wait; grants keep request order
+    requested = [r.time - r.payload["wait"] for r in acquires]
+    assert requested == sorted(requested)
+    assert requested == pytest.approx([0.0, 0.0, 1.0, 1.5])
+    assert [r.job_id for r in acquires] == ["A", "A", "B", "C"]
 
 
 # -- release ---------------------------------------------------------------
 
 
-def test_manual_release_frees_nodes():
-    cl = cluster(4)
-    cl.submit_job(job("A", 2, 2, workload=None))
-    cl.tick()
-    assert cl.job_state("A") is JobState.RUNNING
-    cl.release("A")
-    assert cl.job_state("A") is JobState.COMPLETED
-    assert not cl.live_allocations()
-
-
-def test_double_release_not_held():
-    cl = cluster(4)
-    cl.submit_job(job("A", 1, 1, workload=None))
-    cl.tick()
-    cl.release("A")
-    with pytest.raises(NotHeld):
-        cl.release("A")
-
-
 def test_release_triggers_grant_same_timestamp():
     cl = cluster(4)
-    cl.submit_job(job("A", 2, 2, workload=None, submit=0.0))
+    cl.submit_job(job("A", 2, 2, workload=5.0, submit=0.0))
     cl.submit_job(job("B", 2, 2, workload=5.0, submit=1.0))
     cl.tick()  # A granted at 0
     cl.tick()  # B submitted at 1, blocked
-    cl.release("A")
+    cl.tick()  # A ends at 5 and returns its nodes
     grant_b = next(r for r in cl.log if r.kind == "grant" and r.job_id == "B")
-    assert grant_b.time == 1.0  # same timestamp as the release
+    assert grant_b.time == 5.0  # same timestamp as A's release
 
 
 # -- metrics ------------------------------------------------------------------

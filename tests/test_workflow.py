@@ -178,3 +178,27 @@ def test_quantum_stages_route_and_time(tmp_path, system):
     assert report.metrics["makespan"] > 0
     assert report.tasks[0].backend_id == "statevec"
     assert report.answer in ("value=True", "value=False")
+
+
+@pytest.mark.parametrize("stage, message", [
+    ("[stage:late]\nkind = quantum\nqasm = bell.qasm\nshots = ten\n",
+     "stage 'late': shots: expected int, got 'ten'"),
+    ("[stage:late]\nkind = classical\nop = threshold_count\nargs = 11, abc\n",
+     "stage 'late': args: <fraction> must be a number, got 'abc'"),
+    ("[stage:late]\nkind = classical\nop = threshold_count\nargs = 11\n",
+     "stage 'late': args: threshold_count takes <bitstring>, <fraction>, got 1 arguments"),
+    ("[stage:late]\nkind = classical\nop = select_max\nargs = 00, 11\n",
+     "stage 'late': args: select_max takes [<bitstring>], got 2 arguments"),
+], ids=["shots", "fraction", "count", "optional-count"])
+def test_bad_stage_value_fails_at_parse(tmp_path, system, monkeypatch, stage, message):
+    path = write_workflow(
+        tmp_path,
+        "[stage:first]\nkind = quantum\nqasm = bell.qasm\nshots = 10\n\n" + stage,
+        {"bell.qasm": BELL},
+    )
+    calls = []
+    monkeypatch.setattr(TaskManager, "execute_task", lambda self, *a, **k: calls.append(a))
+    with pytest.raises(ValidationError) as err:
+        run_workflow(path, system)
+    assert str(err.value) == message
+    assert calls == []
