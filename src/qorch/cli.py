@@ -9,9 +9,10 @@
 Every run writes a report, an event log, and a config snapshot into the run
 directory (--out, default runs/<command>-s<seed>).  Exit codes: 0 success,
 1 usage error, 2 execution failure.  A failed run (a failed task, a program
-refused at admission, an in_sequence loop that does not converge) still
-writes its run directory and prints ``execution failed: <reason>``; a bad
-parameter or config exits 2 before anything runs and writes nothing.
+or workflow stage refused at admission, an in_sequence loop that does not
+converge) still writes its run directory and prints ``execution failed:
+<reason>``; a bad parameter, config or workflow file exits 2 before anything
+runs and writes nothing.
 """
 from __future__ import annotations
 

@@ -8,7 +8,7 @@ inside dist fields so task lines stay space-delimited.
     qorch-report 1
     scenario <id>
     seed <int>
-    model <single_qc|per_job|->
+    model <single_qc|per_job>
     status <ok|failed>
     answer <text>
     metric <name> <value>          (sorted by name)
@@ -76,7 +76,7 @@ class TaskRecord:
 class RunReport:
     scenario: str
     seed: int
-    model: str = "-"
+    model: str
     status: str = "ok"
     answer: str = "-"
     metrics: dict[str, float] = field(default_factory=dict)

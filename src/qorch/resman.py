@@ -118,7 +118,6 @@ class DeviceCall:
 @dataclass(frozen=True)
 class ParallelDeviceCalls:
     holds: tuple[float, ...]
-    tags: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -402,22 +401,21 @@ class Cluster:
             self._push(self.now + item.seconds, "wake", job_id)
             return
         if isinstance(item, DeviceCall):
-            holds, tags, run.bare = (item.hold,), (item.tag,), True
+            calls, run.bare = (item,), True
         elif isinstance(item, ParallelDeviceCalls):
-            holds, run.bare = tuple(item.holds), False
-            if not holds:
+            calls, run.bare = tuple(DeviceCall(hold) for hold in item.holds), False
+            if not calls:
                 self._step(job_id, [])
                 return
-            tags = item.tags or (None,) * len(holds)
         else:
             self._end(job_id, f"workload yielded unknown step {item!r}")
             return
         if Model(run.spec.model) is not Model.SINGLE_QC:
             self._step(job_id, NoDevice(f"job {job_id!r} has no device access"))
             return
-        run.grants = [None] * len(holds)
-        for slot, (hold, tag) in enumerate(zip(holds, tags)):
-            self._device_queue.append(_DeviceRequest(job_id, hold, tag, self.now, slot))
+        run.grants = [None] * len(calls)
+        for slot, call in enumerate(calls):
+            self._device_queue.append(_DeviceRequest(job_id, call.hold, call.tag, self.now, slot))
         self._pump_device()
 
     def _pump_device(self) -> None:

@@ -5,15 +5,17 @@ cluster: a repeatedly-sampled static circuit (GHZ), an ensemble of
 independent random circuits post-processed classically, and an in-sequence
 teleportation loop that uses mid-circuit measurement plus feed-forward and
 adapts its angle between submissions.  A fourth runs one user-submitted QASM
-program (the ``submit`` command).
+program (the ``submit`` command); ``workflow.run_workflow`` runs a workflow
+file's stages through the same harness.
 
 Each driver checks its own parameters and raises ValueError before anything
 runs.  It then runs as one hybrid job through ``_run_job``, which returns
 the run's only result, a RunReport: a job or task that failed, a loop that
-did not converge (``NonConvergence``) and a program refused at admission all
-end as a failed report that says why.  Under the per-job model the job's
-tasks are planned onto its own simulation partition (gang/throughput); under
-the single-QC model they serialize through the cluster device queue.
+did not converge (``NonConvergence``) and a program or workflow stage
+refused at admission all end as a failed report that says why.  Under the
+per-job model the job's tasks are planned onto its own simulation partition
+(gang/throughput); under the single-QC model they serialize through the
+cluster device queue.
 """
 from __future__ import annotations
 
@@ -176,7 +178,7 @@ class QuantumBatch:
         if queue:
             plan = configure(self.sim_nodes, self.system.config.partitions)
             timed = assess(queue, plan, self.system.registry)
-            env = execute_plan(timed, self.tm, total_nodes=self.sim_nodes)
+            env = execute_plan(timed, self.tm)
             by_id = {o.task_id: o for o in batch}
             for task_id, result in env.results.items():
                 outcome = by_id[task_id]
@@ -192,7 +194,7 @@ class QuantumBatch:
 
 
 def _run_job(system: System, scenario: str, seed: int, model, app_nodes: int,
-             sim_nodes: int, body, answer, iterations=(),
+             sim_nodes: int, body, answer, iterations=(), stages=(),
              failure: str | None = None) -> RunReport:
     """Run ``body`` as the hybrid job ``job-0001`` and report it.
 
@@ -239,6 +241,7 @@ def _run_job(system: System, scenario: str, seed: int, model, app_nodes: int,
         },
         tasks=[o.record() for o in batch.outcomes],
         iterations=list(iterations),
+        stages=list(stages),
         config_text=system.config.text,
         event_lines=cluster.export_log(),
         failure=failure,

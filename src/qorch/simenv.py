@@ -4,17 +4,19 @@ The nodes of a job's simulation partition are split by simulator kind.  A
 queue of routed tasks is turned into an execution plan: tasks wanting w > 1
 workers become gang assignments spanning w nodes of their kind partition,
 single-worker tasks pack one per free node (throughput), FIFO per kind so
-nothing starves.  An assignment's duration is the backend's modeled service
-time, summed over the task's cut pieces; executing the plan runs each task
-through the task manager, which reports that same number.
+nothing starves.  A task routed wider than its kind partition runs at the
+widest power of two that fits, unless a ``workers`` preference asked for
+that width.  An assignment's duration is the backend's modeled service time,
+summed over the task's cut pieces; executing the plan runs each task through
+the task manager, which reports that same number.
 """
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .qpm import BackendKind, BackendRegistry, ExecuteResult, UnknownBackend
-from .qtm import QuantumTask, RoutingDecision, TaskManager, piece_requests
+from .qtm import QuantumTask, RoutingDecision, TaskManager, _floor_pow2, piece_requests
 
 
 class Oversubscribed(ValueError):
@@ -84,7 +86,10 @@ def assess(queue, plan: SimPartitionPlan, registry: BackendRegistry) -> Executio
 
     ``queue`` holds (task, decision) pairs in arrival order.  Gang tasks wait
     for w free nodes of their kind partition; strict FIFO per kind keeps the
-    head from being starved by later small tasks.
+    head from being starved by later small tasks.  A routed width beyond the
+    partition is cut to the widest power of two that fits, and the assignment
+    carries that decision, so execution runs at the planned width; a
+    ``workers`` preference that does not fit fails the task.
     """
     # carve global node ids per kind partition, in plan order
     free: dict[BackendKind, list[int]] = {}
@@ -106,12 +111,14 @@ def assess(queue, plan: SimPartitionPlan, registry: BackendRegistry) -> Executio
             out.failures.append((task.task_id, f"no {kind.value} partition configured"))
             continue
         if decision.workers > totals[kind]:
-            reason = WorkersExceedPartition(
-                f"task wants {decision.workers} workers, {kind.value} "
-                f"partition has {totals[kind]} nodes"
-            )
-            out.failures.append((task.task_id, f"WorkersExceedPartition: {reason}"))
-            continue
+            if task.preferences.workers is not None:
+                reason = WorkersExceedPartition(
+                    f"task wants {decision.workers} workers, {kind.value} "
+                    f"partition has {totals[kind]} nodes"
+                )
+                out.failures.append((task.task_id, f"WorkersExceedPartition: {reason}"))
+                continue
+            decision = replace(decision, workers=_floor_pow2(totals[kind]))
         try:
             duration = sum(
                 registry.service_time(decision.backend_id, request)
@@ -162,21 +169,18 @@ class EnvironmentRun:
     results: dict[str, ExecuteResult] = field(default_factory=dict)
     failures: dict[str, str] = field(default_factory=dict)
     makespan: float = 0.0
-    utilization: float = 0.0
 
 
-def execute_plan(plan: ExecutionPlan, tm: TaskManager, total_nodes: int) -> EnvironmentRun:
+def execute_plan(plan: ExecutionPlan, tm: TaskManager) -> EnvironmentRun:
     """Run every assignment through the task manager.
 
     Counts are identical whether a task ran gang or throughput; only the
     timeline differs.  Per-task failures are recorded without aborting
-    sibling assignments.  Utilization is busy node time over ``total_nodes``
-    times the makespan.
+    sibling assignments.
     """
     env = EnvironmentRun()
     for task_id, reason in plan.failures:
         env.failures[task_id] = reason
-    busy = 0.0
     for assignment in plan.assignments:
         task = assignment.task
         try:
@@ -186,8 +190,5 @@ def execute_plan(plan: ExecutionPlan, tm: TaskManager, total_nodes: int) -> Envi
             continue
         result.queue_wait = assignment.start
         env.results[task.task_id] = result
-        busy += assignment.workers * assignment.duration
     env.makespan = plan.makespan
-    if env.makespan > 0:
-        env.utilization = busy / (total_nodes * env.makespan)
     return env

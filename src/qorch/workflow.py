@@ -1,10 +1,12 @@
 """Linear hybrid workflows: ordered quantum and classical stages.
 
 A workflow file is an INI document with one ``[stage:<name>]`` section per
-stage, executed in order.  Quantum stages name a QASM file and a shot count
-and route through the task manager; classical stages apply a builtin to the
-outputs of the quantum stages accumulated since the previous classical stage
-(the "window").
+stage, executed in order.  Quantum stages name a QASM file and a shot count;
+classical stages apply a builtin to the outputs of the quantum stages
+accumulated since the previous classical stage (the "window").  A workflow
+runs as one per_job hybrid job, like a ``submit``: its quantum stages are
+tasks planned onto the job's simulation partition, and it ends as a
+RunReport with one stage line per stage that ran.
 
 Builtins:
     threshold_count <bitstring> <fraction>   last counts: freq >= fraction?
@@ -12,9 +14,10 @@ Builtins:
     select_max [<bitstring>]                 index of the max-frequency counts
                                              (default key: all zeros)
 
-``parse_workflow`` reads every stage's shot count and checks every builtin's
-argument count and numbers, so a bad value fails with a ``ValidationError``
-naming its stage and key before any stage runs.
+``parse_workflow`` reads every stage's shot count (at least 1), checks every
+builtin's argument count and numbers, and checks that every classical stage
+has a quantum stage in its window, so a bad value fails with a
+``ValidationError`` naming its stage before any stage runs.
 
 Example:
 
@@ -34,8 +37,12 @@ import configparser
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import qtm
 from .circuit import ValidationError
-from .report import RunReport, TaskRecord, counts_digest
+from .qasm import QasmError
+from .report import RunReport, counts_digest
+from .resman import Model
+from .scenarios import QuantumBatch, _run_job
 from .seeds import derive_seed
 from .statevec import Counts
 from .system import System
@@ -51,12 +58,6 @@ BUILTINS = {
 
 class UnknownBuiltin(ValueError):
     pass
-
-
-class StageFailure(RuntimeError):
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"stage {stage!r}: {message}")
-        self.stage = stage
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,7 @@ def parse_workflow(path: str | Path) -> WorkflowFile:
     parser.read_string(path.read_text("utf-8"))
     stages: list[Stage] = []
     names: set[str] = set()
+    window = 0  # quantum stages since the last classical stage
     for section in parser.sections():
         if not section.startswith("stage:"):
             raise ValidationError(f"unexpected section [{section}]")
@@ -101,7 +103,10 @@ def parse_workflow(path: str | Path) -> WorkflowFile:
                 raise ValidationError(
                     f"stage {name!r}: shots: expected int, got {shots!r}"
                 ) from None
+            if shots < 1:
+                raise ValidationError(f"stage {name!r}: shots: must be >= 1, got {shots}")
             stages.append(Stage(name, "quantum", qasm=qasm, shots=shots))
+            window += 1
         elif kind == "classical":
             op = raw.get("op", "")
             if op not in BUILTINS:
@@ -110,6 +115,11 @@ def parse_workflow(path: str | Path) -> WorkflowFile:
                 )
             args = [a.strip() for a in raw.get("args", "").split(",") if a.strip()]
             stages.append(Stage(name, "classical", op=op, args=_builtin_args(name, op, args)))
+            if not window:
+                raise ValidationError(
+                    f"stage {name!r}: no quantum stage since the previous classical stage"
+                )
+            window = 0
         else:
             raise ValidationError(f"stage {name!r} has unknown kind {kind!r}")
     if not stages:
@@ -144,93 +154,76 @@ def _all_zeros_key(counts: Counts) -> str:
 
 
 def _apply_builtin(stage: Stage, window: list[Counts]):
-    if not window:
-        raise StageFailure(stage.name, "no quantum output to post-process")
     if stage.op == "threshold_count":
         key, threshold = stage.args
         return window[-1].frequency(key) >= threshold
     if stage.op == "mean_probability":
         (key,) = stage.args
         return sum(c.frequency(key) for c in window) / len(window)
-    if stage.op == "select_max":
-        key = stage.args[0] if stage.args else None
-        best_index, best = 0, -1.0
-        for i, counts in enumerate(window):
-            freq = counts.frequency(key or _all_zeros_key(counts))
-            if freq > best:
-                best_index, best = i, freq
-        return best_index
-    raise UnknownBuiltin(stage.op or "")
+    key = stage.args[0] if stage.args else None  # select_max
+    best_index, best = 0, -1.0
+    for i, counts in enumerate(window):
+        freq = counts.frequency(key or _all_zeros_key(counts))
+        if freq > best:
+            best_index, best = i, freq
+    return best_index
 
 
-def run_workflow(file: str | Path | WorkflowFile, system: System,
-                 seed: int = 0) -> RunReport:
-    """Execute stages in order; quantum stages route through the task manager,
-    classical stages run the named builtin on the current quantum window.
+def run_workflow(file: str | Path, system: System, seed: int = 0) -> RunReport:
+    """Run the stages in order as one per_job hybrid job, placed as
+    ``submit`` places one (1 app node, 2 sim nodes), through ``_run_job``.
 
-    Every quantum stage's QASM is read and normalized before any stage runs,
-    so a stage that cannot parse fails the workflow before it starts."""
-    wf = file if isinstance(file, WorkflowFile) else parse_workflow(file)
-    tm = system.task_manager()
-    admitted = {}
+    Every quantum stage's QASM is read and parsed at admission, before the
+    job is submitted, so a stage that cannot be read or parsed gives a
+    failed report with no job and an empty event log.  In the job, quantum
+    stages run as tasks on the job's simulation partition and classical
+    stages run the named builtin on the current quantum window; a stage
+    whose task fails ends the run, with stage lines up to the stage before.
+    """
+    wf = parse_workflow(file)
+    circuits = {}
+    failure = None
     for index, stage in enumerate(wf.stages):
         if stage.kind == "quantum":
             try:
-                source = (wf.base_dir / stage.qasm).read_text("utf-8")
-                admitted[index] = tm.normalize(source, stage.shots,
-                                               derive_seed(seed, "stage", index))
-            except Exception as exc:
-                raise StageFailure(stage.name, f"{type(exc).__name__}: {exc}") from exc
-    tasks: list[TaskRecord] = []
+                # qtm's name, as in run_submitted_circuit, so one hook sees every parse
+                circuits[index] = qtm.parse_qasm((wf.base_dir / stage.qasm).read_text("utf-8"))
+            except (OSError, QasmError, ValueError) as exc:
+                failure = f"stage {stage.name!r}: {type(exc).__name__}: {exc}"
+                break
     stage_lines: list[dict] = []
-    window: list[Counts] = []
-    makespan = 0.0
-    value = None
-    for index, stage in enumerate(wf.stages):
-        if stage.kind == "quantum":
-            try:
-                result = tm.execute_task(admitted[index])
-            except Exception as exc:
-                raise StageFailure(stage.name, f"{type(exc).__name__}: {exc}") from exc
-            window.append(result.counts)
-            makespan += result.modeled_service_time
-            tasks.append(
-                TaskRecord(
-                    result.task_id, result.backend_id, result.queue_wait,
-                    result.modeled_service_time, result.counts,
-                )
-            )
-            stage_lines.append(
-                {
+
+    def body(batch: QuantumBatch):
+        window: list[Counts] = []
+        for index, stage in enumerate(wf.stages):
+            if stage.kind == "quantum":
+                task = batch.submit(circuits[index], stage.shots,
+                                    derive_seed(seed, "stage", index))
+                (outcome,) = yield from batch.run_batch([task])
+                if outcome.error is not None:
+                    return
+                window.append(outcome.counts)
+                stage_lines.append({
                     "name": stage.name,
                     "kind": "quantum",
-                    "placement": result.backend_id,
-                    "service_time": f"{result.modeled_service_time:.9g}",
-                    "counts": counts_digest(result.counts),
-                }
-            )
-        else:
-            value = _apply_builtin(stage, window)
-            window = []
-            stage_lines.append(
-                {
+                    "placement": outcome.backend_id,
+                    "service_time": f"{outcome.service_time:.9g}",
+                    "counts": counts_digest(outcome.counts),
+                })
+            else:
+                value = _apply_builtin(stage, window)
+                window = []
+                stage_lines.append({
                     "name": stage.name,
                     "kind": "classical",
                     "placement": "classical",
                     "op": stage.op,
                     "value": str(value),
-                }
-            )
-    answer = f"value={value}" if value is not None else "value=-"
-    return RunReport(
-        scenario="workflow",
-        seed=seed,
-        model="-",
-        status="ok",
-        answer=answer,
-        metrics={"makespan": makespan},
-        tasks=tasks,
-        stages=stage_lines,
-        config_text=system.config.text,
-        event_lines="",
-    )
+                })
+
+    def answer(counts: list[Counts]) -> str:
+        values = [line["value"] for line in stage_lines if line["kind"] == "classical"]
+        return f"value={values[-1] if values else '-'}"
+
+    return _run_job(system, "workflow", seed, Model.PER_JOB, 1, 2, body, answer,
+                    stages=stage_lines, failure=failure)

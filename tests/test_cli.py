@@ -97,6 +97,17 @@ def test_workflow_command(tmp_path, bell_file):
     assert "value=True" in text
 
 
+def test_workflow_with_missing_stage_file_writes_failed_run(tmp_path, capsys):
+    flow = tmp_path / "flow.ini"
+    flow.write_text("[stage:broken]\nkind = quantum\nqasm = missing.qasm\n", encoding="utf-8")
+    out_dir = tmp_path / "wf"
+    assert cli_main(["workflow", str(flow), "--out", str(out_dir)]) == 2
+    assert "status failed\n" in (out_dir / "report.txt").read_text()
+    assert (out_dir / "events.log").read_text() == ""
+    assert capsys.readouterr().err.startswith(
+        "execution failed: stage 'broken': FileNotFoundError: ")
+
+
 def test_custom_config_flag(tmp_path, bell_file):
     cfg = tmp_path / "sys.ini"
     cfg.write_text(
@@ -256,3 +267,24 @@ def test_bad_scenario_parameter_writes_nothing(tmp_path, capsys, argv):
     assert cli_main(["scenario", *argv, "--out", str(out_dir)]) == 2
     assert not out_dir.exists()
     assert capsys.readouterr().err.startswith("execution failed: ")
+
+
+def test_single_circuit_wider_than_partition_runs_at_partition_width(tmp_path):
+    # 22 qubits route to 4 workers; the 2-node partition runs the task as gang(2)
+    out_dir = tmp_path / "ghz22"
+    code = cli_main(["scenario", "single_circuit", "--n", "22", "--shots", "100",
+                     "--out", str(out_dir)])
+    assert code == 0
+    (line,) = _task_lines(out_dir)
+    assert "error=" not in line
+
+
+def test_explicit_workers_beyond_partition_fail(tmp_path, capsys, bell_file):
+    out_dir = tmp_path / "run"
+    code = cli_main(["submit", str(bell_file), "--workers", "4", "--sim-nodes", "2",
+                     "--out", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "execution failed: WorkersExceedPartition: task wants 4 workers, "
+        "state_vector partition has 2 nodes\n"
+    )

@@ -145,7 +145,7 @@ def test_speedup_sanity_local_circuit():
 def test_execute_plan_runs_counts():
     tm, queue = routed_tasks(2, shots=100)
     plan = assess(queue, configure(2), tm.registry)
-    env = execute_plan(plan, tm, total_nodes=2)
+    env = execute_plan(plan, tm)
     assert len(env.results) == 2
     for result in env.results.values():
         assert result.counts.total() == 100
@@ -154,7 +154,7 @@ def test_execute_plan_runs_counts():
 def test_parallel_makespan_is_max_not_sum():
     tm, queue = routed_tasks(2)
     plan = assess(queue, configure(2), tm.registry)
-    env = execute_plan(plan, tm, total_nodes=2)
+    env = execute_plan(plan, tm)
     durations = [a.duration for a in plan.assignments]
     assert env.makespan == pytest.approx(max(durations))
 
@@ -168,8 +168,8 @@ def test_gang_vs_throughput_same_counts():
     tp_task = tm.normalize(c, 400, 7)
     gang_plan = assess([(gang_task, tm.route(gang_task))], configure(4), reg)
     tp_plan = assess([(tp_task, tm.route(tp_task))], configure(4), reg)
-    gang_env = execute_plan(gang_plan, tm, total_nodes=4)
-    tp_env = execute_plan(tp_plan, tm, total_nodes=4)
+    gang_env = execute_plan(gang_plan, tm)
+    tp_env = execute_plan(tp_plan, tm)
     gang_counts = next(iter(gang_env.results.values())).counts
     tp_counts = next(iter(tp_env.results.values())).counts
     assert gang_counts == tp_counts
@@ -193,7 +193,7 @@ def test_per_task_failure_does_not_abort_siblings():
 
     poisoned = (queue[1][0], replace(queue[1][1], backend_id="ghost"))
     plan = assess([queue[0], poisoned], configure(2), tm.registry)
-    env = execute_plan(plan, tm, total_nodes=2)
+    env = execute_plan(plan, tm)
     assert queue[0][0].task_id in env.results
     assert poisoned[0].task_id in env.failures
 
@@ -204,5 +204,21 @@ def test_planned_duration_equals_executed_service_time():
     decision = tm.route(task)
     assert len(decision.cut.subtasks) == 3
     plan = assess([(task, decision)], configure(4), tm.registry)
-    env = execute_plan(plan, tm, total_nodes=4)
+    env = execute_plan(plan, tm)
     assert env.results[task.task_id].modeled_service_time == plan.assignments[0].duration
+
+
+def test_routed_width_beyond_partition_runs_at_partition_width():
+    tm = TaskManager(registry(), RoutingConfig(local_qubits_per_worker=2))
+    task = tm.normalize(
+        CircuitBuilder(4, (("c", 4),)).h(0).cx(0, 1).cx(1, 2).cx(2, 3).measure_all("c").build(),
+        200, 3,
+    )
+    decision = tm.route(task)
+    assert decision.workers == 4
+    plan = assess([(task, decision)], configure(2), tm.registry)
+    (assignment,) = plan.assignments
+    assert assignment.mode_label() == "gang(2)"
+    assert assignment.decision.workers == 2
+    env = execute_plan(plan, tm)
+    assert env.results[task.task_id].modeled_service_time == assignment.duration

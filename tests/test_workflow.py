@@ -6,12 +6,7 @@ from qorch.circuit import ValidationError
 from qorch.qasm import parse_qasm
 from qorch.qtm import TaskManager
 from qorch.system import System
-from qorch.workflow import (
-    StageFailure,
-    UnknownBuiltin,
-    parse_workflow,
-    run_workflow,
-)
+from qorch.workflow import UnknownBuiltin, parse_workflow, run_workflow
 
 BELL = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -115,15 +110,20 @@ def test_unknown_builtin(tmp_path, system):
         run_workflow(path, system)
 
 
-def test_stage_failure_carries_name(tmp_path, system):
+def test_stage_failure_carries_name(tmp_path, system, monkeypatch):
     path = write_workflow(
         tmp_path,
         "[stage:broken]\nkind = quantum\nqasm = missing.qasm\nshots = 10\n",
         {},
     )
-    with pytest.raises(StageFailure) as err:
-        run_workflow(path, system)
-    assert err.value.stage == "broken"
+    calls = []
+    monkeypatch.setattr(TaskManager, "execute_task", lambda self, *a, **k: calls.append(a))
+    report = run_workflow(path, system)
+    assert report.status == "failed"
+    assert report.failure.startswith("stage 'broken': FileNotFoundError: ")
+    assert report.event_lines == ""
+    assert report.tasks == [] and report.stages == []
+    assert calls == []
 
 
 def test_bad_stage_fails_before_any_stage_runs(tmp_path, system, monkeypatch):
@@ -136,25 +136,61 @@ def test_bad_stage_fails_before_any_stage_runs(tmp_path, system, monkeypatch):
     )
     calls = []
     monkeypatch.setattr(TaskManager, "execute_task", lambda self, *a, **k: calls.append(a))
-    with pytest.raises(StageFailure) as err:
-        run_workflow(path, system)
+    report = run_workflow(path, system)
     with pytest.raises(Exception) as parse_error:
         parse_qasm(bad.read_text("utf-8"))
-    assert err.value.stage == "b"
-    assert str(err.value) == (
+    assert report.status == "failed"
+    assert report.failure == (
         f"stage 'b': {type(parse_error.value).__name__}: {parse_error.value}"
     )
+    assert report.event_lines == ""
     assert calls == []
 
 
-def test_classical_without_window_fails(tmp_path, system):
+def test_classical_without_window_fails(tmp_path):
     path = write_workflow(
         tmp_path,
         "[stage:check]\nkind = classical\nop = mean_probability\nargs = 0\n",
         {},
     )
-    with pytest.raises(StageFailure):
-        run_workflow(path, system)
+    with pytest.raises(ValidationError, match="^stage 'check': no quantum stage"):
+        parse_workflow(path)
+
+
+def test_failed_stage_ends_the_run(tmp_path, system):
+    # 25 qubits is past sv_max, so the task of stage 'big' fails at routing
+    wide = "OPENQASM 2.0;\nqreg q[25];\ncreg c[25];\nmeasure q -> c;\n"
+    path = write_workflow(
+        tmp_path,
+        "[stage:a]\nkind = quantum\nqasm = bell.qasm\nshots = 100\n\n"
+        "[stage:check]\nkind = classical\nop = threshold_count\nargs = 11, 0.4\n\n"
+        "[stage:big]\nkind = quantum\nqasm = wide.qasm\nshots = 100\n\n"
+        "[stage:after]\nkind = quantum\nqasm = bell.qasm\nshots = 100\n",
+        {"bell.qasm": BELL, "wide.qasm": wide},
+    )
+    report = run_workflow(path, system)
+    assert report.status == "failed"
+    assert report.failure.startswith("NoFeasibleBackend: ")
+    assert [line["name"] for line in report.stages] == ["a", "check"]
+    assert [t.error is None for t in report.tasks] == [True, False]
+
+
+def test_workflow_is_one_per_job_job(tmp_path, system):
+    path = write_workflow(
+        tmp_path,
+        "[stage:a]\nkind = quantum\nqasm = bell.qasm\nshots = 100\n\n"
+        "[stage:b]\nkind = quantum\nqasm = ghz.qasm\nshots = 100\n",
+        {"bell.qasm": BELL, "ghz.qasm": GHZ3},
+    )
+    report = run_workflow(path, system)
+    assert report.model == "per_job"
+    events = [line.split()[1:3] for line in report.event_lines.splitlines()]
+    assert events == [["submit", "job-0001"], ["grant", "job-0001"],
+                      ["complete", "job-0001"]]
+    # the cluster clock is the makespan: the stages run one after another
+    end = float(report.event_lines.splitlines()[-1].split()[0])
+    assert end == pytest.approx(report.metrics["makespan"])
+    assert report.metrics["makespan"] == pytest.approx(sum(t.service_time for t in report.tasks))
 
 
 def test_duplicate_stage_names_rejected(tmp_path, system):
@@ -189,7 +225,12 @@ def test_quantum_stages_route_and_time(tmp_path, system):
      "stage 'late': args: threshold_count takes <bitstring>, <fraction>, got 1 arguments"),
     ("[stage:late]\nkind = classical\nop = select_max\nargs = 00, 11\n",
      "stage 'late': args: select_max takes [<bitstring>], got 2 arguments"),
-], ids=["shots", "fraction", "count", "optional-count"])
+    ("[stage:late]\nkind = quantum\nqasm = bell.qasm\nshots = 0\n",
+     "stage 'late': shots: must be >= 1, got 0"),
+    ("[stage:pick]\nkind = classical\nop = select_max\n\n"
+     "[stage:late]\nkind = classical\nop = select_max\n",
+     "stage 'late': no quantum stage since the previous classical stage"),
+], ids=["shots", "fraction", "count", "optional-count", "zero-shots", "empty-window"])
 def test_bad_stage_value_fails_at_parse(tmp_path, system, monkeypatch, stage, message):
     path = write_workflow(
         tmp_path,
