@@ -25,9 +25,9 @@ def sampled(n, seed):
 
 
 # Four single-worker tasks on four nodes: pure throughput, all start at 0.
-plan = configure(sim_nodes=4)
+partitions = configure(sim_nodes=4)
 queue = [(t, tm.route(t)) for t in (sampled(3, i) for i in range(4))]
-timed = assess(queue, plan, registry)
+timed = assess(queue, partitions, registry)
 print("throughput starts:", [(a.task.task_id, a.start, a.mode_label()) for a in timed.assignments])
 
 # A gang(4) task followed by a single-worker task: the gang takes the whole
@@ -36,18 +36,20 @@ gang_task = sampled(4, 10)
 gang_task = tm.normalize(gang_task.circuit, 200, 10, Preferences(workers=4))
 small_task = sampled(3, 11)
 queue = [(gang_task, tm.route(gang_task)), (small_task, tm.route(small_task))]
-timed = assess(queue, plan, registry)
+timed = assess(queue, partitions, registry)
 for a in timed.assignments:
     print(f"{a.task.task_id}: {a.mode_label():12s} nodes={a.nodes} "
           f"start={a.start:.6f} duration={a.duration:.6f}")
 
 # Executing the plan runs each task through the task manager: real counts,
 # and each task reports the service time its assignment was planned with.
-# Gang vs throughput changes only the timeline, never the distribution.
-env = execute_plan(timed, tm)
-busy = sum(a.workers * a.duration for a in timed.assignments)
-print("makespan:   ", round(env.makespan, 6))
-print("busy share: ", round(busy / (4 * env.makespan), 3))
+# Gang vs throughput changes only the timeline, which the plan holds, never
+# the distribution.
+results = execute_plan(timed, tm)
+print("service times:", [round(r.modeled_service_time, 6) for r in results.values()])
+busy = sum(a.decision.workers * a.duration for a in timed.assignments)
+print("makespan:   ", round(timed.makespan, 6))
+print("busy share: ", round(busy / (4 * timed.makespan), 3))
 
 # The state-vector backend's timing model rewards gang mode for
 # worker-local circuits.

@@ -12,6 +12,7 @@ environment variable, then the packaged default.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
@@ -25,6 +26,7 @@ from .qpm import (
     StateVectorBackend,
 )
 from .qtm import RoutingConfig
+from .statevec import MAX_QUBITS
 
 ENV_CONFIG = "QORCH_CONFIG"
 
@@ -37,15 +39,15 @@ class ConfigError(ValueError):
 class BackendSettings:
     id: str
     kind: BackendKind
-    max_qubits: int = 26
+    max_qubits: int = field(default=26, metadata={"range": (1, None)})
     supports_mid_circuit: bool = True
     supports_conditionals: bool = True
     readout_flip_probability: float = field(default=0.0, metadata={"range": (0.0, 1.0)})
-    alpha: float = 1e-3
-    beta: float = 1e-9
-    gamma: float = 1e-9
-    alpha_q: float = 1.0
-    beta_q: float = 1e-6
+    alpha: float = field(default=1e-3, metadata={"range": (0.0, None)})
+    beta: float = field(default=1e-9, metadata={"range": (0.0, None)})
+    gamma: float = field(default=1e-9, metadata={"range": (0.0, None)})
+    alpha_q: float = field(default=1.0, metadata={"range": (0.0, None)})
+    beta_q: float = field(default=1e-6, metadata={"range": (0.0, None)})
 
     def descriptor(self) -> BackendDescriptor:
         return BackendDescriptor(
@@ -128,9 +130,14 @@ def parse_config(text: str) -> SystemConfig:
             kind = BackendKind(raw.get("kind", "state_vector"))
         except ValueError as exc:
             raise ConfigError(f"[{name}] kind: {exc}") from exc
-        backends.append(
-            BackendSettings(backend_id, kind, **_field_values(BackendSettings, raw, name))
-        )
+        settings = BackendSettings(backend_id, kind, **_field_values(BackendSettings, raw, name))
+        # a tensor-network slot is not simulated by statevec, so it keeps its own bound
+        if kind is not BackendKind.TENSOR_NETWORK and settings.max_qubits > MAX_QUBITS:
+            raise ConfigError(
+                f"[{name}] max_qubits: a {kind.value} backend simulates at most "
+                f"{MAX_QUBITS} qubits, got {settings.max_qubits}"
+            )
+        backends.append(settings)
     if not backends:
         raise ConfigError("config declares no [backend:*] sections")
     if device is not None and device not in {b.id for b in backends}:
@@ -197,6 +204,8 @@ def _number(raw, section: str, key: str, default, kind=float, low=None, high=Non
         raise ConfigError(
             f"[{section}] {key}: expected {kind.__name__}, got {text!r}"
         ) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: must be finite, got {text}")
     if (low is not None and value < low) or (high is not None and value > high):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ConfigError(f"[{section}] {key}: must be {bounds}, got {text}")

@@ -82,7 +82,6 @@ class ExecuteResult:
     trace: ExecutionTrace
     backend_id: str
     modeled_service_time: float
-    queue_wait: float = 0.0
 
 
 class StateVectorBackend:
@@ -103,10 +102,7 @@ class StateVectorBackend:
         return self.alpha + compute + comm
 
     def execute(self, request: ExecuteRequest, descriptor: BackendDescriptor) -> ExecuteResult:
-        counts, trace = run(
-            request.circuit, request.shots, request.seed, request.workers,
-            max_qubits=descriptor.max_qubits,
-        )
+        counts, trace = run(request.circuit, request.shots, request.seed, request.workers)
         service = self.service_time(request.circuit, request.shots, request.workers)
         return ExecuteResult(request.task_id, counts, trace, descriptor.id, service)
 
@@ -136,10 +132,7 @@ class MockHardwareBackend:
         return self.alpha_q + self.beta_q * shots * gate_count(circuit)
 
     def execute(self, request: ExecuteRequest, descriptor: BackendDescriptor) -> ExecuteResult:
-        counts, trace = run(
-            request.circuit, request.shots, request.seed, workers=1,
-            max_qubits=descriptor.max_qubits,
-        )
+        counts, trace = run(request.circuit, request.shots, request.seed, workers=1)
         if self.p > 0.0:
             counts = self._flip(counts, request.shots, request.seed)
         service = self.service_time(request.circuit, request.shots, request.workers)

@@ -16,7 +16,7 @@ from itertools import count
 
 import numpy as np
 
-from .circuit import Circuit, interaction_components, split_circuit, depth
+from .circuit import Circuit, Subcircuit, interaction_components, split_circuit, depth
 from .qasm import parse_qasm
 from .qpm import (
     BackendDescriptor,
@@ -64,16 +64,9 @@ class QuantumTask:
 
 
 @dataclass(frozen=True)
-class CutSubtask:
-    circuit: Circuit
-    qubit_map: dict[int, int]
-    seed: int
-
-
-@dataclass(frozen=True)
 class CutPlan:
-    subtasks: tuple[CutSubtask, ...]
-    seed: int
+    subtasks: tuple[Subcircuit, ...]
+    seed: int  # the task's; piece k samples with derive_seed(seed, "subtask", k)
 
 
 @dataclass(frozen=True)
@@ -112,7 +105,8 @@ def piece_requests(task: QuantumTask, decision: RoutingDecision) -> list[Execute
         )]
     return [
         ExecuteRequest(
-            f"{task.task_id}.{index}", piece.circuit, task.shots, piece.seed,
+            f"{task.task_id}.{index}", piece.circuit, task.shots,
+            derive_seed(task.seed, "subtask", index),
             min(decision.workers, 2**piece.circuit.num_qubits),
         )
         for index, piece in enumerate(decision.cut.subtasks)
@@ -216,11 +210,7 @@ class TaskManager:
 
     def cut(self, task: QuantumTask) -> CutPlan:
         """Separability cut along interaction components; singleton when whole."""
-        subtasks = tuple(
-            CutSubtask(s.circuit, s.qubit_map, derive_seed(task.seed, "subtask", k))
-            for k, s in enumerate(split_circuit(task.circuit))
-        )
-        return CutPlan(subtasks, task.seed)
+        return CutPlan(tuple(split_circuit(task.circuit)), task.seed)
 
     # -- aggregate ------------------------------------------------------------
 

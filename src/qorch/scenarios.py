@@ -11,7 +11,7 @@ file's stages through the same harness.
 Each driver checks its own parameters and raises ValueError before anything
 runs.  It then runs as one hybrid job through ``_run_job``, which returns
 the run's only result, a RunReport: a job or task that failed, a loop that
-did not converge (``NonConvergence``) and a program or workflow stage
+did not converge (``NonConvergence: ...``) and a program or workflow stage
 refused at admission all end as a failed report that says why.  Under the
 per-job model the job's tasks are planned onto its own simulation partition
 (gang/throughput); under the single-QC model they serialize through the
@@ -34,10 +34,6 @@ from .seeds import derive_seed
 from .simenv import assess, configure, execute_plan
 from .statevec import Counts
 from .system import System
-
-
-class NonConvergence(RuntimeError):
-    """The in-sequence loop hit its iteration cap before reaching target."""
 
 
 # -- scenario circuits ---------------------------------------------------------
@@ -113,7 +109,7 @@ class QuantumBatch:
         self.model = model
         self.sim_nodes = sim_nodes
         self.outcomes: list[TaskOutcome] = []
-        self.failure: Exception | None = None
+        self.failure: str | None = None  # set by a body that ends the run itself
 
     def submit(self, source, shots, seed, preferences=None) -> QuantumTask:
         return self.tm.normalize(source, shots, seed, preferences)
@@ -176,19 +172,20 @@ class QuantumBatch:
             outcome.backend_id = decision.backend_id
             queue.append((task, decision))
         if queue:
-            plan = configure(self.sim_nodes, self.system.config.partitions)
-            timed = assess(queue, plan, self.system.registry)
-            env = execute_plan(timed, self.tm)
+            plan = assess(queue, configure(self.sim_nodes, self.system.config.partitions),
+                          self.system.registry)
+            starts = {a.task.task_id: a.start for a in plan.assignments}
             by_id = {o.task_id: o for o in batch}
-            for task_id, result in env.results.items():
+            for task_id, result in execute_plan(plan, self.tm).items():
                 outcome = by_id[task_id]
-                outcome.queue_wait = result.queue_wait
+                if isinstance(result, str):
+                    outcome.error = result
+                    continue
+                outcome.queue_wait = starts[task_id]
                 outcome.service_time = result.modeled_service_time
                 outcome.counts = result.counts
-            for task_id, reason in env.failures.items():
-                by_id[task_id].error = reason
-            if env.makespan > 0:
-                yield Advance(env.makespan)
+            if plan.makespan > 0:
+                yield Advance(plan.makespan)
         self.outcomes.extend(batch)
         return batch
 
@@ -201,8 +198,8 @@ def _run_job(system: System, scenario: str, seed: int, model, app_nodes: int,
     ``answer`` maps the counts of the tasks that returned counts, in task
     order, to the report's answer; with none, the answer is ``error``.  An
     admission ``failure`` submits no job.  The run fails when admission
-    failed, the job failed, a task failed or the body set ``batch.failure``;
-    the first of these reasons is ``report.failure``.
+    failed, the job failed, the body set ``batch.failure`` or a task failed;
+    the first of these reasons, in that order, is ``report.failure``.
     """
     model = Model(model)
     cluster = system.new_cluster()
@@ -222,9 +219,8 @@ def _run_job(system: System, scenario: str, seed: int, model, app_nodes: int,
         cluster.run()
     reasons = [failure]
     reasons += [rec.payload["reason"] for rec in cluster.log if rec.kind == "fail"]
+    reasons.append(batch.failure)
     reasons += [o.error for o in batch.outcomes]
-    if batch.failure is not None:
-        reasons.append(f"{type(batch.failure).__name__}: {batch.failure}")
     failure = next((reason for reason in reasons if reason), None)
     counts = [o.counts for o in batch.outcomes if o.counts is not None]
     waits = [o.queue_wait for o in batch.outcomes if o.error is None]
@@ -337,9 +333,7 @@ def run_in_sequence(theta: float, shots_per_iter: int, seed: int, system: System
             else:
                 lo = angle
             angle = (lo + hi) / 2.0
-        batch.failure = NonConvergence(
-            f"no convergence after {max_iterations} iterations"
-        )
+        batch.failure = f"NonConvergence: no convergence after {max_iterations} iterations"
 
     def answer(counts: list[Counts]) -> str:
         last = iterations[-1]

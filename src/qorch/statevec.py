@@ -87,11 +87,10 @@ def _check_workers(n: int, workers: int) -> None:
 class State:
     """Mutable simulator state, confined to one executor at a time."""
 
-    def __init__(self, num_qubits: int, workers: int = 1, seed: int = 0,
-                 max_qubits: int = MAX_QUBITS):
-        if not 1 <= num_qubits <= max_qubits:
+    def __init__(self, num_qubits: int, workers: int = 1, seed: int = 0):
+        if not 1 <= num_qubits <= MAX_QUBITS:
             raise ValueError(
-                f"num_qubits must be in [1, {max_qubits}], got {num_qubits}"
+                f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}"
             )
         _check_workers(num_qubits, workers)
         self.num_qubits = num_qubits
@@ -365,8 +364,8 @@ def format_keys(rows: np.ndarray) -> list[str]:
     return [text[j * width:(j + 1) * width] for j in range(len(rows))]
 
 
-def run(c: Circuit, shots: int, seed: int = 0, workers: int = 1, *,
-        max_qubits: int = MAX_QUBITS) -> tuple[Counts, ExecutionTrace]:
+def run(c: Circuit, shots: int, seed: int = 0,
+        workers: int = 1) -> tuple[Counts, ExecutionTrace]:
     """Execute a circuit for the given number of shots.
 
     A depth-first walk over classical histories: a branch of k shots splits
@@ -379,11 +378,6 @@ def run(c: Circuit, shots: int, seed: int = 0, workers: int = 1, *,
     """
     if shots < 1:
         raise ValueError("shots must be positive")
-    if not 1 <= c.num_qubits <= max_qubits:
-        raise ValueError(
-            f"circuit has {c.num_qubits} qubits, supported range is [1, {max_qubits}]"
-        )
-    _check_workers(c.num_qubits, workers)
 
     program = c.instructions
     end = 1 + max((i for i, instr in enumerate(program) if isinstance(instr, Gate)),

@@ -178,7 +178,8 @@ def run_workflow(file: str | Path, system: System, seed: int = 0) -> RunReport:
     failed report with no job and an empty event log.  In the job, quantum
     stages run as tasks on the job's simulation partition and classical
     stages run the named builtin on the current quantum window; a stage
-    whose task fails ends the run, with stage lines up to the stage before.
+    whose task fails ends the run, with stage lines up to the stage before,
+    and the failure names the stage as an admission failure does.
     """
     wf = parse_workflow(file)
     circuits = {}
@@ -201,6 +202,7 @@ def run_workflow(file: str | Path, system: System, seed: int = 0) -> RunReport:
                                     derive_seed(seed, "stage", index))
                 (outcome,) = yield from batch.run_batch([task])
                 if outcome.error is not None:
+                    batch.failure = f"stage {stage.name!r}: {outcome.error}"
                     return
                 window.append(outcome.counts)
                 stage_lines.append({

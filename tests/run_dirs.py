@@ -4,9 +4,11 @@
 
 runs, with the ``src/`` next to this file:
 
-- 8 scenarios, seed 5: single_circuit, ensemble and in_sequence under
-  per_job and single_qc, and two single_qc ensembles (seeds 5 and 6) on the
-  default config with ``device = mock-hw``;
+- 9 scenarios, seed 5: single_circuit, ensemble and in_sequence under
+  per_job and single_qc, two single_qc ensembles (seeds 5 and 6) on the
+  default config with ``device = mock-hw``, and a per_job ensemble whose
+  tasks plan as gangs and cut pieces, on the default config with
+  ``local_qubits_per_worker = 2`` and 3 sim nodes;
 - a per_job and a single_qc ``submit`` of every ``tests/corpus/valid``
   program, 1024 shots, seed 5;
 - a ``workflow`` run, seed 5, of ``OUT/workflow-files/flow.ini``: quantum
@@ -71,6 +73,9 @@ def runs(out: Path):
     mock_hw = out / "mock-hw.ini"
     default = (ROOT / "src" / "qorch" / "data" / "default.ini").read_text("utf-8")
     mock_hw.write_text(default.replace("device = statevec", "device = mock-hw"), "utf-8")
+    gangs = out / "gangs.ini"
+    gangs.write_text(default.replace("local_qubits_per_worker = 20",
+                                     "local_qubits_per_worker = 2"), "utf-8")
     for model in MODELS:
         for pattern in ("single_circuit", "ensemble", "in_sequence"):
             yield f"scenario-{pattern}-{model}", ["scenario", pattern, "--seed", "5",
@@ -79,6 +84,9 @@ def runs(out: Path):
         yield f"scenario-ensemble-single_qc-mock-hw-s{seed}", [
             "--config", str(mock_hw), "scenario", "ensemble", "--seed", seed,
             "--model", "single_qc"]
+    yield "scenario-ensemble-per_job-gangs", [
+        "--config", str(gangs), "scenario", "ensemble", "--k", "5", "--n", "4",
+        "--sim-nodes", "3", "--seed", "5"]
     corpus = ROOT / "tests" / "corpus" / "valid"
     for program in sorted(corpus.glob("*.qasm")):
         for model in MODELS:

@@ -31,6 +31,7 @@ from qorch.qtm import (
     Preferences,
     RoutingConfig,
     TaskManager,
+    piece_requests,
 )
 from qorch.resman import Cluster, ClusterConfig, DeviceCall, GeneratorWorkload, JobSpec, Model
 from qorch.scenarios import ghz, run_ensemble, run_in_sequence, run_single_circuit, teleport_circuit
@@ -140,7 +141,7 @@ def test_acceptance_3_cut_aggregate_exactness():
         circuit = small[seed % len(small)]
         task = tm.normalize(circuit, shots, 9000 + seed)
         plan = tm.cut(task)
-        results = [run(s.circuit, shots, s.seed)[0] for s in plan.subtasks]
+        results = [run(r.circuit, shots, r.seed)[0] for r in piece_requests(task, tm.route(task))]
         merged = tm.aggregate(plan, results)
         assert merged.total() == shots
         exact_counts, _ = run(circuit, 10**6, seed=1)  # high-shot reference

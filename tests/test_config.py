@@ -69,11 +69,32 @@ def test_bad_kind_rejected():
     ("[cluster]\nnodes = 0\n", "[cluster]", "nodes"),
     ("[backend:hw]\nkind = hardware\nreadout_flip_probability = 2\n",
      "[backend:hw]", "readout_flip_probability"),
+    ("[backend:fast]\nkind = state_vector\nalpha = -5\n", "[backend:fast]", "alpha"),
+    ("[backend:fast]\nkind = state_vector\nbeta = -1e-9\n", "[backend:fast]", "beta"),
+    ("[backend:fast]\nkind = state_vector\ngamma = -1e-9\n", "[backend:fast]", "gamma"),
+    ("[backend:hw]\nkind = hardware\nalpha_q = -1\n", "[backend:hw]", "alpha_q"),
+    ("[backend:hw]\nkind = hardware\nbeta_q = -1e-6\n", "[backend:hw]", "beta_q"),
+    ("[backend:fast]\nkind = state_vector\nmax_qubits = 0\n", "[backend:fast]", "max_qubits"),
+    ("[backend:fast]\nkind = state_vector\nmax_qubits = -3\n", "[backend:fast]", "max_qubits"),
+    ("[backend:tn]\nkind = tensor_network\nmax_qubits = 0\n", "[backend:tn]", "max_qubits"),
+    ("[backend:fast]\nkind = state_vector\nmax_qubits = 30\n", "[backend:fast]", "max_qubits"),
+    ("[backend:hw]\nkind = hardware\nmax_qubits = 27\n", "[backend:hw]", "max_qubits"),
+    ("[backend:fast]\nkind = state_vector\nalpha = nan\n", "[backend:fast]", "alpha"),
+    ("[backend:fast]\nkind = state_vector\nbeta = inf\n", "[backend:fast]", "beta"),
+    ("[backend:hw]\nkind = hardware\nreadout_flip_probability = nan\n",
+     "[backend:hw]", "readout_flip_probability"),
 ])
 def test_bad_value_names_section_and_key(text, section, key):
     with pytest.raises(ConfigError) as info:
         parse_config(text + "\n[backend:sv]\nkind = state_vector\n")
     assert section in str(info.value) and key in str(info.value)
+
+
+def test_tensor_network_max_qubits_may_pass_the_state_vector_ceiling():
+    cfg = parse_config("[backend:tn]\nkind = tensor_network\nmax_qubits = 64\n\n"
+                       "[backend:sv]\nkind = state_vector\nmax_qubits = 26\nalpha = 0\n")
+    assert [b.max_qubits for b in cfg.backends] == [64, 26]
+    assert cfg.backends[1].alpha == 0.0
 
 
 @pytest.mark.parametrize("key", ["alpha", "beta", "gamma"])
@@ -101,7 +122,7 @@ def test_partitions_all_honours_its_kind():
         "[backend:sv]\nkind = state_vector\n\n[simenv]\npartitions = tensor_network:all\n"
     )
     assert cfg.partitions == ((BackendKind.TENSOR_NETWORK, None),)
-    assert configure(3, cfg.partitions).partitions == ((BackendKind.TENSOR_NETWORK, 3),)
+    assert configure(3, cfg.partitions) == ((BackendKind.TENSOR_NETWORK, 3),)
 
 
 @pytest.mark.parametrize("entry", ["bogus:all", "bogus:3", "state_vector:2,bogus:1",

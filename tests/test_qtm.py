@@ -197,10 +197,11 @@ def test_cut_bell_singleton():
 def test_cut_two_blocks():
     tm = manager()
     c = CircuitBuilder(4, (("c", 4),)).cx(0, 1).cx(2, 3).measure_all("c").build()
-    plan = tm.cut(tm.normalize(c, 10, 0))
+    task = tm.normalize(c, 10, 0)
+    plan = tm.cut(task)
     assert len(plan.subtasks) == 2
     assert all(s.circuit.num_qubits == 2 for s in plan.subtasks)
-    seeds = {s.seed for s in plan.subtasks}
+    seeds = {r.seed for r in piece_requests(task, tm.route(task))}
     assert len(seeds) == 2
 
 
@@ -263,7 +264,7 @@ def test_aggregate_bell_halves_close_to_uncut():
     task = tm.normalize(c, 10000, 3)
     plan = tm.cut(task)
     results = [
-        run(s.circuit, 10000, s.seed)[0] for s in plan.subtasks
+        run(r.circuit, 10000, r.seed)[0] for r in piece_requests(task, tm.route(task))
     ]
     merged = tm.aggregate(plan, results)
     uncut, _ = run(c, 10000, 3)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import product_circuit
 from qorch.circuit import CircuitBuilder
@@ -6,18 +8,13 @@ from qorch.qpm import (
     BackendDescriptor,
     BackendKind,
     BackendRegistry,
+    ExecuteResult,
     StateVectorBackend,
 )
-from qorch.qtm import Preferences, RoutingConfig, TaskManager
-from qorch.simenv import (
-    EnvironmentRun,
-    Oversubscribed,
-    SimPartitionPlan,
-    assess,
-    configure,
-    execute_plan,
-)
+from qorch.qtm import Preferences, QuantumTask, RoutingConfig, RoutingDecision, TaskManager
+from qorch.simenv import Oversubscribed, assess, configure, execute_plan
 from qorch.statevec import exchange_cost
+from reference_planner import reference_assess
 
 
 def registry():
@@ -49,13 +46,11 @@ def routed_tasks(n_tasks, n_qubits=3, workers=1, shots=50, seed=0, sv_workers_cf
 
 
 def test_configure_default_all_state_vector():
-    plan = configure(8)
-    assert plan.partitions == ((BackendKind.STATE_VECTOR, 8),)
+    assert configure(8) == ((BackendKind.STATE_VECTOR, 8),)
 
 
 def test_configure_user_plan_honored():
-    plan = configure(8, [("state_vector", 6), ("tensor_network", 2)])
-    assert plan.partitions == (
+    assert configure(8, [("state_vector", 6), ("tensor_network", 2)]) == (
         (BackendKind.STATE_VECTOR, 6),
         (BackendKind.TENSOR_NETWORK, 2),
     )
@@ -145,18 +140,17 @@ def test_speedup_sanity_local_circuit():
 def test_execute_plan_runs_counts():
     tm, queue = routed_tasks(2, shots=100)
     plan = assess(queue, configure(2), tm.registry)
-    env = execute_plan(plan, tm)
-    assert len(env.results) == 2
-    for result in env.results.values():
+    results = execute_plan(plan, tm)
+    assert len(results) == 2
+    for result in results.values():
         assert result.counts.total() == 100
 
 
 def test_parallel_makespan_is_max_not_sum():
     tm, queue = routed_tasks(2)
     plan = assess(queue, configure(2), tm.registry)
-    env = execute_plan(plan, tm)
     durations = [a.duration for a in plan.assignments]
-    assert env.makespan == pytest.approx(max(durations))
+    assert plan.makespan == pytest.approx(max(durations))
 
 
 def test_gang_vs_throughput_same_counts():
@@ -168,10 +162,8 @@ def test_gang_vs_throughput_same_counts():
     tp_task = tm.normalize(c, 400, 7)
     gang_plan = assess([(gang_task, tm.route(gang_task))], configure(4), reg)
     tp_plan = assess([(tp_task, tm.route(tp_task))], configure(4), reg)
-    gang_env = execute_plan(gang_plan, tm)
-    tp_env = execute_plan(tp_plan, tm)
-    gang_counts = next(iter(gang_env.results.values())).counts
-    tp_counts = next(iter(tp_env.results.values())).counts
+    gang_counts = next(iter(execute_plan(gang_plan, tm).values())).counts
+    tp_counts = next(iter(execute_plan(tp_plan, tm).values())).counts
     assert gang_counts == tp_counts
 
 
@@ -193,9 +185,9 @@ def test_per_task_failure_does_not_abort_siblings():
 
     poisoned = (queue[1][0], replace(queue[1][1], backend_id="ghost"))
     plan = assess([queue[0], poisoned], configure(2), tm.registry)
-    env = execute_plan(plan, tm)
-    assert queue[0][0].task_id in env.results
-    assert poisoned[0].task_id in env.failures
+    results = execute_plan(plan, tm)
+    assert isinstance(results[queue[0][0].task_id], ExecuteResult)
+    assert results[poisoned[0].task_id].startswith("UnknownBackend: ")
 
 
 def test_planned_duration_equals_executed_service_time():
@@ -204,8 +196,8 @@ def test_planned_duration_equals_executed_service_time():
     decision = tm.route(task)
     assert len(decision.cut.subtasks) == 3
     plan = assess([(task, decision)], configure(4), tm.registry)
-    env = execute_plan(plan, tm)
-    assert env.results[task.task_id].modeled_service_time == plan.assignments[0].duration
+    results = execute_plan(plan, tm)
+    assert results[task.task_id].modeled_service_time == plan.assignments[0].duration
 
 
 def test_routed_width_beyond_partition_runs_at_partition_width():
@@ -220,5 +212,81 @@ def test_routed_width_beyond_partition_runs_at_partition_width():
     (assignment,) = plan.assignments
     assert assignment.mode_label() == "gang(2)"
     assert assignment.decision.workers == 2
-    env = execute_plan(plan, tm)
-    assert env.results[task.task_id].modeled_service_time == assignment.duration
+    results = execute_plan(plan, tm)
+    assert results[task.task_id].modeled_service_time == assignment.duration
+
+
+# -- one pass against the event-loop reference ------------------------------------
+
+# a few circuits, so equal durations and equal completion instants are common
+_POOL = [product_circuit(sizes, 1, seed=i)
+         for i, sizes in enumerate([[3], [2, 1], [1, 1, 1], [4], [2, 2], [3, 1, 1]])]
+_KINDS = {"sv-a": BackendKind.STATE_VECTOR, "sv-b": BackendKind.STATE_VECTOR,
+          "tn": BackendKind.TENSOR_NETWORK, "hw": BackendKind.HARDWARE}
+
+
+def planner_registry(zero_durations=False):
+    """Two state-vector backends with different timing models, and a
+    tensor-network and a hardware backend that the planner refuses."""
+    timings = [(0.0, 0.0, 0.0)] * 2 if zero_durations else [(1e-3, 1e-9, 1e-9), (2e-3, 3e-9, 5e-9)]
+    reg = BackendRegistry()
+    for backend_id, timing in zip(("sv-a", "sv-b"), timings):
+        reg.register(BackendDescriptor(backend_id, BackendKind.STATE_VECTOR, 26),
+                     StateVectorBackend(*timing))
+    reg.register(BackendDescriptor("tn", BackendKind.TENSOR_NETWORK, 40))
+    reg.register(BackendDescriptor("hw", BackendKind.HARDWARE, 12))
+    return reg
+
+
+@st.composite
+def planner_inputs(draw):
+    """(partitions, queue): 1-3 kind partitions of 1-9 nodes, and up to 14
+    routed tasks of width 1-8, with or without a ``workers`` preference,
+    cut or whole."""
+    partitions = tuple(
+        (draw(st.sampled_from([BackendKind.STATE_VECTOR, BackendKind.TENSOR_NETWORK])),
+         draw(st.integers(1, 9)))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    tm = TaskManager(planner_registry())
+    queue = []
+    for i in range(draw(st.integers(0, 14))):
+        circuit = _POOL[draw(st.integers(0, len(_POOL) - 1))]
+        workers = draw(st.sampled_from([1, 2, 4, 8]))
+        preferred = draw(st.booleans())
+        task = QuantumTask(f"task-{i:04d}", circuit, 10, i,
+                           Preferences(workers=workers if preferred else None))
+        backend_id = draw(st.sampled_from(["sv-a", "sv-a", "sv-b", "sv-b", "tn", "hw"]))
+        cut = tm.cut(task) if draw(st.booleans()) else None
+        queue.append((task, RoutingDecision(backend_id, _KINDS[backend_id], workers, cut)))
+    return partitions, queue
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=planner_inputs())
+def test_planner_matches_reference(inputs):
+    partitions, queue = inputs
+    reg = planner_registry()
+    plan = assess(queue, partitions, reg)
+    expected = reference_assess(queue, partitions, reg)
+    assert all(a.duration > 0 for a in plan.assignments)
+    assert ([(a.task.task_id, a.decision, a.nodes, a.start, a.duration) for a in plan.assignments]
+            == [(a.task.task_id, a.decision, a.nodes, a.start, a.duration)
+                for a in expected.assignments])
+    assert [a.run_mode for a in plan.assignments] == [a.run_mode for a in expected.assignments]
+    assert plan.failures == expected.failures
+    assert plan.makespan == expected.makespan
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=planner_inputs())
+def test_planner_matches_reference_times_at_zero_durations(inputs):
+    # the reference holds a node that frees at an instant until its next
+    # pass at that instant, so only node ids may differ
+    partitions, queue = inputs
+    reg = planner_registry(zero_durations=True)
+    plan = assess(queue, partitions, reg)
+    expected = reference_assess(queue, partitions, reg)
+    assert ({a.task.task_id: (a.start, a.end) for a in plan.assignments}
+            == {a.task.task_id: (a.start, a.end) for a in expected.assignments})
+    assert plan.failures == expected.failures

@@ -170,7 +170,7 @@ def test_failed_stage_ends_the_run(tmp_path, system):
     )
     report = run_workflow(path, system)
     assert report.status == "failed"
-    assert report.failure.startswith("NoFeasibleBackend: ")
+    assert report.failure.startswith("stage 'big': NoFeasibleBackend: ")
     assert [line["name"] for line in report.stages] == ["a", "check"]
     assert [t.error is None for t in report.tasks] == [True, False]
 
