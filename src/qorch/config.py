@@ -1,10 +1,12 @@
 """System configuration: one INI document with cluster, backend, routing,
 and simulation-environment blocks.
 
-Each backend block carries its own timing coefficients; the simulation
-environment block holds only the partition plan.  Sections, keys and values
-are checked here, so an unknown or bad key fails with its section and name
-before anything runs.
+A backend block takes the keys of ``qpm.BackendDescriptor`` plus those of the
+engine class its kind maps to in ``qpm.ENGINES`` (so each kind carries its
+own timing coefficients); the simulation environment block holds only the
+partition plan.  Sections, keys and values are checked here, so an unknown
+or bad key, or a key that only another kind reads, fails with its section
+and name before anything runs.
 
 Resolution order for the config path: explicit argument, the QORCH_CONFIG
 environment variable, then the packaged default.
@@ -14,17 +16,11 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-from .qpm import (
-    BackendDescriptor,
-    BackendKind,
-    BackendRegistry,
-    MockHardwareBackend,
-    StateVectorBackend,
-)
+from .qpm import ENGINES, BackendDescriptor, BackendKind, BackendRegistry
 from .qtm import RoutingConfig
 from .statevec import MAX_QUBITS
 
@@ -36,56 +32,25 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class BackendSettings:
-    id: str
-    kind: BackendKind
-    max_qubits: int = field(default=26, metadata={"range": (1, None)})
-    supports_mid_circuit: bool = True
-    supports_conditionals: bool = True
-    readout_flip_probability: float = field(default=0.0, metadata={"range": (0.0, 1.0)})
-    alpha: float = field(default=1e-3, metadata={"range": (0.0, None)})
-    beta: float = field(default=1e-9, metadata={"range": (0.0, None)})
-    gamma: float = field(default=1e-9, metadata={"range": (0.0, None)})
-    alpha_q: float = field(default=1.0, metadata={"range": (0.0, None)})
-    beta_q: float = field(default=1e-6, metadata={"range": (0.0, None)})
-
-    def descriptor(self) -> BackendDescriptor:
-        return BackendDescriptor(
-            self.id, self.kind, self.max_qubits,
-            self.supports_mid_circuit, self.supports_conditionals,
-        )
-
-    def implementation(self):
-        if self.kind is BackendKind.STATE_VECTOR:
-            return StateVectorBackend(self.alpha, self.beta, self.gamma)
-        if self.kind is BackendKind.HARDWARE:
-            return MockHardwareBackend(
-                self.readout_flip_probability, self.alpha_q, self.beta_q
-            )
-        return None  # tensor-network slots need an external plugin
-
-
-@dataclass(frozen=True)
 class SystemConfig:
     nodes: int
     device: str | None
     backfill: bool
-    backends: tuple[BackendSettings, ...]
+    backends: tuple[tuple[BackendDescriptor, object | None], ...]  # (descriptor, engine)
     routing: RoutingConfig
     partitions: tuple[tuple[BackendKind, int | None], ...]  # count None = every sim node
     text: str = ""  # verbatim snapshot for run directories
 
     def build_registry(self) -> BackendRegistry:
         registry = BackendRegistry()
-        for settings in self.backends:
-            registry.register(settings.descriptor(), settings.implementation())
+        for descriptor, engine in self.backends:
+            registry.register(descriptor, engine)
         return registry
 
 
-# the keys each section holds; "backend:" stands for every [backend:<id>]
+# the keys each section holds; a [backend:<id>] section takes those of its kind
 _KEYS = {
     "cluster": {"nodes", "device", "backfill"},
-    "backend:": {f.name for f in fields(BackendSettings)} - {"id"},
     "routing": {f.name for f in fields(RoutingConfig)},
     "simenv": {"partitions"},
 }
@@ -109,8 +74,12 @@ def parse_config(text: str) -> SystemConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"bad config: {exc}") from exc
+    backends = []
     for name in parser.sections():
-        _check_keys(name, parser[name])
+        if name.startswith("backend:"):
+            backends.append(_parse_backend(name, parser[name]))
+        else:
+            _check_keys(name, parser[name], _KEYS.get(name))
 
     def section(name: str):
         return parser[name] if parser.has_section(name) else {}
@@ -120,28 +89,16 @@ def parse_config(text: str) -> SystemConfig:
     device = cluster.get("device") or None
     backfill = _as_bool(cluster, "cluster", "backfill", False)
 
-    backends: list[BackendSettings] = []
-    for name in parser.sections():
-        if not name.startswith("backend:"):
-            continue
-        raw = parser[name]
-        backend_id = name.split(":", 1)[1]
-        try:
-            kind = BackendKind(raw.get("kind", "state_vector"))
-        except ValueError as exc:
-            raise ConfigError(f"[{name}] kind: {exc}") from exc
-        settings = BackendSettings(backend_id, kind, **_field_values(BackendSettings, raw, name))
-        # a tensor-network slot is not simulated by statevec, so it keeps its own bound
-        if kind is not BackendKind.TENSOR_NETWORK and settings.max_qubits > MAX_QUBITS:
-            raise ConfigError(
-                f"[{name}] max_qubits: a {kind.value} backend simulates at most "
-                f"{MAX_QUBITS} qubits, got {settings.max_qubits}"
-            )
-        backends.append(settings)
     if not backends:
         raise ConfigError("config declares no [backend:*] sections")
-    if device is not None and device not in {b.id for b in backends}:
-        raise ConfigError(f"[cluster] device: {device!r} is not a configured backend")
+    if device is not None:
+        by_id = {desc.id: (desc, engine) for desc, engine in backends}
+        if device not in by_id:
+            raise ConfigError(f"[cluster] device: {device!r} is not a configured backend")
+        desc, engine = by_id[device]
+        if engine is None:
+            raise ConfigError(f"[cluster] device: {device!r} is a {desc.kind.value} backend, "
+                              "which has no engine")
 
     routing = RoutingConfig(**_field_values(RoutingConfig, section("routing"), "routing"))
 
@@ -158,10 +115,29 @@ def parse_config(text: str) -> SystemConfig:
     )
 
 
-def _check_keys(name: str, raw) -> None:
+def _parse_backend(name: str, raw) -> tuple[BackendDescriptor, object | None]:
+    """One [backend:<id>] section: its descriptor, and an engine of the class
+    its kind maps to in ``ENGINES``, or None for a kind without one."""
+    try:
+        kind = BackendKind(raw.get("kind", "state_vector"))
+    except ValueError as exc:
+        raise ConfigError(f"[{name}] kind: {exc}") from exc
+    engine = ENGINES.get(kind)
+    classes = (BackendDescriptor,) if engine is None else (BackendDescriptor, engine)
+    _check_keys(name, raw, {f.name for cls in classes for f in fields(cls)} - {"id"})
+    descriptor = BackendDescriptor(name.split(":", 1)[1], kind,
+                                   **_field_values(BackendDescriptor, raw, name))
+    # a tensor-network slot is not simulated by statevec, so it keeps its own bound
+    if kind is not BackendKind.TENSOR_NETWORK and descriptor.max_qubits > MAX_QUBITS:
+        raise ConfigError(
+            f"[{name}] max_qubits: a {kind.value} backend simulates at most "
+            f"{MAX_QUBITS} qubits, got {descriptor.max_qubits}"
+        )
+    return descriptor, None if engine is None else engine(**_field_values(engine, raw, name))
+
+
+def _check_keys(name: str, raw, known: set[str] | None) -> None:
     """Refuse a section or key that nothing reads, naming it."""
-    prefix, colon, _ = name.partition(":")
-    known = _KEYS.get(prefix + colon)
     if known is None:
         raise ConfigError(
             f"[{name}]: unknown section (have [cluster], [backend:<id>], [routing], [simenv])"
@@ -215,6 +191,8 @@ def _number(raw, section: str, key: str, default, kind=float, low=None, high=Non
 def _parse_partitions(raw: str):
     """``kind:count`` entries, or one ``kind:all`` that gives the kind every node."""
     entries = [item.strip() for item in raw.split(",") if item.strip()]
+    if not entries:
+        raise ConfigError("[simenv] partitions: no entries")
     plan = []
     for entry in entries:
         kind, _, count = (part.strip() for part in entry.partition(":"))

@@ -11,17 +11,22 @@ Each backend owns its timing model: ``service_time(circuit, shots, workers)``
 is a pure function of the request, ``execute`` reports it, and the planners
 above this layer read the same method.  All service times are logical model
 values (seconds), never wall clock, so the schedulers stay deterministic.
+
+``BackendDescriptor`` and each engine are frozen dataclasses whose fields with
+a default are the keys of a ``[backend:<id>]`` config section, each with one
+default and its ``range`` bounds.  ``ENGINES`` maps a kind to its engine
+class; tensor_network has none.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .circuit import Circuit, gate_count, has_conditionals, has_mid_circuit
 from .seeds import derive_seed
-from .statevec import Counts, ExecutionTrace, exchange_cost, format_keys, run
+from .statevec import MAX_QUBITS, Counts, ExecutionTrace, exchange_cost, format_keys, run
 
 
 class BackendKind(str, Enum):
@@ -50,7 +55,7 @@ class MidCircuitUnsupported(ValueError):
 class BackendDescriptor:
     id: str
     kind: BackendKind
-    max_qubits: int
+    max_qubits: int = field(default=MAX_QUBITS, metadata={"range": (1, None)})
     supports_mid_circuit: bool = True
     supports_conditionals: bool = True
 
@@ -84,16 +89,16 @@ class ExecuteResult:
     modeled_service_time: float
 
 
+@dataclass(frozen=True)
 class StateVectorBackend:
     """Ideal chunked state-vector execution timed as
 
         T(circuit, w) = alpha + beta * gates * 2^n / w + gamma * exchange_cost(w)
     """
 
-    def __init__(self, alpha: float = 1e-3, beta: float = 1e-9, gamma: float = 1e-9):
-        self.alpha = alpha
-        self.beta = beta
-        self.gamma = gamma
+    alpha: float = field(default=1e-3, metadata={"range": (0.0, None)})
+    beta: float = field(default=1e-9, metadata={"range": (0.0, None)})
+    gamma: float = field(default=1e-9, metadata={"range": (0.0, None)})
 
     def service_time(self, circuit: Circuit, shots: int, workers: int) -> float:
         n = circuit.num_qubits
@@ -110,8 +115,12 @@ class StateVectorBackend:
         return CalibrationInfo(0.0)
 
 
+@dataclass(frozen=True)
 class MockHardwareBackend:
-    """Ideal simulation plus independent readout bit flips with probability p.
+    """Ideal simulation plus independent readout bit flips with probability
+    ``readout_flip_probability``, timed as
+
+        T(circuit, shots) = alpha_q + beta_q * shots * gates
 
     Flip draws come from one counter-keyed stream indexed by (shot, bit), so
     they are a pure function of (request seed, shot, bit) regardless of how
@@ -120,20 +129,16 @@ class MockHardwareBackend:
     and only the distinct results are formatted as keys.
     """
 
-    def __init__(self, readout_flip_probability: float = 0.02,
-                 alpha_q: float = 1.0, beta_q: float = 1e-6):
-        if not 0.0 <= readout_flip_probability <= 1.0:
-            raise ValueError("readout flip probability must be in [0, 1]")
-        self.p = readout_flip_probability
-        self.alpha_q = alpha_q
-        self.beta_q = beta_q
+    readout_flip_probability: float = field(default=0.0, metadata={"range": (0.0, 1.0)})
+    alpha_q: float = field(default=1.0, metadata={"range": (0.0, None)})
+    beta_q: float = field(default=1e-6, metadata={"range": (0.0, None)})
 
     def service_time(self, circuit: Circuit, shots: int, workers: int) -> float:
         return self.alpha_q + self.beta_q * shots * gate_count(circuit)
 
     def execute(self, request: ExecuteRequest, descriptor: BackendDescriptor) -> ExecuteResult:
         counts, trace = run(request.circuit, request.shots, request.seed, workers=1)
-        if self.p > 0.0:
+        if self.readout_flip_probability > 0.0:
             counts = self._flip(counts, request.shots, request.seed)
         service = self.service_time(request.circuit, request.shots, request.workers)
         return ExecuteResult(request.task_id, counts, trace, descriptor.id, service)
@@ -143,7 +148,8 @@ class MockHardwareBackend:
         if not keys or keys == [""]:
             return counts
         rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, "readout")))
-        flips = rng.random((shots, len(keys[0]) - keys[0].count(" "))) < self.p
+        bits = len(keys[0]) - keys[0].count(" ")
+        flips = rng.random((shots, bits)) < self.readout_flip_probability
         # Shot s reads the s-th key of the sorted keys, each repeated by its
         # count, so its readout is that key XOR flip row s.
         words = np.repeat(pack_keys(keys), [counts[k] for k in keys], axis=0)
@@ -151,7 +157,13 @@ class MockHardwareBackend:
         return count_rows(words, keys[0])
 
     def calibration(self) -> CalibrationInfo:
-        return CalibrationInfo(self.p)
+        return CalibrationInfo(self.readout_flip_probability)
+
+
+ENGINES: dict[BackendKind, type] = {
+    BackendKind.STATE_VECTOR: StateVectorBackend,
+    BackendKind.HARDWARE: MockHardwareBackend,
+}
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:

@@ -4,11 +4,15 @@
 
 runs, with the ``src/`` next to this file:
 
-- 9 scenarios, seed 5: single_circuit, ensemble and in_sequence under
+- 11 scenarios, seed 5: single_circuit, ensemble and in_sequence under
   per_job and single_qc, two single_qc ensembles (seeds 5 and 6) on the
-  default config with ``device = mock-hw``, and a per_job ensemble whose
+  default config with ``device = mock-hw``, a per_job ensemble whose
   tasks plan as gangs and cut pieces, on the default config with
-  ``local_qubits_per_worker = 2`` and 3 sim nodes;
+  ``local_qubits_per_worker = 2`` and 3 sim nodes, and a per_job and a
+  single_qc ensemble on ``keys.ini``, the default config with
+  ``device = mock-hw``, ``local_qubits_per_worker = 2`` and a new value for
+  every timing coefficient, the flip probability and mock-hw's
+  ``max_qubits``;
 - a per_job and a single_qc ``submit`` of every ``tests/corpus/valid``
   program, 1024 shots, seed 5;
 - a ``workflow`` run, seed 5, of ``OUT/workflow-files/flow.ini``: quantum
@@ -68,14 +72,35 @@ op = select_max
 """
 
 
+def write_config(path: Path, *edits) -> Path:
+    """Write the default config to ``path`` with each ``(old, new)`` line
+    replaced; a line the default config lacks is an error, not a no-op."""
+    text = (ROOT / "src" / "qorch" / "data" / "default.ini").read_text("utf-8")
+    for old, new in edits:
+        if f"\n{old}\n" not in text:
+            raise ValueError(f"default.ini has no line {old!r}")
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    path.write_text(text, "utf-8")
+    return path
+
+
 def runs(out: Path):
     """(name, argv) of every run, in order."""
-    mock_hw = out / "mock-hw.ini"
-    default = (ROOT / "src" / "qorch" / "data" / "default.ini").read_text("utf-8")
-    mock_hw.write_text(default.replace("device = statevec", "device = mock-hw"), "utf-8")
-    gangs = out / "gangs.ini"
-    gangs.write_text(default.replace("local_qubits_per_worker = 20",
-                                     "local_qubits_per_worker = 2"), "utf-8")
+    mock_hw = write_config(out / "mock-hw.ini", ("device = statevec", "device = mock-hw"))
+    gangs = write_config(out / "gangs.ini",
+                         ("local_qubits_per_worker = 20", "local_qubits_per_worker = 2"))
+    keys = write_config(
+        out / "keys.ini",
+        ("device = statevec", "device = mock-hw"),
+        ("alpha = 1e-3", "alpha = 2e-3"),
+        ("beta = 1e-9", "beta = 3e-9"),
+        ("gamma = 1e-9", "gamma = 5e-9"),
+        ("max_qubits = 12", "max_qubits = 10"),
+        ("readout_flip_probability = 0.02", "readout_flip_probability = 0.05"),
+        ("alpha_q = 1.0", "alpha_q = 0.5"),
+        ("beta_q = 1e-6", "beta_q = 2e-6"),
+        ("local_qubits_per_worker = 20", "local_qubits_per_worker = 2"),
+    )
     for model in MODELS:
         for pattern in ("single_circuit", "ensemble", "in_sequence"):
             yield f"scenario-{pattern}-{model}", ["scenario", pattern, "--seed", "5",
@@ -87,6 +112,10 @@ def runs(out: Path):
     yield "scenario-ensemble-per_job-gangs", [
         "--config", str(gangs), "scenario", "ensemble", "--k", "5", "--n", "4",
         "--sim-nodes", "3", "--seed", "5"]
+    for model in MODELS:
+        yield f"scenario-ensemble-{model}-keys", [
+            "--config", str(keys), "scenario", "ensemble", "--k", "3", "--n", "4",
+            "--seed", "5", "--model", model]
     corpus = ROOT / "tests" / "corpus" / "valid"
     for program in sorted(corpus.glob("*.qasm")):
         for model in MODELS:

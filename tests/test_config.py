@@ -1,7 +1,9 @@
+from dataclasses import MISSING, fields
+
 import pytest
 
 from qorch.config import ConfigError, default_config_text, load_config, parse_config
-from qorch.qpm import BackendKind
+from qorch.qpm import BackendDescriptor, BackendKind, MockHardwareBackend, StateVectorBackend
 from qorch.simenv import configure
 
 
@@ -9,11 +11,12 @@ def test_default_config_parses():
     cfg = parse_config(default_config_text())
     assert cfg.nodes == 8
     assert cfg.device == "statevec"
-    assert [b.id for b in cfg.backends] == ["statevec", "mock-hw"]
+    assert [desc.id for desc, _ in cfg.backends] == ["statevec", "mock-hw"]
     assert cfg.routing.sv_max == 24
     assert cfg.routing.local_qubits_per_worker == 20
-    assert cfg.backends[0].alpha == 1e-3
-    assert cfg.backends[0].gamma == 1e-9
+    engine = cfg.backends[0][1]
+    assert engine.alpha == 1e-3
+    assert engine.gamma == 1e-9
     assert cfg.partitions == ((BackendKind.STATE_VECTOR, None),)
 
 
@@ -52,6 +55,14 @@ def test_env_var_config(tmp_path, monkeypatch):
 def test_unknown_device_rejected():
     with pytest.raises(ConfigError):
         parse_config("[cluster]\ndevice = ghost\n\n[backend:sv]\nkind = state_vector\n")
+
+
+def test_device_without_engine_rejected():
+    with pytest.raises(ConfigError) as info:
+        parse_config("[cluster]\ndevice = tn\n\n[backend:tn]\nkind = tensor_network\n\n"
+                     "[backend:sv]\nkind = state_vector\n")
+    assert str(info.value) == (
+        "[cluster] device: 'tn' is a tensor_network backend, which has no engine")
 
 
 def test_no_backends_rejected():
@@ -93,8 +104,48 @@ def test_bad_value_names_section_and_key(text, section, key):
 def test_tensor_network_max_qubits_may_pass_the_state_vector_ceiling():
     cfg = parse_config("[backend:tn]\nkind = tensor_network\nmax_qubits = 64\n\n"
                        "[backend:sv]\nkind = state_vector\nmax_qubits = 26\nalpha = 0\n")
-    assert [b.max_qubits for b in cfg.backends] == [64, 26]
-    assert cfg.backends[1].alpha == 0.0
+    assert [desc.max_qubits for desc, _ in cfg.backends] == [64, 26]
+    assert cfg.backends[1][1].alpha == 0.0
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("hardware", "alpha"),
+    ("hardware", "gamma"),
+    ("state_vector", "readout_flip_probability"),
+    ("state_vector", "alpha_q"),
+    ("tensor_network", "alpha"),
+    ("tensor_network", "beta_q"),
+])
+def test_key_of_another_kind_rejected(kind, key):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"[backend:x]\nkind = {kind}\n{key} = 0.5\n\n"
+                     "[backend:sv]\nkind = state_vector\n")
+    message = str(info.value)
+    assert message.startswith(f"[backend:x] {key}: unknown key (have ")
+    assert key not in message.split("(have ")[1].split(", ")
+
+
+def test_every_backend_key_reaches_the_registry():
+    cfg = parse_config(
+        "[backend:sv]\nkind = state_vector\nmax_qubits = 20\nsupports_mid_circuit = false\n"
+        "supports_conditionals = false\nalpha = 2e-3\nbeta = 3e-9\ngamma = 5e-9\n\n"
+        "[backend:hw]\nkind = hardware\nmax_qubits = 10\nsupports_mid_circuit = false\n"
+        "supports_conditionals = false\nreadout_flip_probability = 0.05\n"
+        "alpha_q = 0.5\nbeta_q = 2e-6\n"
+    )
+    sv = BackendDescriptor("sv", BackendKind.STATE_VECTOR, 20, False, False)
+    hw = BackendDescriptor("hw", BackendKind.HARDWARE, 10, False, False)
+    sv_engine = StateVectorBackend(alpha=2e-3, beta=3e-9, gamma=5e-9)
+    hw_engine = MockHardwareBackend(readout_flip_probability=0.05, alpha_q=0.5, beta_q=2e-6)
+    # every key is set away from its default, so a key that is dropped shows
+    for record in (sv, hw, sv_engine, hw_engine):
+        for f in fields(record):
+            assert f.default is MISSING or getattr(record, f.name) != f.default, f.name
+    assert cfg.backends == ((sv, sv_engine), (hw, hw_engine))
+    registry = cfg.build_registry()
+    assert registry.list() == [sv, hw]
+    for desc, engine in cfg.backends:
+        assert registry._entries[desc.id].implementation is engine
 
 
 @pytest.mark.parametrize("key", ["alpha", "beta", "gamma"])
@@ -126,7 +177,7 @@ def test_partitions_all_honours_its_kind():
 
 
 @pytest.mark.parametrize("entry", ["bogus:all", "bogus:3", "state_vector:2,bogus:1",
-                                   "state_vector:all,tensor_network:1", "state_vector:two"])
+                                   "state_vector:all,tensor_network:1", "state_vector:two", ""])
 def test_bad_partition_entry_rejected(entry):
     with pytest.raises(ConfigError) as info:
         parse_config(f"[backend:sv]\nkind = state_vector\n\n[simenv]\npartitions = {entry}\n")
