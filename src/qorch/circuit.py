@@ -8,7 +8,7 @@ cutting decisions in the task manager.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .gates import GateKind
 
@@ -345,9 +345,11 @@ def split_circuit(c: Circuit) -> list[Subcircuit]:
                     instrs.append(Barrier(kept))
             elif isinstance(instr, Gate):
                 if instr.qubits[0] in local:
-                    instrs.append(replace(instr, qubits=tuple(local[q] for q in instr.qubits)))
+                    instrs.append(Gate(instr.kind, instr.params,
+                                       tuple(local[q] for q in instr.qubits), instr.condition))
             elif instr.qubit in local:
-                instrs.append(replace(instr, qubit=local[instr.qubit]))
+                instrs.append(Measure(local[instr.qubit], instr.creg, instr.bit)
+                              if isinstance(instr, Measure) else Reset(local[instr.qubit]))
         subs.append(Subcircuit(Circuit(len(qubits), c.cregs, tuple(instrs)),
                                dict(enumerate(qubits))))
     return subs

@@ -118,6 +118,9 @@ def parse_config(text: str) -> SystemConfig:
 def _parse_backend(name: str, raw) -> tuple[BackendDescriptor, object | None]:
     """One [backend:<id>] section: its descriptor, and an engine of the class
     its kind maps to in ``ENGINES``, or None for a kind without one."""
+    backend_id = name.split(":", 1)[1]
+    if not backend_id:
+        raise ConfigError(f"[{name}]: a backend section needs an id, as in [backend:<id>]")
     try:
         kind = BackendKind(raw.get("kind", "state_vector"))
     except ValueError as exc:
@@ -125,7 +128,7 @@ def _parse_backend(name: str, raw) -> tuple[BackendDescriptor, object | None]:
     engine = ENGINES.get(kind)
     classes = (BackendDescriptor,) if engine is None else (BackendDescriptor, engine)
     _check_keys(name, raw, {f.name for cls in classes for f in fields(cls)} - {"id"})
-    descriptor = BackendDescriptor(name.split(":", 1)[1], kind,
+    descriptor = BackendDescriptor(backend_id, kind,
                                    **_field_values(BackendDescriptor, raw, name))
     # a tensor-network slot is not simulated by statevec, so it keeps its own bound
     if kind is not BackendKind.TENSOR_NETWORK and descriptor.max_qubits > MAX_QUBITS:

@@ -16,6 +16,14 @@ Custom gate definitions, opaque declarations and includes other than
 ``qelib1.inc`` raise UnsupportedFeature; malformed text raises
 QasmSyntaxError; bad register sizes, names, indices and operand counts raise
 circuit.ValidationError.  All errors carry a 1-based line and column.
+
+``parse_qasm`` first tries the statement path, ``_parse_statements``: one
+match of ``_STATEMENT`` per statement, over the plain form that
+``serialize_qasm`` prints (indexed operands, numeric parameters, no
+comments, barriers or pi forms).  It never raises.  On any text it does not
+fully accept, it returns None, and the token parser, ``_Parser``, reads the
+text from the start.  ``_Parser`` is the grammar of record and raises every
+error, so errors keep their class, position and message.
 """
 from __future__ import annotations
 
@@ -372,13 +380,113 @@ class _Parser:
         self.instructions.append(Barrier(tuple(qubits)))
 
 
+# The statement path's grammar.  Whitespace may sit between any two tokens,
+# as in the token grammar.  Integers stop at nine digits, so int() never
+# meets its digit limit here.
+_S = r"[ \t\r\n]*"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_INT = r"[0-9]{1,9}"
+_NUM = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_HEADER = re.compile(rf"{_S}OPENQASM[ \t\r\n]+2\.0{_S};{_S}")
+_STATEMENT = re.compile(
+    rf"""(?:
+      (?P<decl>[qc])reg[ \t\r\n]+(?P<reg>{_NAME}){_S}\[{_S}(?P<size>{_INT}){_S}\]
+    | reset[ \t\r\n]+(?P<reset>{_NAME}){_S}\[{_S}(?P<reset_i>{_INT}){_S}\]
+    | measure[ \t\r\n]+(?P<mq>{_NAME}){_S}\[{_S}(?P<mq_i>{_INT}){_S}\]
+        {_S}->{_S}(?P<mc>{_NAME}){_S}\[{_S}(?P<mc_i>{_INT}){_S}\]
+    | (?P<include>include){_S}"qelib1\.inc"
+    | (?:if{_S}\({_S}(?P<cond>{_NAME}){_S}=={_S}(?P<value>{_INT}){_S}\){_S})?
+        (?P<gate>{_NAME})
+        (?:{_S}\({_S}(?P<params>{_NUM}(?:{_S},{_S}{_NUM})*){_S}\){_S}|[ \t\r\n]+)
+        (?P<a>{_NAME}){_S}\[{_S}(?P<a_i>{_INT}){_S}\]
+        (?:{_S},{_S}(?P<b>{_NAME}){_S}\[{_S}(?P<b_i>{_INT}){_S}\])?
+    ){_S};{_S}""",
+    re.VERBOSE,
+)
+
+
+def _parse_statements(text: str) -> Circuit | None:
+    """The circuit of ``text`` if every statement is in the statement path's
+    subset, else None; never raises.
+
+    The subset: the header, ``include "qelib1.inc"``, ``qreg``/``creg``,
+    gates on indexed operands with plain numeric parameters and an optional
+    ``if(c==n)``, ``measure a[i] -> b[j]`` and ``reset a[i]``.  Comments,
+    barriers, broadcast and pi forms do not match.  The checks here decline,
+    at the statement, unknown gates and registers (one declared only later
+    too), indices out of range, keywords as names, duplicate or empty
+    registers and angles that are not finite; the Circuit's own validation
+    declines operand and parameter counts and repeated operands.  So a
+    result always equals ``_Parser``'s, and any text ``_Parser`` rejects
+    gives None.
+    """
+    header = _HEADER.match(text)
+    if header is None:
+        return None
+    pos, end = header.end(), len(text)
+    qregs: dict[str, tuple[int, int]] = {}  # name -> (first flat qubit, size)
+    cregs: dict[str, int] = {}
+    num_qubits = 0
+    instructions: list[Instruction] = []
+
+    def qubit(name: str, index: str) -> int | None:
+        first, size = qregs.get(name, (0, 0))
+        i = int(index)
+        return first + i if i < size else None
+
+    match = _STATEMENT.match
+    while pos < end:
+        m = match(text, pos)
+        if m is None:
+            return None
+        pos = m.end()
+        (decl, reg, size, reset, reset_i, mq, mq_i, mc, mc_i, include,
+         cond, value, gate, params, a, a_i, b, b_i) = m.groups()
+        if gate is not None:
+            kind = _GATES.get(gate)
+            qubits = (qubit(a, a_i),) if b is None else (qubit(a, a_i), qubit(b, b_i))
+            if kind is None or None in qubits or (cond is not None and cond not in cregs):
+                return None
+            angles = () if params is None else tuple(map(float, params.split(",")))
+            if not all(map(math.isfinite, angles)):
+                return None
+            condition = None if cond is None else (cond, int(value))
+            instructions.append(Gate(kind, angles, qubits, condition))
+        elif mq is not None:
+            q, bit = qubit(mq, mq_i), int(mc_i)
+            if q is None or bit >= cregs.get(mc, 0):
+                return None
+            instructions.append(Measure(q, mc, bit))
+        elif reset is not None:
+            q = qubit(reset, reset_i)
+            if q is None:
+                return None
+            instructions.append(Reset(q))
+        elif include is None:
+            count = int(size)
+            if reg in _KEYWORDS or reg in qregs or reg in cregs or count < 1:
+                return None
+            if decl == "q":
+                qregs[reg] = (num_qubits, count)
+                num_qubits += count
+            else:
+                cregs[reg] = count
+    try:
+        return Circuit(num_qubits, tuple(cregs.items()), tuple(instructions))
+    except ValidationError:
+        return None
+
+
 def parse_qasm(text: str) -> Circuit:
     """Parse OpenQASM 2.0 source into a validated Circuit.
 
     Qubits from all qreg declarations are flattened into one index space in
-    declaration order; creg declaration order is preserved.
+    declaration order; creg declaration order is preserved.  The statement
+    path reads the program when it can; otherwise the token parser reads it
+    from the start and raises any error.
     """
-    return _Parser(text).parse()
+    circuit = _parse_statements(text)
+    return circuit if circuit is not None else _Parser(text).parse()
 
 
 def _format_angle(value: float) -> str:

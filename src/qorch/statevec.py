@@ -99,7 +99,16 @@ class State:
         self.amplitudes = np.zeros(2**num_qubits, dtype=np.complex128)
         self.amplitudes[0] = 1.0
         self.classical: dict[str, int] = {}
-        self.rng = np.random.default_rng(seed)
+        self._rng: np.random.Generator | None = None
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The stream ``apply`` draws collapses from, built on first use:
+        ``run`` draws from its own stream and never builds it.  A copy made
+        before the first draw builds its own stream from the same seed."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(self.seed)
+        return self._rng
 
     @property
     def chunks(self) -> list[np.ndarray]:
@@ -383,7 +392,7 @@ def run(c: Circuit, shots: int, seed: int = 0,
     end = 1 + max((i for i, instr in enumerate(program) if isinstance(instr, Gate)),
                   default=-1)
     rng = np.random.default_rng(derive_seed(seed, "static"))
-    trace = ExecutionTrace(seed=seed)
+    gates = measures = exchanged = 0
     drawn = []
     pending = [(State(c.num_qubits, workers), 0, shots)]
     while pending:
@@ -391,10 +400,12 @@ def run(c: Circuit, shots: int, seed: int = 0,
         for pc in range(start, end):
             instr = program[pc]
             if not isinstance(instr, (Measure, Reset)):
-                trace = trace + state.apply(instr)
+                delta = state.apply(instr)
+                gates += delta.gates_applied
+                exchanged += delta.exchanged_amplitudes
                 continue
             ones = int(rng.binomial(k, state.p_one(instr.qubit)))
-            trace.measures += isinstance(instr, Measure)
+            measures += isinstance(instr, Measure)
             bit = int(ones == k)
             if 0 < ones < k:
                 sibling = state.copy()
@@ -402,11 +413,12 @@ def run(c: Circuit, shots: int, seed: int = 0,
                 pending.append((sibling, pc + 1, ones))
                 k -= ones
             state.settle(instr, bit)
-        keys_of, pvec, measures = _static_distribution(state, program[end:], c.cregs)
-        trace.measures += measures
+        keys_of, pvec, read_out = _static_distribution(state, program[end:], c.cregs)
+        measures += read_out
         draws = rng.multinomial(k, pvec)
         hits = np.flatnonzero(draws)
         drawn.append(zip(keys_of(hits), draws[hits].tolist()))
+    trace = ExecutionTrace(gates, measures, exchanged, seed)
     if len(drawn) == 1:  # one branch draws distinct keys in sorted order
         return Counts(drawn[0]), trace
     tally: Counter[str] = Counter()

@@ -168,6 +168,12 @@ def test_unknown_section_or_key_rejected(text, named):
     assert named in str(info.value)
 
 
+def test_backend_section_without_id_rejected():
+    with pytest.raises(ConfigError) as info:
+        parse_config("[backend:]\nkind = state_vector\n")
+    assert "[backend:]" in str(info.value)
+
+
 def test_partitions_all_honours_its_kind():
     cfg = parse_config(
         "[backend:sv]\nkind = state_vector\n\n[simenv]\npartitions = tensor_network:all\n"

@@ -12,6 +12,8 @@ from qorch.qasm import (
     QasmError,
     QasmSyntaxError,
     UnsupportedFeature,
+    _parse_statements,
+    _Parser,
     parse_qasm,
     serialize_qasm,
 )
@@ -288,3 +290,144 @@ def test_edited_programs_raise_only_typed_errors(path, rng):
         parse_qasm(text)
     except (QasmError, ValidationError) as exc:
         _position(exc)
+
+
+# -- the statement path, held to the token parser ------------------------------
+
+# Valid corpus programs the statement path declines, so the token parser reads
+# them: broadcast operands, pi forms, barriers, comments.
+DECLINED = {
+    "all_gates.qasm", "barrier_reset.qasm", "bell.qasm", "broadcast_cx.qasm",
+    "broadcast_h.qasm", "comments.qasm", "crlf.qasm", "disconnected.qasm", "ghz5.qasm",
+    "negative_angles.qasm", "pi_fractions.qasm", "register_measure_single.qasm",
+    "reset_broadcast.qasm", "swap_network.qasm", "uppercase_builtins.qasm",
+}
+
+
+def test_statement_path_declines_only_the_named_corpus_files():
+    declined = set()
+    for path in _VALID:
+        text = path.read_text("utf-8")
+        fast = _parse_statements(text)
+        if fast is None:
+            declined.add(path.name)
+        else:
+            assert repr(fast) == repr(_Parser(text).parse()), path.name
+    assert declined == DECLINED
+
+
+_HEAD = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg a[1];\nqreg q[2];\ncreg c[2];\n'
+
+
+@pytest.mark.parametrize("body, valid", [
+    ("h q[0]; // comment\n", True),
+    ("h q;\n", True),
+    ("rx(pi/2) q[0];\n", True),
+    ("barrier q[0];\n", True),
+    ("qreg é[1];\n", True),
+    ("h r[0];\n", False),
+    ("h a[1];\n", False),  # a[1] would be q[0] in the flat index space
+    ("measure a[1] -> c[0];\n", False),
+    ("reset a[1];\n", False),
+    ("measure q[0] -> c[2];\n", False),
+    ("measure q[0] -> q[0];\n", False),
+    ("cx q[0],q[0];\n", False),
+    ("cx q[0];\n", False),
+    ("h q[0],q[1];\n", False),
+    ("rx(1e999) q[0];\n", False),
+    ("rx(1,2) q[0];\n", False),
+    ("h() q[0];\n", True),
+    ("if(d==1) x q[0];\n", False),
+    ("if(d==1) x q[0];\ncreg d[1];\n", False),  # a creg declared after its use
+    ("measure q[0] -> d[0];\ncreg d[1];\n", False),
+    ("hq[0];\n", False),
+    ("H q[0];\n", False),
+    ("creg if[1];\n", False),
+    ("qreg b[0];\n", False),
+    ("creg a[1];\n", False),
+    ("qreg c[1];\n", False),
+    ("h q[0]\n", False),
+    ("measure q[0] - > c[0];\n", False),
+])
+def test_statement_path_declines(body, valid):
+    text = _HEAD + body
+    assert _parse_statements(text) is None
+    if valid:
+        _Parser(text).parse()
+    else:
+        with pytest.raises((QasmError, ValidationError)):
+            _Parser(text).parse()
+
+
+# Headers it does not take, and an index past int()'s digit limit, which the
+# token parser meets as a ValueError.
+@pytest.mark.parametrize("text", [
+    "OPENQASM 2.1;\n", "OPENQASM 2.00;\n", "OPENQASM2.0;\n", "qreg q[1];\n", "",
+    _HEAD + "h q[" + "1" * 5000 + "];\n",
+])
+def test_statement_path_declines_without_raising(text):
+    assert _parse_statements(text) is None
+
+
+def test_statement_path_takes_whitespace_between_tokens():
+    text = (" \r\nOPENQASM\t2.0 ;include\"qelib1.inc\";qreg\nq [ 2 ] ;creg c[02];\n"
+            "if ( c == 1 )u ( -0 , +.5 ,5.e-1 )q[1];cx q[0] , q [1];\n"
+            "measure q[1]->c[0];reset\tq[0] ;\n\n")
+    fast = _parse_statements(text)
+    assert fast is not None and repr(fast) == repr(_Parser(text).parse())
+
+
+@pytest.mark.parametrize("name", sorted(INVALID))
+def test_statement_path_declines_invalid_corpus(name):
+    assert _parse_statements((CORPUS / "invalid" / name).read_text("utf-8")) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_circuits())
+def test_statement_path_reads_serialized_circuits(circuit):
+    text = serialize_qasm(circuit)
+    fast = _parse_statements(text)
+    if any(isinstance(instr, Barrier) for instr in circuit.instructions):
+        assert fast is None
+    else:
+        assert repr(fast) == repr(_Parser(text).parse()) == repr(circuit)
+
+
+# The corpus, and each valid program as serialize_qasm prints it, which the
+# statement path reads unless it holds a barrier.
+_EDIT_BASES = [p.read_text("utf-8") for p in _VALID] + [
+    serialize_qasm(parse_qasm(p.read_text("utf-8"))) for p in _VALID
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(_EDIT_BASES), st.randoms(use_true_random=False))
+def test_statement_path_agrees_with_token_parser_on_edited_programs(text, rng):
+    for _ in range(rng.randint(1, 3)):
+        at = rng.choice([m.end() for m in _SPOTS.finditer(text)] or [0])
+        text = text[:at] + rng.choice(_EDITS) + text[at + rng.randint(0, 2) :]
+    fast = _parse_statements(text)
+    try:
+        expected = _Parser(text).parse()
+    except (QasmError, ValidationError):
+        assert fast is None
+    else:
+        assert fast is None or repr(fast) == repr(expected)
+
+
+# Statements in another order: a register used before its declaration is
+# an error the token parser raises at the use, so the statement path
+# declines it there.
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_EDIT_BASES[len(_VALID):]), st.randoms(use_true_random=False))
+def test_statement_path_agrees_with_token_parser_on_reordered_statements(text, rng):
+    header, *body = text.splitlines()
+    rng.shuffle(body)
+    text = "\n".join([header, *body]) + "\n"
+    fast = _parse_statements(text)
+    try:
+        expected = _Parser(text).parse()
+    except (QasmError, ValidationError):
+        assert fast is None
+    else:
+        assert fast is None or repr(fast) == repr(expected)
