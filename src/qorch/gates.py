@@ -39,15 +39,18 @@ class GateKind(str, Enum):
 
     @property
     def num_qubits(self) -> int:
-        return 2 if self in (GateKind.CX, GateKind.CZ, GateKind.SWAP) else 1
+        return _NUM_QUBITS[self]
 
     @property
     def num_params(self) -> int:
-        if self in (GateKind.RX, GateKind.RY, GateKind.RZ):
-            return 1
-        if self is GateKind.U:
-            return 3
-        return 0
+        return _NUM_PARAMS[self]
+
+
+_NUM_QUBITS = {kind: 2 if kind in (GateKind.CX, GateKind.CZ, GateKind.SWAP) else 1
+               for kind in GateKind}
+_NUM_PARAMS = {kind: 3 if kind is GateKind.U else
+               1 if kind in (GateKind.RX, GateKind.RY, GateKind.RZ) else 0
+               for kind in GateKind}
 
 
 _SQ2 = 1.0 / math.sqrt(2.0)

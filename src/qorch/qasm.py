@@ -114,6 +114,14 @@ def _finite(start: Token, value: float) -> float:
     return value
 
 
+def _int(tok: Token) -> int:
+    """The value of an INT token; int() refuses one past its digit limit."""
+    try:
+        return int(tok[1])
+    except ValueError:
+        _fail(QasmSyntaxError, tok, f"integer of {len(tok[1])} digits is too long")
+
+
 _GATES = {kind.value: kind for kind in GateKind} | {"U": GateKind.U, "CX": GateKind.CX}
 # qelib1 names outside the supported vocabulary; recognized so the error says
 # "unsupported" rather than "unknown".
@@ -128,9 +136,9 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        # Name -> its members: a qreg's flat qubit indices, a creg's (name, bit) pairs.
+        # Name -> a range: a qreg's flat qubit indices, a creg's bit indices.
         self.qregs: dict[str, range] = {}
-        self.cregs: dict[str, list[tuple[str, int]]] = {}
+        self.cregs: dict[str, range] = {}
         self.num_qubits = 0
         self.instructions: list[Instruction] = []
 
@@ -215,7 +223,7 @@ class _Parser:
         size_tok = self.expect("INT")
         self.expect("SYM", "]")
         self.expect("SYM", ";")
-        size = int(size_tok[1])
+        size = _int(size_tok)
         if size < 1:
             _fail(ValidationError, size_tok, "register size must be positive")
         if name in self.qregs or name in self.cregs:
@@ -224,7 +232,7 @@ class _Parser:
             self.qregs[name] = range(self.num_qubits, self.num_qubits + size)
             self.num_qubits += size
         else:
-            self.cregs[name] = [(name, i) for i in range(size)]
+            self.cregs[name] = range(size)
 
     def argument(self) -> tuple[Token, int | None]:
         """Register reference: bare name or name[index]."""
@@ -232,21 +240,28 @@ class _Parser:
         index = None
         if self.at_sym("["):
             self.next()
-            index = int(self.expect("INT")[1])
+            index = _int(self.expect("INT"))
             self.expect("SYM", "]")
         return name, index
 
-    def resolve(self, which: str, name: Token, index: int | None = None) -> list:
-        """Members of the named ``qreg`` or ``creg``: all of them, or the indexed one."""
+    def register(self, which: str, name: Token) -> range:
+        """The range of the named ``qreg`` or ``creg``."""
         members = (self.qregs if which == "qreg" else self.cregs).get(name[1])
         if members is None:
             _fail(ValidationError, name, f"unknown {which} {name[1]!r}")
-        if index is None:
-            return list(members)
-        if not 0 <= index < len(members):
-            _fail(ValidationError, name,
-                  f"index {index} out of range for {which} {name[1]}[{len(members)}]")
-        return [members[index]]
+        return members
+
+    def resolve(self, which: str, name: Token, index: int | None = None):
+        """Members of the named ``qreg`` or ``creg``: all of them, or the
+        indexed one.  A qreg's members are its flat qubit indices, a creg's
+        are ``(name, bit)`` pairs, built here."""
+        members = self.register(which, name)
+        if index is not None:
+            if not 0 <= index < len(members):
+                _fail(ValidationError, name,
+                      f"index {index} out of range for {which} {name[1]}[{len(members)}]")
+            members = members[index:index + 1]
+        return members if which == "qreg" else [(name[1], bit) for bit in members]
 
     def number(self, message: str = "expected number") -> tuple[Token, float]:
         tok = self.peek()
@@ -340,7 +355,7 @@ class _Parser:
         self.next()
         self.expect("SYM", "(")
         creg = self.expect("ID")
-        self.resolve("creg", creg)
+        self.register("creg", creg)
         self.expect("SYM", "==")
         value = self.expect("INT")
         self.expect("SYM", ")")
@@ -349,7 +364,7 @@ class _Parser:
             _fail(UnsupportedFeature, body, f"conditioned {body[1]!r} is not supported")
         if body[0] != "ID":
             _fail(QasmSyntaxError, body, "expected gate after if(...)")
-        self.gate_statement(condition=(creg[1], int(value[1])))
+        self.gate_statement(condition=(creg[1], _int(value)))
 
     def measure_statement(self) -> None:
         m_tok = self.next()

@@ -171,12 +171,23 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
 
     Rows of up to 64 bits pack into one word, so the word order is the
     order of the rows read as bit strings; wider rows take one more word
-    per 64 bits and compare word by word.
+    per 64 bits and compare word by word.  Rows are padded with zero bits
+    to whole bytes, the flat array is packed in one call, and the bytes are
+    padded to whole words: one ``packbits`` over short rows costs more per
+    row than the copies.
     """
-    packed = np.packbits(bits, axis=1)
-    words = np.zeros((len(bits), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    return words.view(">u8")
+    rows, width = bits.shape
+    nbytes = -(-width // 8)
+    if width % 8:
+        padded = np.zeros((rows, nbytes * 8), dtype=bool)
+        padded[:, :width] = bits
+        bits = padded
+    packed = np.packbits(bits.reshape(-1)).reshape(rows, nbytes)
+    if nbytes % 8:
+        words = np.zeros((rows, -(-nbytes // 8) * 8), dtype=np.uint8)
+        words[:, :nbytes] = packed
+        packed = words
+    return packed.view(">u8")
 
 
 def pack_keys(keys: list[str]) -> np.ndarray:
@@ -201,7 +212,7 @@ def count_rows(words: np.ndarray, template: str) -> Counts:
     else:
         distinct, tally = np.unique(words, axis=0, return_counts=True)
     positions = [i for i, ch in enumerate(template) if ch != " "]
-    rows = np.full((len(distinct), len(template)), ord(" "), dtype=np.uint8)
+    rows = np.full((len(distinct), len(template)), ord(" "), dtype=np.uint32)
     rows[:, positions] = ord("0") + np.unpackbits(
         distinct.view(np.uint8).reshape(len(distinct), -1), axis=1, count=len(positions))
     return Counts(zip(format_keys(rows), tally.tolist()))

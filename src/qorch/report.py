@@ -29,19 +29,22 @@ EVENTS_FILE = "events.log"
 CONFIG_FILE = "config.ini"
 
 
+def _digest(line: str) -> str:
+    return hashlib.sha256(line.encode("utf-8")).hexdigest()[:16]
+
+
 def counts_digest(counts: Counts | None) -> str:
-    if counts is None:
-        return "-"
-    h = hashlib.sha256(counts.canonical_line().encode("utf-8"))
-    return h.hexdigest()[:16]
+    return "-" if counts is None else _digest(counts.canonical_line())
 
 
-def counts_dist(counts: Counts | None) -> str:
+def counts_fields(counts: Counts | None) -> tuple[str, str]:
+    """The ``counts=`` digest and the ``dist=`` field of a task line, both
+    from one canonical line: dist is the line with '.' for each space,
+    since only keys hold spaces."""
     if counts is None:
-        return "-"
-    return ";".join(
-        f"{key.replace(' ', '.')}:{counts[key]}" for key in sorted(counts)
-    ) or "-"
+        return "-", "-"
+    line = counts.canonical_line()
+    return _digest(line), line.replace(" ", ".") or "-"
 
 
 def _num(value: float) -> str:
@@ -58,14 +61,15 @@ class TaskRecord:
     error: str | None = None
 
     def to_line(self) -> str:
+        digest, dist = counts_fields(self.counts)
         parts = [
             "task",
             self.task_id,
             f"backend={self.backend_id}",
             f"queue_wait={_num(self.queue_wait)}",
             f"service_time={_num(self.service_time)}",
-            f"counts={counts_digest(self.counts)}",
-            f"dist={counts_dist(self.counts)}",
+            f"counts={digest}",
+            f"dist={dist}",
         ]
         if self.error:
             parts.append(f"error={self.error.replace(' ', '_')}")

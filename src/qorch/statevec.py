@@ -14,11 +14,15 @@ matrix: a one-qubit gate takes the halves where its qubit reads 0 and 1 from
 ``reshape(-1, 2, 2^(hi-lo-1), 2, 2^lo)``.  Dense gates (h, y, rx, ry, u) mix
 the halves with the four entries from ``gates.gate_entries`` and x swaps
 them, one tile of at most 2^12 amplitudes per half at a time, so their
-temporaries stay in cache.  Diagonal gates (z, s, sdg, t, tdg, rz) multiply
-the halves in place and id does nothing.  cx swaps the target's two blocks
-where the control reads 1, cz negates the 11 block and swap exchanges the 01
-and 10 blocks; cx and swap copy one of the blocks they exchange, and cz and
-the diagonal gates copy nothing.
+temporaries stay in cache.  On a middle qubit (3 <= q <= 10, below the top
+one) a half's rows hold only 2^q contiguous amplitudes, so a dense update
+first copies each tile's halves into contiguous buffers, runs its five
+multiply/add steps there and copies the results back.  Diagonal gates (z,
+s, sdg, t, tdg, rz) multiply the halves in place and id does nothing.  cx
+swaps the target's two blocks where the control reads 1, cz negates the 11
+block and swap exchanges the 01 and 10 blocks; cx, swap and x exchange
+through tiles too, so they copy at most a tile at a time, and cz and the
+diagonal gates copy nothing.
 
 ``run`` samples every circuit with one depth-first walk over classical
 histories: a branch of k shots splits by a binomial draw at each measure or
@@ -58,7 +62,7 @@ class Counts(dict):
         return self.get(key, 0) / total if total else 0.0
 
     def canonical_line(self) -> str:
-        return ";".join(f"{k}:{self[k]}" for k in sorted(self))
+        return ";".join([f"{k}:{self[k]}" for k in sorted(self)])
 
 
 @dataclass
@@ -188,13 +192,33 @@ def _blocks(amps: np.ndarray, a: int, b: int) -> np.ndarray:
     return view.transpose((3, 1, 0, 2, 4) if a < b else (1, 3, 0, 2, 4))
 
 
+_TILE = 1 << 12  # amplitudes per half in one step of a dense update or an exchange
+
+
+def _tiles(view: np.ndarray):
+    """Slices of the view of at most _TILE amplitudes each, in order: the
+    trailing axes that fit whole, and chunks of the axis before them."""
+    if view.size <= _TILE:
+        yield view
+        return
+    axis, inner = view.ndim - 1, 1
+    while inner * view.shape[axis] <= _TILE:
+        inner *= view.shape[axis]
+        axis -= 1
+    step = _TILE // inner
+    for index in np.ndindex(view.shape[:axis]):
+        for start in range(0, view.shape[axis], step):
+            yield view[index + (slice(start, start + step),)]
+
+
 def _exchange(one: np.ndarray, other: np.ndarray) -> None:
-    kept = one.copy()
-    one[...] = other
-    other[...] = kept
-
-
-_TILE = 1 << 12  # amplitudes per half in one step of a dense update or an x
+    """Swap two equal-shaped views tile by tile.  numpy copies an
+    overlapping source before it assigns, so the temporaries are two tiles."""
+    pairs = zip(_tiles(one), _tiles(other)) if one.size > _TILE else ((one, other),)
+    for a, b in pairs:
+        kept = a.copy()
+        a[...] = b
+        b[...] = kept
 
 
 def _tiled_halves(amps: np.ndarray, qubit: int):
@@ -220,14 +244,35 @@ def _tiled_halves(amps: np.ndarray, qubit: int):
 
 
 def _mix(amps: np.ndarray, gate: Gate) -> None:
-    """A dense one-qubit gate: new0 = m00 a0 + m01 a1, new1 = m10 a0 + m11 a1."""
+    """A dense one-qubit gate: new0 = m00 a0 + m01 a1, new1 = m10 a0 + m11 a1.
+
+    On a middle qubit below the top one, each tile's halves are strided
+    rows of 2^q amplitudes, which numpy walks slowly; they are updated in
+    contiguous buffers instead, by the same steps, and copied back."""
     m00, m01, m10, m11 = gate_entries(gate.kind, gate.params)
-    for zeros, ones in _tiled_halves(amps, gate.qubits[0]):
-        carry = ones * m01
-        ones *= m11
-        ones += zeros * m10
-        zeros *= m00
-        zeros += carry
+    q = gate.qubits[0]
+    if not (3 <= q <= 10 and amps.size > 2 << q):
+        for zeros, ones in _tiled_halves(amps, q):
+            carry = ones * m01
+            ones *= m11
+            ones += zeros * m10
+            zeros *= m00
+            zeros += carry
+        return
+    buffers = None
+    for zeros, ones in _tiled_halves(amps, q):
+        if buffers is None:
+            buffers = [np.empty(zeros.shape, dtype=amps.dtype) for _ in range(4)]
+        a0, a1, carry, temp = buffers
+        np.copyto(a0, zeros)
+        np.copyto(a1, ones)
+        np.multiply(a1, m01, out=carry)
+        a1 *= m11
+        a1 += np.multiply(a0, m10, out=temp)
+        a0 *= m00
+        a0 += carry
+        zeros[...] = a0
+        ones[...] = a1
 
 
 def _phase(amps: np.ndarray, gate: Gate) -> None:
@@ -357,20 +402,26 @@ def _static_distribution(state: State, instructions, cregs):
     pvec = marginal.reshape((2,) * m).transpose(perm).reshape(-1)
     pvec = pvec / pvec.sum()
 
-    shift = np.array(shifts, dtype=np.int64)
-    base = np.array(codes, dtype=np.int64)
+    # m <= MAX_QUBITS, so indices, shifts and codes fit 32 bits, the width
+    # of the code points format_keys reads
+    shift = np.array(shifts, dtype=np.uint32)
+    base = np.array(codes, dtype=np.uint32)
 
     def keys_of(indices: np.ndarray) -> list[str]:
-        return format_keys((base + ((indices[:, None] >> shift) & 1)).astype(np.uint8))
+        return format_keys(base + ((indices.astype(np.uint32)[:, None] >> shift) & 1))
 
     return keys_of, pvec, n_measures
 
 
 def format_keys(rows: np.ndarray) -> list[str]:
-    """Decode each row of ASCII codes into one key."""
-    text = rows.tobytes().decode("ascii")
+    """Decode each row of character codes into one key: the rows, as
+    little-endian 32-bit code points, are one array of ``<U{width}``
+    strings.  Keys hold no NUL, which that view would drop at a key's end."""
     width = rows.shape[1]
-    return [text[j * width:(j + 1) * width] for j in range(len(rows))]
+    if not width:
+        return [""] * len(rows)
+    codes = np.ascontiguousarray(rows, dtype="<u4")
+    return codes.view(f"<U{width}").ravel().tolist()
 
 
 def run(c: Circuit, shots: int, seed: int = 0,

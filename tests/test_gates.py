@@ -46,3 +46,11 @@ def test_cx_little_endian_control_first():
     vec = np.zeros(4)
     vec[1] = 1.0
     np.testing.assert_array_equal(u @ vec, [0, 0, 0, 1])
+
+
+def test_arity_table():
+    two = {GateKind.CX, GateKind.CZ, GateKind.SWAP}
+    assert {kind for kind in GateKind if kind.num_qubits == 2} == two
+    assert all(kind.num_qubits == 1 for kind in GateKind if kind not in two)
+    assert {kind: kind.num_params for kind in GateKind if kind.num_params} == {
+        GateKind.RX: 1, GateKind.RY: 1, GateKind.RZ: 1, GateKind.U: 3}

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -431,3 +432,31 @@ def test_statement_path_agrees_with_token_parser_on_reordered_statements(text, r
         assert fast is None
     else:
         assert fast is None or repr(fast) == repr(expected)
+
+
+# An integer past int()'s digit limit (4300 by default) is a positioned
+# syntax error at each place the token parser reads one.
+_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("text, line, col", [
+    (f"OPENQASM 2.0;\nqreg q[{_LONG}];\n", 2, 8),
+    (f"OPENQASM 2.0;\nqreg q[2];\nh q[{_LONG}];\n", 3, 5),
+    (f"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nif(c=={_LONG}) x q[0];\n", 4, 7),
+], ids=["register_decl", "argument", "if_statement"])
+def test_integer_past_digit_limit_is_syntax_error(text, line, col):
+    with pytest.raises(QasmSyntaxError, match="integer of 5000 digits is too long") as err:
+        parse_qasm(text)
+    assert (err.value.line, err.value.column) == (line, col)
+
+
+def test_large_creg_declaration_stores_its_size():
+    # the comment sends the text to the token parser
+    tracemalloc.start()
+    try:
+        circuit = parse_qasm("OPENQASM 2.0;\n// x\ncreg c[2000000];\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert circuit.cregs == (("c", 2000000),)
+    assert peak < 2**20

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from qorch.circuit import CircuitBuilder
@@ -14,6 +15,7 @@ from qorch.qpm import (
     MockHardwareBackend,
     StateVectorBackend,
     UnknownBackend,
+    _pack_rows,
 )
 
 
@@ -177,3 +179,16 @@ def test_results_reproducible(registry):
     a = registry.execute("mock-hw", ExecuteRequest("t", bell(), 500, seed=9))
     b = registry.execute("mock-hw", ExecuteRequest("t", bell(), 500, seed=9))
     assert a.counts == b.counts
+
+
+def test_pack_rows_equals_row_wise_packbits_padded_to_words():
+    rng = np.random.default_rng(0)
+    for width in range(131):
+        for rows in (0, 1, 2, 7, 64, 300):
+            bits = rng.random((rows, width)) < 0.5
+            packed = np.packbits(bits, axis=1)
+            expected = np.zeros((rows, -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+            expected[:, :packed.shape[1]] = packed
+            words = _pack_rows(bits)
+            assert words.dtype == np.dtype(">u8")
+            assert np.array_equal(words, expected.view(">u8")), (width, rows)

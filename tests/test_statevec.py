@@ -10,13 +10,16 @@ from scipy.stats import chi2_contingency, chisquare
 from helpers import feed_forward_programs, random_gate_circuit
 from oracle import oracle_probabilities, oracle_statevector
 from qorch.circuit import Circuit, CircuitBuilder, Gate, Measure
-from qorch.gates import GateKind, gate_unitary
+from qorch.gates import GateKind, gate_entries, gate_unitary
 from qorch.statevec import (
     Counts,
     State,
+    _mix,
     _static_distribution,
+    _tiled_halves,
     exchange_cost,
     final_state,
+    format_keys,
     probabilities,
     run,
 )
@@ -200,6 +203,87 @@ def test_apply_peak_memory(kind, placement):
         tracemalloc.stop()
     limit = 0.5 if kind in _DIAGONAL else 1.5
     assert peak <= limit * 16 * 2**n
+
+
+@pytest.mark.parametrize("kind", [GateKind.CX, GateKind.SWAP])
+@pytest.mark.parametrize("placement", [0, 8, 15])
+def test_exchange_peak_memory_is_tiles(kind, placement):
+    # The exchanged quarters interleave, so numpy copies a source that
+    # overlaps its destination; through tiles, that copy and the kept one
+    # are a tile each, where whole quarters took 0.5x the state.
+    n = 16
+    state = State(n)
+    state.amplitudes[:] = _random_state(n, 1)
+    gate = Gate(kind, (), (placement, (placement + 7) % n))
+    state.apply(gate)
+    tracemalloc.start()
+    try:
+        state.apply(gate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.3 * 16 * 2**n
+
+
+def test_exchanges_permute_amplitudes_on_every_pair():
+    # n = 15 gives quarters of 2^13 amplitudes, so every pair runs in tiles
+    n = 15
+    psi = _random_state(n, 3)
+    idx = np.arange(2**n)
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            differ = (idx >> a ^ idx >> b) & 1
+            sources = {
+                GateKind.CX: np.where(idx >> a & 1, idx ^ 1 << b, idx),
+                GateKind.SWAP: idx ^ differ * (1 << a | 1 << b),
+            }
+            for kind, source in sources.items():
+                state = State(n)
+                state.amplitudes[:] = psi
+                state.apply(Gate(kind, (), (a, b)))
+                assert np.array_equal(state.amplitudes, psi[source]), (kind, a, b)
+
+
+def _mix_in_place(amps, gate):
+    """The dense update as five in-place steps on each tile's halves."""
+    m00, m01, m10, m11 = gate_entries(gate.kind, gate.params)
+    for zeros, ones in _tiled_halves(amps, gate.qubits[0]):
+        carry = ones * m01
+        ones *= m11
+        ones += zeros * m10
+        zeros *= m00
+        zeros += carry
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_mix_on_every_qubit_equals_in_place_steps(n):
+    psi = _random_state(n, 2)
+    for kind, params in ((GateKind.H, ()), (GateKind.U, (0.7, -1.3, 2.9)),
+                         (GateKind.RY, (2.2,))):
+        for q in range(n):
+            gate = Gate(kind, params, (q,))
+            got, want = psi.copy(), psi.copy()
+            _mix(got, gate)
+            _mix_in_place(want, gate)
+            assert np.array_equal(got, want), (kind, q)
+
+
+def test_format_keys_zero_width():
+    assert format_keys(np.zeros((3, 0), dtype=np.uint8)) == ["", "", ""]
+    assert format_keys(np.zeros((0, 0), dtype=np.uint8)) == []
+    counts, _ = run(Circuit(1, (), ()), 1024)
+    assert counts == {"": 1024}
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
+def test_format_keys_matches_decoding_each_row(width):
+    rng = np.random.default_rng(width)
+    rows = rng.choice(np.frombuffer(b"01 ", dtype=np.uint8), size=(40, width))
+    rows[:, 0] = ord("1")
+    assert format_keys(rows) == [bytes(row).decode("ascii") for row in rows]
+    assert format_keys(rows.astype(np.int64)) == format_keys(rows)
 
 
 # -- probabilities ---------------------------------------------------------
