@@ -17,13 +17,15 @@ Custom gate definitions, opaque declarations and includes other than
 QasmSyntaxError; bad register sizes, names, indices and operand counts raise
 circuit.ValidationError.  All errors carry a 1-based line and column.
 
-``parse_qasm`` first tries the statement path, ``_parse_statements``: one
+``parse_qasm`` reads a text in one pass of ``_Parser``, with one set of
+registers and one instruction list.  Its statement reader goes first, one
 match of ``_STATEMENT`` per statement, over the plain form that
 ``serialize_qasm`` prints (indexed operands, numeric parameters, no
-comments, barriers or pi forms).  It never raises.  On any text it does not
-fully accept, it returns None, and the token parser, ``_Parser``, reads the
-text from the start.  ``_Parser`` is the grammar of record and raises every
-error, so errors keep their class, position and message.
+comments, barriers or pi forms).  It stops at the first statement it does
+not match or that the token grammar would reject, and the token grammar
+tokenizes the text from there and reads the rest.  So the token grammar
+raises every error, with its class, position and message.  A text the
+reader takes whole is never tokenized.
 """
 from __future__ import annotations
 
@@ -85,11 +87,13 @@ def _fail(cls: type[Exception], tok: Token, message: str) -> NoReturn:
     raise cls(line, col, message)
 
 
-def _tokenize(text: str) -> list[Token]:
+def _tokenize(text: str, start: int = 0) -> list[Token]:
+    """The tokens of ``text[start:]``, positioned in the whole text; ``start``
+    is 0 or just past the whitespace after a ``;``."""
     tokens: list[Token] = []
     # end: past the last match other than a comment; EOF's column comes from it.
-    line, line_start, end = 1, 0, 0
-    for m in _TOKEN.finditer(text):
+    line, line_start, end = text.count("\n", 0, start) + 1, text.rfind("\n", 0, start) + 1, start
+    for m in _TOKEN.finditer(text, start):
         kind, lexeme = m.lastgroup, m.group()
         if kind == "NL":
             line, line_start, end = line + 1, m.end(), m.end()
@@ -132,9 +136,40 @@ _KNOWN_UNSUPPORTED = {
 }
 
 
+# The statement reader's grammar.  Whitespace may sit between any two tokens,
+# as in the token grammar.  Integers stop at nine digits, so int() never
+# meets its digit limit here.
+_S = r"[ \t\r\n]*"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_INT = r"[0-9]{1,9}"
+_NUM = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_HEADER = re.compile(rf"{_S}OPENQASM[ \t\r\n]+2\.0{_S};{_S}")
+_STATEMENT = re.compile(
+    rf"""(?:
+      (?P<decl>[qc])reg[ \t\r\n]+(?P<reg>{_NAME}){_S}\[{_S}(?P<size>{_INT}){_S}\]
+    | reset[ \t\r\n]+(?P<reset>{_NAME}){_S}\[{_S}(?P<reset_i>{_INT}){_S}\]
+    | measure[ \t\r\n]+(?P<mq>{_NAME}){_S}\[{_S}(?P<mq_i>{_INT}){_S}\]
+        {_S}->{_S}(?P<mc>{_NAME}){_S}\[{_S}(?P<mc_i>{_INT}){_S}\]
+    | (?P<include>include){_S}"qelib1\.inc"
+    | (?:if{_S}\({_S}(?P<cond>{_NAME}){_S}=={_S}(?P<value>{_INT}){_S}\){_S})?
+        (?P<gate>{_NAME})
+        (?:{_S}\({_S}(?P<params>{_NUM}(?:{_S},{_S}{_NUM})*){_S}\){_S}|[ \t\r\n]+)
+        (?P<a>{_NAME}){_S}\[{_S}(?P<a_i>{_INT}){_S}\]
+        (?:{_S},{_S}(?P<b>{_NAME}){_S}\[{_S}(?P<b_i>{_INT}){_S}\])?
+    ){_S};{_S}""",
+    re.VERBOSE,
+)
+
+
+# (gate name, operand count, parameter count) -> kind, for the gate
+# statements the statement reader takes.
+_SHAPES = {(name, kind.num_qubits, kind.num_params): kind for name, kind in _GATES.items()}
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens: list[Token] = []
         self.pos = 0
         # Name -> a range: a qreg's flat qubit indices, a creg's bit indices.
         self.qregs: dict[str, range] = {}
@@ -169,6 +204,75 @@ class _Parser:
 
     # grammar ------------------------------------------------------------
     def parse(self) -> Circuit:
+        start = self.read_statements()
+        if start == 0 or start < len(self.text):  # the token grammar reads the rest
+            self.tokens = _tokenize(self.text, start)
+            if start == 0:
+                self.header()
+            while self.peek()[0] != "EOF":
+                self.statement()
+        cregs = tuple([(name, len(bits)) for name, bits in self.cregs.items()])
+        try:
+            return Circuit(self.num_qubits, cregs, tuple(self.instructions))
+        except ValidationError as exc:  # parser checks should make this unreachable
+            raise QasmSyntaxError(1, 1, str(exc)) from exc
+
+    def read_statements(self) -> int:
+        """Read statements at one ``_STATEMENT`` match each; return the offset
+        of the first one not taken (0 if the header is not), or the text's end.
+
+        It takes the header, ``include "qelib1.inc"``, ``qreg``/``creg``,
+        gates on indexed operands with plain numeric parameters and an
+        optional ``if(c==n)``, ``measure a[i] -> b[j]`` and ``reset a[i]``.
+        A statement the token grammar rejects is not taken either: unknown
+        gates and registers (one declared only later too), indices out of
+        range, keywords as names, duplicate or empty registers, angles that
+        are not finite, wrong operand or parameter counts and repeated
+        operands.  So it never raises, and a statement it takes changes the
+        parser as the token grammar would.
+        """
+        text = self.text
+        header = _HEADER.match(text)
+        if header is None:
+            return 0
+        pos, end = header.end(), len(text)
+        qregs, cregs, append = self.qregs, self.cregs, self.instructions.append
+        match = _STATEMENT.match
+        while pos < end:
+            m = match(text, pos)
+            if m is None:
+                return pos
+            (decl, reg, size, reset, reset_i, mq, mq_i, mc, mc_i, include,
+             cond, value, gate, params, a, a_i, b, b_i) = m.groups()
+            try:
+                if gate is not None:
+                    qubit = qregs[a][int(a_i)]
+                    qubits = (qubit,) if b is None else (qubit, qregs[b][int(b_i)])
+                    angles = () if params is None else tuple(map(float, params.split(",")))
+                    kind = _SHAPES[gate, len(qubits), len(angles)]
+                    if ((b is not None and qubit == qubits[1]) or (cond is not None and cond not in cregs)
+                            or (params is not None and not all(map(math.isfinite, angles)))):
+                        return pos
+                    append(Gate(kind, angles, qubits, None if cond is None else (cond, int(value))))
+                elif mq is not None:
+                    append(Measure(qregs[mq][int(mq_i)], mc, cregs[mc][int(mc_i)]))
+                elif reset is not None:
+                    append(Reset(qregs[reset][int(reset_i)]))
+                elif include is None:
+                    count = int(size)
+                    if reg in _KEYWORDS or reg in qregs or reg in cregs or count < 1:
+                        return pos
+                    if decl == "q":
+                        qregs[reg] = range(self.num_qubits, self.num_qubits + count)
+                        self.num_qubits += count
+                    else:
+                        cregs[reg] = range(count)
+            except (KeyError, IndexError):
+                return pos
+            pos = m.end()
+        return pos
+
+    def header(self) -> None:
         tok = self.peek()
         if tok[:2] != ("ID", "OPENQASM"):
             _fail(QasmSyntaxError, tok, "program must begin with 'OPENQASM 2.0;'")
@@ -180,13 +284,6 @@ class _Parser:
             _fail(UnsupportedFeature, version, f"only OpenQASM 2.0 is supported, got {version[1]}")
         self.next()
         self.expect("SYM", ";")
-        while self.peek()[0] != "EOF":
-            self.statement()
-        cregs = tuple((name, len(bits)) for name, bits in self.cregs.items())
-        try:
-            return Circuit(self.num_qubits, cregs, tuple(self.instructions))
-        except ValidationError as exc:  # parser checks should make this unreachable
-            raise QasmSyntaxError(1, 1, str(exc)) from exc
 
     def statement(self) -> None:
         kind, text, _, _ = tok = self.peek()
@@ -395,113 +492,13 @@ class _Parser:
         self.instructions.append(Barrier(tuple(qubits)))
 
 
-# The statement path's grammar.  Whitespace may sit between any two tokens,
-# as in the token grammar.  Integers stop at nine digits, so int() never
-# meets its digit limit here.
-_S = r"[ \t\r\n]*"
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_INT = r"[0-9]{1,9}"
-_NUM = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_HEADER = re.compile(rf"{_S}OPENQASM[ \t\r\n]+2\.0{_S};{_S}")
-_STATEMENT = re.compile(
-    rf"""(?:
-      (?P<decl>[qc])reg[ \t\r\n]+(?P<reg>{_NAME}){_S}\[{_S}(?P<size>{_INT}){_S}\]
-    | reset[ \t\r\n]+(?P<reset>{_NAME}){_S}\[{_S}(?P<reset_i>{_INT}){_S}\]
-    | measure[ \t\r\n]+(?P<mq>{_NAME}){_S}\[{_S}(?P<mq_i>{_INT}){_S}\]
-        {_S}->{_S}(?P<mc>{_NAME}){_S}\[{_S}(?P<mc_i>{_INT}){_S}\]
-    | (?P<include>include){_S}"qelib1\.inc"
-    | (?:if{_S}\({_S}(?P<cond>{_NAME}){_S}=={_S}(?P<value>{_INT}){_S}\){_S})?
-        (?P<gate>{_NAME})
-        (?:{_S}\({_S}(?P<params>{_NUM}(?:{_S},{_S}{_NUM})*){_S}\){_S}|[ \t\r\n]+)
-        (?P<a>{_NAME}){_S}\[{_S}(?P<a_i>{_INT}){_S}\]
-        (?:{_S},{_S}(?P<b>{_NAME}){_S}\[{_S}(?P<b_i>{_INT}){_S}\])?
-    ){_S};{_S}""",
-    re.VERBOSE,
-)
-
-
-def _parse_statements(text: str) -> Circuit | None:
-    """The circuit of ``text`` if every statement is in the statement path's
-    subset, else None; never raises.
-
-    The subset: the header, ``include "qelib1.inc"``, ``qreg``/``creg``,
-    gates on indexed operands with plain numeric parameters and an optional
-    ``if(c==n)``, ``measure a[i] -> b[j]`` and ``reset a[i]``.  Comments,
-    barriers, broadcast and pi forms do not match.  The checks here decline,
-    at the statement, unknown gates and registers (one declared only later
-    too), indices out of range, keywords as names, duplicate or empty
-    registers and angles that are not finite; the Circuit's own validation
-    declines operand and parameter counts and repeated operands.  So a
-    result always equals ``_Parser``'s, and any text ``_Parser`` rejects
-    gives None.
-    """
-    header = _HEADER.match(text)
-    if header is None:
-        return None
-    pos, end = header.end(), len(text)
-    qregs: dict[str, tuple[int, int]] = {}  # name -> (first flat qubit, size)
-    cregs: dict[str, int] = {}
-    num_qubits = 0
-    instructions: list[Instruction] = []
-
-    def qubit(name: str, index: str) -> int | None:
-        first, size = qregs.get(name, (0, 0))
-        i = int(index)
-        return first + i if i < size else None
-
-    match = _STATEMENT.match
-    while pos < end:
-        m = match(text, pos)
-        if m is None:
-            return None
-        pos = m.end()
-        (decl, reg, size, reset, reset_i, mq, mq_i, mc, mc_i, include,
-         cond, value, gate, params, a, a_i, b, b_i) = m.groups()
-        if gate is not None:
-            kind = _GATES.get(gate)
-            qubits = (qubit(a, a_i),) if b is None else (qubit(a, a_i), qubit(b, b_i))
-            if kind is None or None in qubits or (cond is not None and cond not in cregs):
-                return None
-            angles = () if params is None else tuple(map(float, params.split(",")))
-            if not all(map(math.isfinite, angles)):
-                return None
-            condition = None if cond is None else (cond, int(value))
-            instructions.append(Gate(kind, angles, qubits, condition))
-        elif mq is not None:
-            q, bit = qubit(mq, mq_i), int(mc_i)
-            if q is None or bit >= cregs.get(mc, 0):
-                return None
-            instructions.append(Measure(q, mc, bit))
-        elif reset is not None:
-            q = qubit(reset, reset_i)
-            if q is None:
-                return None
-            instructions.append(Reset(q))
-        elif include is None:
-            count = int(size)
-            if reg in _KEYWORDS or reg in qregs or reg in cregs or count < 1:
-                return None
-            if decl == "q":
-                qregs[reg] = (num_qubits, count)
-                num_qubits += count
-            else:
-                cregs[reg] = count
-    try:
-        return Circuit(num_qubits, tuple(cregs.items()), tuple(instructions))
-    except ValidationError:
-        return None
-
-
 def parse_qasm(text: str) -> Circuit:
     """Parse OpenQASM 2.0 source into a validated Circuit.
 
     Qubits from all qreg declarations are flattened into one index space in
-    declaration order; creg declaration order is preserved.  The statement
-    path reads the program when it can; otherwise the token parser reads it
-    from the start and raises any error.
+    declaration order; creg declaration order is preserved.
     """
-    circuit = _parse_statements(text)
-    return circuit if circuit is not None else _Parser(text).parse()
+    return _Parser(text).parse()
 
 
 def _format_angle(value: float) -> str:

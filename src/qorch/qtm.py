@@ -169,8 +169,10 @@ class TaskManager:
             desc = candidates[0]
             _check_preferred(desc, c)
         else:
-            svs = [d for d in self.registry.list() if d.kind is BackendKind.STATE_VECTOR]
-            tns = [d for d in self.registry.list() if d.kind is BackendKind.TENSOR_NETWORK]
+            # Only backends wide enough, so depth() never walks a circuit none can take.
+            fit = [d for d in self.registry.list() if n <= d.max_qubits]
+            svs = [d for d in fit if d.kind is BackendKind.STATE_VECTOR]
+            tns = [d for d in fit if d.kind is BackendKind.TENSOR_NETWORK]
             if svs and n <= self.routing.sv_max:
                 desc = svs[0]
             elif tns and depth(c) <= self.routing.tn_depth_max:

@@ -1,8 +1,4 @@
-"""Smoke test: demos 01-06 run to completion.
-
-Demo 07 only drives the scenario functions that test_scenarios covers, and
-takes far longer than the others, so it is left out.
-"""
+"""Smoke test: demos 01-07 run to completion."""
 import os
 import subprocess
 import sys
@@ -11,11 +7,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted(p for p in (ROOT / "demos").glob("0[1-6]_*.py"))
+DEMOS = sorted(p for p in (ROOT / "demos").glob("0[1-7]_*.py"))
 
 
 def test_demo_set_found():
-    assert len(DEMOS) == 6
+    assert len(DEMOS) == 7
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

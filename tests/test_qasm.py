@@ -13,7 +13,7 @@ from qorch.qasm import (
     QasmError,
     QasmSyntaxError,
     UnsupportedFeature,
-    _parse_statements,
+    _tokenize,
     _Parser,
     parse_qasm,
     serialize_qasm,
@@ -293,10 +293,39 @@ def test_edited_programs_raise_only_typed_errors(path, rng):
         _position(exc)
 
 
-# -- the statement path, held to the token parser ------------------------------
+# -- the statement reader, held to the token grammar ---------------------------
 
-# Valid corpus programs the statement path declines, so the token parser reads
-# them: broadcast operands, pi forms, barriers, comments.
+class _TokenOnly(_Parser):
+    """The token grammar alone: a statement reader that takes nothing."""
+
+    def read_statements(self) -> int:
+        return 0
+
+
+def _outcome(parse, text):
+    """The circuit's repr, or the error's class, line, column and message."""
+    try:
+        return repr(parse(text))
+    except (QasmError, ValidationError) as exc:
+        return type(exc), _position(exc), str(exc)
+
+
+def _same_as_token_grammar(text):
+    """parse_qasm's outcome on ``text``, held equal to the token grammar's."""
+    outcome = _outcome(parse_qasm, text)
+    assert outcome == _outcome(lambda t: _TokenOnly(t).parse(), text)
+    return outcome
+
+
+def _stop(text):
+    """Where the statement reader stops in ``text``, and the parser it leaves."""
+    parser = _Parser(text)
+    return parser.read_statements(), parser
+
+
+# Valid corpus programs where the statement reader stops before the end, so
+# the token grammar reads the rest: broadcast operands, pi forms, barriers,
+# comments.
 DECLINED = {
     "all_gates.qasm", "barrier_reset.qasm", "bell.qasm", "broadcast_cx.qasm",
     "broadcast_h.qasm", "comments.qasm", "crlf.qasm", "disconnected.qasm", "ghz5.qasm",
@@ -309,11 +338,9 @@ def test_statement_path_declines_only_the_named_corpus_files():
     declined = set()
     for path in _VALID:
         text = path.read_text("utf-8")
-        fast = _parse_statements(text)
-        if fast is None:
+        if _stop(text)[0] < len(text):
             declined.add(path.name)
-        else:
-            assert repr(fast) == repr(_Parser(text).parse()), path.name
+        assert isinstance(_same_as_token_grammar(text), str), path.name
     assert declined == DECLINED
 
 
@@ -352,50 +379,51 @@ _HEAD = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg a[1];\nqreg q[2];\ncreg c[2]
 ])
 def test_statement_path_declines(body, valid):
     text = _HEAD + body
-    assert _parse_statements(text) is None
-    if valid:
-        _Parser(text).parse()
-    else:
-        with pytest.raises((QasmError, ValidationError)):
-            _Parser(text).parse()
+    stop, parser = _stop(text)
+    assert stop == len(_HEAD) + max(body.find("//"), 0)  # at the body, or at its comment
+    # what the reader leaves is the token grammar's reading up to the stop
+    done = _TokenOnly(text[:stop])
+    done.parse()
+    assert (parser.qregs, parser.cregs, parser.instructions) == (done.qregs, done.cregs, done.instructions)
+    assert isinstance(_same_as_token_grammar(text), str) == valid
 
 
 # Headers it does not take, and an index past int()'s digit limit, which the
-# token parser meets as a ValueError.
+# token grammar meets as a ValueError.
 @pytest.mark.parametrize("text", [
     "OPENQASM 2.1;\n", "OPENQASM 2.00;\n", "OPENQASM2.0;\n", "qreg q[1];\n", "",
     _HEAD + "h q[" + "1" * 5000 + "];\n",
 ])
 def test_statement_path_declines_without_raising(text):
-    assert _parse_statements(text) is None
+    assert _stop(text)[0] == (len(_HEAD) if text.startswith(_HEAD) else 0)
 
 
 def test_statement_path_takes_whitespace_between_tokens():
     text = (" \r\nOPENQASM\t2.0 ;include\"qelib1.inc\";qreg\nq [ 2 ] ;creg c[02];\n"
             "if ( c == 1 )u ( -0 , +.5 ,5.e-1 )q[1];cx q[0] , q [1];\n"
             "measure q[1]->c[0];reset\tq[0] ;\n\n")
-    fast = _parse_statements(text)
-    assert fast is not None and repr(fast) == repr(_Parser(text).parse())
+    assert _stop(text)[0] == len(text)
+    assert isinstance(_same_as_token_grammar(text), str)
 
 
 @pytest.mark.parametrize("name", sorted(INVALID))
 def test_statement_path_declines_invalid_corpus(name):
-    assert _parse_statements((CORPUS / "invalid" / name).read_text("utf-8")) is None
+    text = (CORPUS / "invalid" / name).read_text("utf-8")
+    assert _stop(text)[0] < len(text)
+    assert not isinstance(_same_as_token_grammar(text), str)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_circuits())
 def test_statement_path_reads_serialized_circuits(circuit):
     text = serialize_qasm(circuit)
-    fast = _parse_statements(text)
-    if any(isinstance(instr, Barrier) for instr in circuit.instructions):
-        assert fast is None
-    else:
-        assert repr(fast) == repr(_Parser(text).parse()) == repr(circuit)
+    barrier = any(isinstance(instr, Barrier) for instr in circuit.instructions)
+    assert (_stop(text)[0] < len(text)) == barrier
+    assert _same_as_token_grammar(text) == repr(circuit)
 
 
 # The corpus, and each valid program as serialize_qasm prints it, which the
-# statement path reads unless it holds a barrier.
+# statement reader reads to the end unless it holds a barrier.
 _EDIT_BASES = [p.read_text("utf-8") for p in _VALID] + [
     serialize_qasm(parse_qasm(p.read_text("utf-8"))) for p in _VALID
 ]
@@ -407,31 +435,57 @@ def test_statement_path_agrees_with_token_parser_on_edited_programs(text, rng):
     for _ in range(rng.randint(1, 3)):
         at = rng.choice([m.end() for m in _SPOTS.finditer(text)] or [0])
         text = text[:at] + rng.choice(_EDITS) + text[at + rng.randint(0, 2) :]
-    fast = _parse_statements(text)
-    try:
-        expected = _Parser(text).parse()
-    except (QasmError, ValidationError):
-        assert fast is None
-    else:
-        assert fast is None or repr(fast) == repr(expected)
+    _same_as_token_grammar(text)
 
 
 # Statements in another order: a register used before its declaration is
-# an error the token parser raises at the use, so the statement path
-# declines it there.
+# an error the token grammar raises at the use, so the statement reader
+# stops there.
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(_EDIT_BASES[len(_VALID):]), st.randoms(use_true_random=False))
 def test_statement_path_agrees_with_token_parser_on_reordered_statements(text, rng):
     header, *body = text.splitlines()
     rng.shuffle(body)
     text = "\n".join([header, *body]) + "\n"
-    fast = _parse_statements(text)
-    try:
-        expected = _Parser(text).parse()
-    except (QasmError, ValidationError):
-        assert fast is None
-    else:
-        assert fast is None or repr(fast) == repr(expected)
+    _same_as_token_grammar(text)
+
+
+# Statements the reader does not take, valid or not, put between the
+# statements of serialized programs: the token grammar reads from the first
+# of them on, with the registers and instructions the reader left.
+_INSERTS = (
+    "h q;", "barrier q[0];", "rx(pi/2) q[0];", "// comment", "h q[0]; // c", "reset q;",
+    "measure q -> c0;", "u(pi,0,pi) q[0];", "qreg é[1];", "h() q[0];", "rx(--1) q[0];",
+    "h r[0];", "cx q[0],q[0];", "cx q[0];", "h q[0],q[1];", "rx(1e999) q[0];",
+    "rx(1,2) q[0];", "if(d==1) x q[0];", "hq[0];", "H q[0];", "creg if[1];", "qreg b[0];",
+    "qreg q[1];", "h q[0]", "measure q[0] - > c[0];", "@", "ccx q[0],q[1],q[2];",
+    "h q[99];", "measure q[0] -> c1[7];", "rx(1e) q[0];", 'include "other.inc";',
+    "OPENQASM 2.0;", "x q[1234567890];", '"abc', "rx(2*3) q[0];", "swap q[1],q[1];",
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(_EDIT_BASES[len(_VALID):]), st.randoms(use_true_random=False))
+def test_statement_path_agrees_with_token_parser_on_mixed_texts(text, rng):
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 4)):
+        lines.insert(rng.randint(1, len(lines)), rng.choice(_INSERTS))
+    _same_as_token_grammar(rng.choice(["\n", "\r\n", " "]).join(lines) + "\n")
+
+
+def test_declined_text_is_tokenized_from_its_first_declined_statement(monkeypatch):
+    calls = []
+
+    def tokenize(text, *start):
+        calls.append(tokens := _tokenize(text, *start))
+        return tokens
+
+    monkeypatch.setattr("qorch.qasm._tokenize", tokenize)
+    circuit = parse_qasm(_HEAD + "h q[0];\nh q;  // broadcast\ncx q[0],q[1];\n")
+    assert len(circuit.instructions) == 4
+    [tokens] = calls
+    assert tokens[0] == ("ID", "h", 7, 1)
+    assert tokens[-1] == ("EOF", "", 9, 1)
 
 
 # An integer past int()'s digit limit (4300 by default) is a positioned

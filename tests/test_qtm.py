@@ -119,6 +119,28 @@ def test_route_falls_through_to_tensor_network():
     assert decision.backend_id == "tn"
 
 
+@pytest.mark.parametrize("kind", [BackendKind.STATE_VECTOR, BackendKind.TENSOR_NETWORK])
+def test_route_skips_backends_narrower_than_the_circuit(kind):
+    reg = BackendRegistry()
+    reg.register(BackendDescriptor("narrow", kind, 4))
+    tm = TaskManager(reg, RoutingConfig())
+    assert tm.route(tm.normalize(CircuitBuilder(4).h(0).build(), 10, 0)).backend_id == "narrow"
+    with pytest.raises(NoFeasibleBackend):
+        tm.route(tm.normalize(CircuitBuilder(5).h(0).build(), 10, 0))
+
+
+def test_route_refuses_a_huge_circuit_before_walking_it():
+    # 100000 qubits: a tensor-network descriptor at the default max_qubits
+    # (26) must not take it, and neither depth nor the cut may run over it.
+    reg = BackendRegistry()
+    reg.register(BackendDescriptor("statevec", BackendKind.STATE_VECTOR), StateVectorBackend())
+    reg.register(BackendDescriptor("tn", BackendKind.TENSOR_NETWORK))
+    tm = TaskManager(reg, RoutingConfig())
+    src = "OPENQASM 2.0;\nqreg q[100000];\ncreg c[1];\nh q[0];\nmeasure q[0] -> c[0];\n"
+    with pytest.raises(NoFeasibleBackend):
+        tm.route(tm.normalize(src, 10, 0))
+
+
 def test_route_workers_formula():
     tm = manager()
     c = CircuitBuilder(22).h(0).build()
