@@ -46,13 +46,14 @@ bell = (
 )
 
 ideal = registry.execute("statevec", ExecuteRequest("t1", bell, 10000, seed=3))
-noisy = registry.execute("noisy-hw", ExecuteRequest("t2", bell, 10000, seed=3))
+request = ExecuteRequest("t2", bell, 10000, seed=3)
+noisy = registry.execute("noisy-hw", request)
 print("\nideal distribution:", dict(sorted(ideal.counts.items())))
 print("noisy distribution:", dict(sorted(noisy.counts.items())))
 
 odd = noisy.counts.frequency("01") + noisy.counts.frequency("10")
 print("odd-parity rate:", round(odd, 4), " (2p(1-p) = 0.18 expected)")
-print("hardware service time:", noisy.modeled_service_time, "s (logical)")
+print("hardware service time:", registry.service_time("noisy-hw", request), "s (logical)")
 
 try:
     registry.execute("tn", ExecuteRequest("t3", bell, 10, seed=0))

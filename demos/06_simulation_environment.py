@@ -42,11 +42,11 @@ for a in timed.assignments:
           f"start={a.start:.6f} duration={a.duration:.6f}")
 
 # Executing the plan runs each task through the task manager: real counts,
-# and each task reports the service time its assignment was planned with.
+# while the task's time is the duration it was planned with, priced once.
 # Gang vs throughput changes only the timeline, which the plan holds, never
 # the distribution.
 results = execute_plan(timed, tm)
-print("service times:", [round(r.modeled_service_time, 6) for r in results.values()])
+print("counts:", [dict(sorted(r.counts.items())) for r in results.values()])
 busy = sum(a.decision.workers * a.duration for a in timed.assignments)
 print("makespan:   ", round(timed.makespan, 6))
 print("busy share: ", round(busy / (4 * timed.makespan), 3))

@@ -8,9 +8,10 @@ descriptor can be registered without an implementation; executing it raises
 NotImplementedError until an external plugin provides one.
 
 Each backend owns its timing model: ``service_time(circuit, shots, workers)``
-is a pure function of the request, ``execute`` reports it, and the planners
-above this layer read the same method.  All service times are logical model
-values (seconds), never wall clock, so the schedulers stay deterministic.
+is a pure function of the request and the one price of a piece, which
+``qtm.task_service_time`` reads once per piece; ``execute`` only runs.  All
+service times are logical model values (seconds), never wall clock, so the
+schedulers stay deterministic.
 
 ``BackendDescriptor`` and each engine are frozen dataclasses whose fields with
 a default are the keys of a ``[backend:<id>]`` config section, each with one
@@ -86,7 +87,6 @@ class ExecuteResult:
     counts: Counts
     trace: ExecutionTrace
     backend_id: str
-    modeled_service_time: float
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,7 @@ class StateVectorBackend:
 
     def execute(self, request: ExecuteRequest, descriptor: BackendDescriptor) -> ExecuteResult:
         counts, trace = run(request.circuit, request.shots, request.seed, request.workers)
-        service = self.service_time(request.circuit, request.shots, request.workers)
-        return ExecuteResult(request.task_id, counts, trace, descriptor.id, service)
+        return ExecuteResult(request.task_id, counts, trace, descriptor.id)
 
     def calibration(self) -> CalibrationInfo:
         return CalibrationInfo(0.0)
@@ -140,8 +139,7 @@ class MockHardwareBackend:
         counts, trace = run(request.circuit, request.shots, request.seed, workers=1)
         if self.readout_flip_probability > 0.0:
             counts = self._flip(counts, request.shots, request.seed)
-        service = self.service_time(request.circuit, request.shots, request.workers)
-        return ExecuteResult(request.task_id, counts, trace, descriptor.id, service)
+        return ExecuteResult(request.task_id, counts, trace, descriptor.id)
 
     def _flip(self, counts: Counts, shots: int, seed: int) -> Counts:
         keys = sorted(counts)
@@ -254,7 +252,7 @@ class BackendRegistry:
         return self._engine(entry).execute(request, entry.descriptor)
 
     def service_time(self, backend_id: str, request: ExecuteRequest) -> float:
-        """The modeled seconds ``execute`` would report for this request."""
+        """The modeled seconds the backend takes to run this request."""
         engine = self._engine(self._entry(backend_id))
         return engine.service_time(request.circuit, request.shots, request.workers)
 

@@ -7,7 +7,8 @@ circuits routed to simulator backends are cut into independent subcircuits
 southbound and their shot lists are recombined northbound.
 
 ``execute_task`` is the one way a task runs, whichever integration model
-placed it.  A cut task's modeled service time is the sum of its pieces'.
+placed it.  ``task_service_time`` is the one way a task is timed: the
+backend prices each piece once, and a cut task takes the sum.
 """
 from __future__ import annotations
 
@@ -97,8 +98,8 @@ def _floor_pow2(x: int) -> int:
 
 def piece_requests(task: QuantumTask, decision: RoutingDecision) -> list[ExecuteRequest]:
     """The backend requests that run a routed task: one per cut piece, or the
-    whole circuit when it was not cut.  Planning and execution both use this
-    list, so a planned duration equals the executed service time."""
+    whole circuit when it was not cut.  ``task_service_time`` prices this
+    list and ``execute_task`` runs it."""
     if decision.cut is None:
         return [ExecuteRequest(
             task.task_id, task.circuit, task.shots, task.seed, decision.workers,
@@ -111,6 +112,16 @@ def piece_requests(task: QuantumTask, decision: RoutingDecision) -> list[Execute
         )
         for index, piece in enumerate(decision.cut.subtasks)
     ]
+
+
+def task_service_time(registry: BackendRegistry, task: QuantumTask,
+                      decision: RoutingDecision) -> float:
+    """The modeled seconds a routed task takes: the backend's service time
+    of each piece, summed."""
+    return sum(
+        registry.service_time(decision.backend_id, request)
+        for request in piece_requests(task, decision)
+    )
 
 
 class SubtaskRunner:
@@ -265,8 +276,7 @@ class TaskManager:
         trace = ExecutionTrace(seed=task.seed)
         for r in results:
             trace = trace + r.trace
-        service = sum(r.modeled_service_time for r in results)
-        return ExecuteResult(task.task_id, counts, trace, decision.backend_id, service)
+        return ExecuteResult(task.task_id, counts, trace, decision.backend_id)
 
 
 def _check_preferred(desc: BackendDescriptor, c: Circuit) -> None:

@@ -12,10 +12,11 @@ Each driver checks its own parameters and raises ValueError before anything
 runs.  It then runs as one hybrid job through ``_run_job``, which returns
 the run's only result, a RunReport: a job or task that failed, a loop that
 did not converge (``NonConvergence: ...``) and a program or workflow stage
-refused at admission all end as a failed report that says why.  Under the
-per-job model the job's tasks are planned onto its own simulation partition
-(gang/throughput); under the single-QC model they serialize through the
-cluster device queue.
+refused at admission all end as a failed report that says why.  Every batch
+runs through ``QuantumBatch.run_batch``: each task is routed, timed once by
+``qtm.task_service_time`` and run by ``TaskManager.execute_task``.  Only the
+wait differs by model: per_job plans the tasks onto the job's own simulation
+partition (gang/throughput), and single_qc holds the cluster device for them.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import qtm
 from .circuit import Circuit, CircuitBuilder
 from .qasm import QasmError
-from .qtm import Preferences, QuantumTask, TaskManager, check_shots
+from .qtm import Preferences, QuantumTask, TaskManager, check_shots, task_service_time
 from .report import RunReport, TaskRecord, counts_digest
 from .resman import Advance, DeviceCall, GeneratorWorkload, JobSpec, Model, ParallelDeviceCalls
 from .seeds import derive_seed
@@ -112,57 +113,32 @@ class QuantumBatch:
         self.failure: str | None = None  # set by a body that ends the run itself
 
     def submit(self, source, shots, seed, preferences=None) -> QuantumTask:
-        return self.tm.normalize(source, shots, seed, preferences)
-
-    def run_batch(self, tasks: list[QuantumTask], sequential: bool = False):
-        """Generator step: execute tasks under the job's integration model.
-
-        Yields engine steps; returns the list of TaskOutcome in task order.
-        """
+        """A task with a fresh id; under single_qc, placed on the cluster
+        device with one worker, and refused if it prefers another backend."""
         if self.model is Model.SINGLE_QC:
-            return (yield from self._run_on_device(tasks, sequential))
-        return (yield from self._run_on_partition(tasks))
-
-    def _run_on_device(self, tasks, sequential):
-        device = self.system.config.device
-        batch: list[TaskOutcome] = []
-        pending: list[tuple[TaskOutcome, object]] = []
-        for task in tasks:
-            if task.preferences.backend_id not in (None, device):
+            device = self.system.config.device
+            preferences = preferences or Preferences()
+            if preferences.backend_id not in (None, device):
                 raise ValueError(
                     "single_qc jobs execute on the cluster device "
                     f"{device!r}; use per_job for backend overrides"
                 )
-            forced = replace(task.preferences, backend_id=device, workers=1)
-            outcome = TaskOutcome(task.task_id, backend_id=device)
-            batch.append(outcome)
-            try:
-                result = self.tm.execute_task(replace(task, preferences=forced))
-            except Exception as exc:
-                outcome.error = f"{type(exc).__name__}: {exc}"
-                continue
-            outcome.service_time = result.modeled_service_time
-            outcome.counts = result.counts
-            pending.append((outcome, result))
-        if pending:
-            if sequential:
-                for outcome, _ in pending:
-                    grant = yield DeviceCall(hold=outcome.service_time)
-                    outcome.queue_wait = grant.wait
-            else:
-                grants = yield ParallelDeviceCalls(
-                    tuple(o.service_time for o, _ in pending)
-                )
-                for (outcome, _), grant in zip(pending, grants):
-                    outcome.queue_wait = grant.wait
-        self.outcomes.extend(batch)
-        return batch
+            preferences = replace(preferences, backend_id=device, workers=1)
+        return self.tm.normalize(source, shots, seed, preferences)
 
-    def _run_on_partition(self, tasks):
-        batch: list[TaskOutcome] = []
-        queue = []
+    def run_batch(self, tasks: list[QuantumTask], sequential: bool = False):
+        """Generator step: route every task and run the routed ones under the
+        job's integration model.  per_job plans them onto the job's partition,
+        each waiting until its assignment's start for its duration; single_qc
+        prices and runs each, then holds the device for those times, in one
+        ``ParallelDeviceCalls`` or, when ``sequential``, a ``DeviceCall`` each.
+        Yields engine steps; returns the TaskOutcomes in task order.
+        """
+        single_qc = self.model is Model.SINGLE_QC
+        batch, queue = [], []
         for task in tasks:
-            outcome = TaskOutcome(task.task_id)
+            # a single_qc task names the device from submit, even if it fails to route
+            outcome = TaskOutcome(task.task_id, task.preferences.backend_id if single_qc else "-")
             batch.append(outcome)
             try:
                 decision = self.tm.route(task)
@@ -171,21 +147,38 @@ class QuantumBatch:
                 continue
             outcome.backend_id = decision.backend_id
             queue.append((task, decision))
-        if queue:
+        results, times = {}, {}  # by task id: ExecuteResult or reason; (wait, service time)
+        if single_qc:
+            held = []
+            for task, decision in queue:
+                try:
+                    service = task_service_time(self.system.registry, task, decision)
+                    results[task.task_id] = self.tm.execute_task(task, decision)
+                except Exception as exc:
+                    results[task.task_id] = f"{type(exc).__name__}: {exc}"
+                    continue
+                held.append((task.task_id, service))
+            if sequential:
+                grants = []
+                for _, service in held:
+                    grants.append((yield DeviceCall(hold=service)))
+            else:
+                grants = (yield ParallelDeviceCalls(tuple(s for _, s in held))) if held else []
+            times = {task_id: (grant.wait, s) for (task_id, s), grant in zip(held, grants)}
+        elif queue:
             plan = assess(queue, configure(self.sim_nodes, self.system.config.partitions),
                           self.system.registry)
-            starts = {a.task.task_id: a.start for a in plan.assignments}
-            by_id = {o.task_id: o for o in batch}
-            for task_id, result in execute_plan(plan, self.tm).items():
-                outcome = by_id[task_id]
-                if isinstance(result, str):
-                    outcome.error = result
-                    continue
-                outcome.queue_wait = starts[task_id]
-                outcome.service_time = result.modeled_service_time
-                outcome.counts = result.counts
+            times = {a.task.task_id: (a.start, a.duration) for a in plan.assignments}
+            results = execute_plan(plan, self.tm)
             if plan.makespan > 0:
                 yield Advance(plan.makespan)
+        for outcome in batch:
+            result = results.get(outcome.task_id)
+            if isinstance(result, str):
+                outcome.error = result
+            elif result is not None:
+                outcome.queue_wait, outcome.service_time = times[outcome.task_id]
+                outcome.counts = result.counts
         self.outcomes.extend(batch)
         return batch
 

@@ -8,16 +8,16 @@ that partition frees, on the lowest-numbered nodes free then.  A task with
 w > 1 is a gang assignment spanning w nodes; a single-worker task takes one
 node (throughput).  A task routed wider than its kind partition runs at the
 widest power of two that fits, unless a ``workers`` preference asked for
-that width.  An assignment's duration is the backend's modeled service time,
-summed over the task's cut pieces; executing the plan runs each task through
-the task manager, which reports that same number.
+that width.  An assignment's duration is ``qtm.task_service_time``, the
+task's one price; executing the plan runs each task through the task
+manager, which runs it and does not price it again.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
 from .qpm import BackendKind, BackendRegistry, ExecuteResult, UnknownBackend
-from .qtm import QuantumTask, RoutingDecision, TaskManager, _floor_pow2, piece_requests
+from .qtm import QuantumTask, RoutingDecision, TaskManager, _floor_pow2, task_service_time
 
 
 class Oversubscribed(ValueError):
@@ -124,10 +124,7 @@ def assess(queue, partitions, registry: BackendRegistry) -> ExecutionPlan:
                 continue
             decision = replace(decision, workers=_floor_pow2(len(ids)))
         try:
-            duration = sum(
-                registry.service_time(decision.backend_id, request)
-                for request in piece_requests(task, decision)
-            )
+            duration = task_service_time(registry, task, decision)
         except (UnknownBackend, NotImplementedError) as exc:
             out.failures.append((task.task_id, f"{type(exc).__name__}: {exc}"))
             continue

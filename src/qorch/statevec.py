@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Barrier, Circuit, Gate, Instruction, Measure, Reset
+from .circuit import Barrier, Circuit, Gate, Measure, Reset
 from .gates import GateKind, gate_entries
 from .seeds import derive_seed
 
@@ -91,28 +91,17 @@ def _check_workers(n: int, workers: int) -> None:
 class State:
     """Mutable simulator state, confined to one executor at a time."""
 
-    def __init__(self, num_qubits: int, workers: int = 1, seed: int = 0):
-        if not 1 <= num_qubits <= MAX_QUBITS:
+    def __init__(self, num_qubits: int, workers: int = 1):
+        if not 0 <= num_qubits <= MAX_QUBITS:
             raise ValueError(
-                f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}"
+                f"num_qubits must be in [0, {MAX_QUBITS}], got {num_qubits}"
             )
         _check_workers(num_qubits, workers)
         self.num_qubits = num_qubits
         self.workers = workers
-        self.seed = seed
         self.amplitudes = np.zeros(2**num_qubits, dtype=np.complex128)
         self.amplitudes[0] = 1.0
         self.classical: dict[str, int] = {}
-        self._rng: np.random.Generator | None = None
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The stream ``apply`` draws collapses from, built on first use:
-        ``run`` draws from its own stream and never builds it.  A copy made
-        before the first draw builds its own stream from the same seed."""
-        if self._rng is None:
-            self._rng = np.random.default_rng(self.seed)
-        return self._rng
 
     @property
     def chunks(self) -> list[np.ndarray]:
@@ -126,9 +115,10 @@ class State:
 
     # -- instruction application -----------------------------------------
 
-    def apply(self, instr: Instruction) -> ExecutionTrace:
-        """Apply one instruction in place; returns the trace delta."""
-        delta = ExecutionTrace(seed=self.seed)
+    def apply(self, instr: Gate | Barrier) -> ExecutionTrace:
+        """Apply one gate or barrier in place; returns the trace delta.
+        Measures and resets collapse through ``p_one`` and ``settle``."""
+        delta = ExecutionTrace()
         if isinstance(instr, Gate):
             if instr.condition is not None:
                 name, value = instr.condition
@@ -138,9 +128,6 @@ class State:
             delta.gates_applied = 1
             if max(instr.qubits) >= self.local_qubits:
                 delta.exchanged_amplitudes = 2**self.num_qubits
-        elif isinstance(instr, (Measure, Reset)):
-            self.settle(instr, int(self.rng.random() < self.p_one(instr.qubit)))
-            delta.measures = int(isinstance(instr, Measure))
         elif not isinstance(instr, Barrier):
             raise TypeError(f"unknown instruction {instr!r}")
         return delta
@@ -169,12 +156,6 @@ class State:
         other.amplitudes = self.amplitudes.copy()
         other.classical = dict(self.classical)
         return other
-
-    def run_circuit(self, c: Circuit) -> ExecutionTrace:
-        trace = ExecutionTrace(seed=self.seed)
-        for instr in c.instructions:
-            trace = trace + self.apply(instr)
-        return trace
 
 
 def _halves(amps: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -336,9 +317,15 @@ def exchange_cost(c: Circuit, num_qubits: int, workers: int) -> int:
 
 
 def final_state(c: Circuit, seed: int = 0, workers: int = 1) -> State:
-    """Execute the circuit once (with seeded collapse) and return the state."""
-    state = State(c.num_qubits, workers, seed=derive_seed(seed, "final"))
-    state.run_circuit(c)
+    """Execute the circuit once and return the state; a measure or reset reads
+    1 when a draw of the ``derive_seed(seed, "final")`` stream is below p_one."""
+    state = State(c.num_qubits, workers)
+    rng = np.random.default_rng(derive_seed(seed, "final"))
+    for instr in c.instructions:
+        if isinstance(instr, (Measure, Reset)):
+            state.settle(instr, int(rng.random() < state.p_one(instr.qubit)))
+        else:
+            state.apply(instr)
     return state
 
 

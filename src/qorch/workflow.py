@@ -15,9 +15,10 @@ Builtins:
                                              (default key: all zeros)
 
 ``parse_workflow`` reads every stage's shot count (at least 1), checks every
-builtin's argument count and numbers, and checks that every classical stage
-has a quantum stage in its window, so a bad value fails with a
-``ValidationError`` naming its stage before any stage runs.
+builtin's argument count, that a <fraction> is a number in [0, 1] and that a
+<bitstring> is groups of 0/1 separated by single spaces, and checks that
+every classical stage has a quantum stage in its window, so a bad value
+fails with a ``ValidationError`` naming its stage before any stage runs.
 
 Example:
 
@@ -34,6 +35,7 @@ Example:
 from __future__ import annotations
 
 import configparser
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,7 +130,8 @@ def parse_workflow(path: str | Path) -> WorkflowFile:
 
 
 def _builtin_args(stage: str, op: str, args: list[str]) -> tuple:
-    """Check a builtin's argument count and read its <fraction> as a number."""
+    """Check a builtin's argument count and values, and read its <fraction>
+    as a number."""
     params = BUILTINS[op]
     fewest = sum(not p.startswith("[") for p in params)
     if not fewest <= len(args) <= len(params):
@@ -137,14 +140,25 @@ def _builtin_args(stage: str, op: str, args: list[str]) -> tuple:
         )
     values = []
     for param, text in zip(params, args):
-        if param == "<fraction>":
-            try:
-                text = float(text)
-            except ValueError:
+        if param != "<fraction>":
+            if not re.fullmatch(r"[01]+( [01]+)*", text):
                 raise ValidationError(
-                    f"stage {stage!r}: args: {param} must be a number, got {text!r}"
-                ) from None
-        values.append(text)
+                    f"stage {stage!r}: args: {param} must be groups of 0 and 1 "
+                    f"separated by single spaces, got {text!r}"
+                )
+            values.append(text)
+            continue
+        try:
+            fraction = float(text)
+        except ValueError:
+            raise ValidationError(
+                f"stage {stage!r}: args: {param} must be a number, got {text!r}"
+            ) from None
+        if not 0.0 <= fraction <= 1.0:  # nan compares false
+            raise ValidationError(
+                f"stage {stage!r}: args: {param} must be in [0, 1], got {text!r}"
+            )
+        values.append(fraction)
     return tuple(values)
 
 

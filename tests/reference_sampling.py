@@ -73,12 +73,20 @@ def reference_run(c, shots, seed=0, workers=1):
 
 
 def reference_shot_by_shot(c, shots, seed=0, workers=1):
-    """(counts, trace) of any circuit, collapsing shot by shot."""
+    """(counts, trace) of any circuit, collapsing shot by shot: shot s reads
+    1 at a measure or reset when a draw of its ``derive_seed(seed, "shot",
+    s)`` stream is below the qubit's ``p_one``."""
     counts = Counts()
     trace = ExecutionTrace(seed=seed)
     for shot in range(shots):
-        state = State(c.num_qubits, workers, seed=derive_seed(seed, "shot", shot))
-        trace = trace + state.run_circuit(c)
+        state = State(c.num_qubits, workers)
+        rng = np.random.default_rng(derive_seed(seed, "shot", shot))
+        for instr in c.instructions:
+            if isinstance(instr, (Measure, Reset)):
+                state.settle(instr, int(rng.random() < state.p_one(instr.qubit)))
+                trace.measures += isinstance(instr, Measure)
+            else:
+                trace = trace + state.apply(instr)
         key = " ".join(
             format(state.classical.get(name, 0), f"0{size}b") for name, size in c.cregs
         )

@@ -288,3 +288,15 @@ def test_explicit_workers_beyond_partition_fail(tmp_path, capsys, bell_file):
         "execution failed: WorkersExceedPartition: task wants 4 workers, "
         "state_vector partition has 2 nodes\n"
     )
+
+
+@pytest.mark.parametrize("model", ["per_job", "single_qc"])
+def test_program_without_qubits_reads_its_cregs_as_zeros(tmp_path, model):
+    path = tmp_path / "empty.qasm"
+    path.write_text("OPENQASM 2.0;\ncreg c[2];\n", encoding="utf-8")
+    out_dir = tmp_path / "run"
+    code = cli_main(["submit", str(path), "--shots", "64", "--model", model,
+                     "--out", str(out_dir)])
+    assert code == 0
+    (line,) = _task_lines(out_dir)
+    assert " dist=00:64" in line

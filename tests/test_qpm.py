@@ -94,7 +94,7 @@ def test_execute_bell_on_statevec(registry):
     assert set(res.counts) <= {"00", "11"}
     assert res.counts.total() == 100
     assert res.backend_id == "statevec"
-    assert res.modeled_service_time > 0
+    assert registry.service_time("statevec", ExecuteRequest("t1", bell(), 100, seed=1)) > 0
 
 
 def test_mock_hw_flip_rate():
@@ -146,7 +146,7 @@ def test_external_plugin_runs_when_registered(registry):
 
             return ExecuteResult(
                 request.task_id, Counts({"0": request.shots}),
-                ExecutionTrace(), descriptor.id, 1.0,
+                ExecutionTrace(), descriptor.id,
             )
 
     registry.register(BackendDescriptor("tn", BackendKind.TENSOR_NETWORK, 40), FakeTNPlugin())
@@ -156,17 +156,11 @@ def test_external_plugin_runs_when_registered(registry):
 
 def test_service_time_monotonicity():
     sv = StateVectorBackend(alpha=1e-3, beta=1e-9, gamma=0.0)
-    desc = sv_descriptor()
     c = bell()
-    t_small = sv.execute(ExecuteRequest("a", c, 10, 0, workers=1), desc)
-    t_more_workers = sv.execute(ExecuteRequest("a", c, 10, 0, workers=2), desc)
-    assert t_more_workers.modeled_service_time <= t_small.modeled_service_time
+    assert sv.service_time(c, 10, workers=2) <= sv.service_time(c, 10, workers=1)
 
     hw = MockHardwareBackend(readout_flip_probability=0.0, alpha_q=1.0, beta_q=1e-6)
-    hdesc = hw_descriptor()
-    few = hw.execute(ExecuteRequest("a", c, 10, 0), hdesc)
-    many = hw.execute(ExecuteRequest("a", c, 1000, 0), hdesc)
-    assert many.modeled_service_time >= few.modeled_service_time
+    assert hw.service_time(c, 1000, workers=1) >= hw.service_time(c, 10, workers=1)
 
 
 def test_execute_does_not_mutate_request(registry):

@@ -23,6 +23,7 @@ from qorch.qtm import (
     ShotMismatch,
     TaskManager,
     piece_requests,
+    task_service_time,
 )
 from qorch.scenarios import teleport_circuit
 from qorch.statevec import Counts
@@ -364,7 +365,7 @@ def test_cut_service_time_is_sum_of_pieces():
     assert len(pieces) == 3
     backend = StateVectorBackend()
     expected = sum(backend.service_time(p.circuit, p.shots, p.workers) for p in pieces)
-    assert tm.execute_task(task).modeled_service_time == expected
+    assert task_service_time(tm.registry, task, decision) == expected
 
 
 @settings(max_examples=40, deadline=None)

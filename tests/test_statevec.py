@@ -9,9 +9,10 @@ from scipy.stats import chi2_contingency, chisquare
 
 from helpers import feed_forward_programs, random_gate_circuit
 from oracle import oracle_probabilities, oracle_statevector
-from qorch.circuit import Circuit, CircuitBuilder, Gate, Measure
+from qorch.circuit import Circuit, CircuitBuilder, Gate
 from qorch.gates import GateKind, gate_entries, gate_unitary
 from qorch.statevec import (
+    MAX_QUBITS,
     Counts,
     State,
     _mix,
@@ -77,7 +78,15 @@ def test_new_state_worker_bound():
     with pytest.raises(ValueError):
         State(3, 3)  # not a power of two
     with pytest.raises(ValueError):
-        State(0, 1)
+        State(-1)
+    with pytest.raises(ValueError):
+        State(MAX_QUBITS + 1)
+
+
+def test_new_state_without_qubits_has_one_amplitude():
+    s = State(0)
+    np.testing.assert_array_equal(s.amplitudes, [1])
+    assert run(Circuit(0, (("c", 2),), ()), 7)[0] == {"00": 7}
 
 
 # -- State.apply -----------------------------------------------------------
@@ -90,9 +99,7 @@ def test_h_on_zero():
 
 
 def test_measure_collapses_and_normalizes():
-    s = State(1, seed=42)
-    s.apply(Gate(GateKind.H, (), (0,), None))
-    s.apply(Measure(0, "c", 0))
+    s = final_state(CircuitBuilder(1, (("c", 1),)).h(0).measure(0, "c", 0).build(), seed=42)
     bit = s.classical["c"]
     assert bit in (0, 1)
     expected = np.zeros(2)
@@ -117,11 +124,7 @@ def test_satisfied_condition_applies():
 
 
 def test_reset_forces_zero():
-    s = State(1, seed=3)
-    s.apply(Gate(GateKind.X, (), (0,), None))
-    from qorch.circuit import Reset
-
-    s.apply(Reset(0))
+    s = final_state(CircuitBuilder(1).x(0).reset(0).build(), seed=3)
     np.testing.assert_allclose(s.amplitudes, [1, 0], atol=1e-12)
 
 

@@ -230,7 +230,26 @@ def test_quantum_stages_route_and_time(tmp_path, system):
     ("[stage:pick]\nkind = classical\nop = select_max\n\n"
      "[stage:late]\nkind = classical\nop = select_max\n",
      "stage 'late': no quantum stage since the previous classical stage"),
-], ids=["shots", "fraction", "count", "optional-count", "zero-shots", "empty-window"])
+    ("[stage:late]\nkind = classical\nop = threshold_count\nargs = 11, nan\n",
+     "stage 'late': args: <fraction> must be in [0, 1], got 'nan'"),
+    ("[stage:late]\nkind = classical\nop = threshold_count\nargs = 11, inf\n",
+     "stage 'late': args: <fraction> must be in [0, 1], got 'inf'"),
+    ("[stage:late]\nkind = classical\nop = threshold_count\nargs = 11, 1.5\n",
+     "stage 'late': args: <fraction> must be in [0, 1], got '1.5'"),
+    ("[stage:late]\nkind = classical\nop = threshold_count\nargs = 11, -0.2\n",
+     "stage 'late': args: <fraction> must be in [0, 1], got '-0.2'"),
+    ("[stage:late]\nkind = classical\nop = mean_probability\nargs = 1x\n",
+     "stage 'late': args: <bitstring> must be groups of 0 and 1 separated by single "
+     "spaces, got '1x'"),
+    ("[stage:late]\nkind = classical\nop = threshold_count\nargs = 0  1, 0.5\n",
+     "stage 'late': args: <bitstring> must be groups of 0 and 1 separated by single "
+     "spaces, got '0  1'"),
+    ("[stage:late]\nkind = classical\nop = select_max\nargs = 2\n",
+     "stage 'late': args: [<bitstring>] must be groups of 0 and 1 separated by single "
+     "spaces, got '2'"),
+], ids=["shots", "fraction", "count", "optional-count", "zero-shots", "empty-window",
+        "fraction-nan", "fraction-inf", "fraction-above-one", "fraction-negative",
+        "bitstring-letter", "bitstring-double-space", "optional-bitstring"])
 def test_bad_stage_value_fails_at_parse(tmp_path, system, monkeypatch, stage, message):
     path = write_workflow(
         tmp_path,
