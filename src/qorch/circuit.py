@@ -55,6 +55,17 @@ class Circuit:
     def __post_init__(self):
         validate(self)
 
+    @classmethod
+    def _trusted(cls, num_qubits: int, cregs: tuple[tuple[str, int], ...],
+                 instructions: tuple[Instruction, ...]) -> "Circuit":
+        """A circuit from parts its caller has already checked, not validated
+        again: the QASM reader's output and the pieces of a valid circuit."""
+        circuit = object.__new__(cls)
+        object.__setattr__(circuit, "num_qubits", num_qubits)
+        object.__setattr__(circuit, "cregs", cregs)
+        object.__setattr__(circuit, "instructions", instructions)
+        return circuit
+
     def creg_size(self, name: str) -> int:
         for cname, size in self.cregs:
             if cname == name:
@@ -350,6 +361,6 @@ def split_circuit(c: Circuit) -> list[Subcircuit]:
             elif instr.qubit in local:
                 instrs.append(Measure(local[instr.qubit], instr.creg, instr.bit)
                               if isinstance(instr, Measure) else Reset(local[instr.qubit]))
-        subs.append(Subcircuit(Circuit(len(qubits), c.cregs, tuple(instrs)),
+        subs.append(Subcircuit(Circuit._trusted(len(qubits), c.cregs, tuple(instrs)),
                                dict(enumerate(qubits))))
     return subs

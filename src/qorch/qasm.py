@@ -211,11 +211,9 @@ class _Parser:
                 self.header()
             while self.peek()[0] != "EOF":
                 self.statement()
+        # both readers check every index, name and count as they read
         cregs = tuple([(name, len(bits)) for name, bits in self.cregs.items()])
-        try:
-            return Circuit(self.num_qubits, cregs, tuple(self.instructions))
-        except ValidationError as exc:  # parser checks should make this unreachable
-            raise QasmSyntaxError(1, 1, str(exc)) from exc
+        return Circuit._trusted(self.num_qubits, cregs, tuple(self.instructions))
 
     def read_statements(self) -> int:
         """Read statements at one ``_STATEMENT`` match each; return the offset

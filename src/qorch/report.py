@@ -33,10 +33,6 @@ def _digest(line: str) -> str:
     return hashlib.sha256(line.encode("utf-8")).hexdigest()[:16]
 
 
-def counts_digest(counts: Counts | None) -> str:
-    return "-" if counts is None else _digest(counts.canonical_line())
-
-
 def counts_fields(counts: Counts | None) -> tuple[str, str]:
     """The ``counts=`` digest and the ``dist=`` field of a task line, both
     from one canonical line: dist is the line with '.' for each space,
@@ -53,15 +49,33 @@ def _num(value: float) -> str:
 
 @dataclass
 class TaskRecord:
+    """One task of a run, rendered as its report line.
+
+    The line's ``counts=`` digest and ``dist=`` field come from one
+    canonical line of the counts.  ``digest()``, which a ``submit`` answer
+    and a workflow's stage line read before the report is rendered, builds
+    both and keeps them on the record; ``to_line`` renders the kept fields,
+    or builds them when none are kept, and drops them, so a rendered report
+    does not hold each dist twice.  Rendering a record therefore changes
+    it, and a later ``digest()`` builds the line again."""
+
     task_id: str
     backend_id: str
     queue_wait: float
     service_time: float
     counts: Counts | None = None
     error: str | None = None
+    _fields: tuple[str, str] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def digest(self) -> str:
+        """The ``counts=`` digest of the task line."""
+        if self._fields is None:
+            self._fields = counts_fields(self.counts)
+        return self._fields[0]
 
     def to_line(self) -> str:
-        digest, dist = counts_fields(self.counts)
+        digest, dist = self._fields or counts_fields(self.counts)
+        self._fields = None
         parts = [
             "task",
             self.task_id,

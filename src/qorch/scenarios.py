@@ -21,7 +21,7 @@ partition (gang/throughput), and single_qc holds the cluster device for them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from . import qtm
 from .circuit import Circuit, CircuitBuilder
 from .qasm import QasmError
 from .qtm import Preferences, QuantumTask, TaskManager, check_shots, task_service_time
-from .report import RunReport, TaskRecord, counts_digest
+from .report import RunReport, TaskRecord
 from .resman import Advance, DeviceCall, GeneratorWorkload, JobSpec, Model, ParallelDeviceCalls
 from .seeds import derive_seed
 from .simenv import assess, configure, execute_plan
@@ -93,12 +93,18 @@ class TaskOutcome:
     service_time: float = 0.0
     counts: Counts | None = None
     error: str | None = None
+    _record: TaskRecord | None = field(default=None, init=False, repr=False, compare=False)
 
     def record(self) -> TaskRecord:
-        return TaskRecord(
-            self.task_id, self.backend_id, self.queue_wait,
-            self.service_time, self.counts, self.error,
-        )
+        """The task's report record, made on the first call once the task is
+        done and returned again on later calls, so the fields a ``digest()``
+        of it keeps are the ones its report renders."""
+        if self._record is None:
+            self._record = TaskRecord(
+                self.task_id, self.backend_id, self.queue_wait,
+                self.service_time, self.counts, self.error,
+            )
+        return self._record
 
 
 class QuantumBatch:
@@ -188,7 +194,7 @@ def _run_job(system: System, scenario: str, seed: int, model, app_nodes: int,
              failure: str | None = None) -> RunReport:
     """Run ``body`` as the hybrid job ``job-0001`` and report it.
 
-    ``answer`` maps the counts of the tasks that returned counts, in task
+    ``answer`` maps the records of the tasks that returned counts, in task
     order, to the report's answer; with none, the answer is ``error``.  An
     admission ``failure`` submits no job.  The run fails when admission
     failed, the job failed, the body set ``batch.failure`` or a task failed;
@@ -215,20 +221,21 @@ def _run_job(system: System, scenario: str, seed: int, model, app_nodes: int,
     reasons.append(batch.failure)
     reasons += [o.error for o in batch.outcomes]
     failure = next((reason for reason in reasons if reason), None)
-    counts = [o.counts for o in batch.outcomes if o.counts is not None]
+    records = [o.record() for o in batch.outcomes]
+    counted = [record for record in records if record.counts is not None]
     waits = [o.queue_wait for o in batch.outcomes if o.error is None]
     return RunReport(
         scenario=scenario,
         seed=seed,
         model=model.value,
         status="failed" if failure else "ok",
-        answer=answer(counts) if counts else "error",
+        answer=answer(counted) if counted else "error",
         metrics={
             "makespan": cluster.now,
             "utilization": cluster.metrics()["utilization"],
             "mean_queue_wait": float(np.mean(waits)) if waits else 0.0,
         },
-        tasks=[o.record() for o in batch.outcomes],
+        tasks=records,
         iterations=list(iterations),
         stages=list(stages),
         config_text=system.config.text,
@@ -253,7 +260,7 @@ def run_single_circuit(n: int, shots: int, seed: int, system: System,
 
     return _run_job(
         system, "single_circuit", seed, model, app_nodes, sim_nodes, body,
-        lambda counts: f"p_all_zeros={counts[0].frequency('0' * n):.6f}",
+        lambda records: f"p_all_zeros={records[0].counts.frequency('0' * n):.6f}",
     )
 
 
@@ -279,8 +286,8 @@ def run_ensemble(k: int, n: int, layers: int, shots: int, seed: int, system: Sys
         ]
         yield from batch.run_batch(tasks)
 
-    def answer(counts: list[Counts]) -> str:
-        mean = float(np.mean([c.frequency("0" * n) for c in counts]))
+    def answer(records: list[TaskRecord]) -> str:
+        mean = float(np.mean([r.counts.frequency("0" * n) for r in records]))
         return f"mean_zero_frequency={mean:.6f}"
 
     return _run_job(system, "ensemble", seed, model, app_nodes, sim_nodes, body, answer)
@@ -328,7 +335,7 @@ def run_in_sequence(theta: float, shots_per_iter: int, seed: int, system: System
             angle = (lo + hi) / 2.0
         batch.failure = f"NonConvergence: no convergence after {max_iterations} iterations"
 
-    def answer(counts: list[Counts]) -> str:
+    def answer(records: list[TaskRecord]) -> str:
         last = iterations[-1]
         return f"theta={last['theta']} p1={last['p1']} iterations={len(iterations)}"
 
@@ -359,4 +366,4 @@ def run_submitted_circuit(source: str, shots: int, seed: int, system: System,
         yield from batch.run_batch([task])
 
     return _run_job(system, "submit", seed, model, app_nodes, sim_nodes, body,
-                    lambda counts: f"counts={counts_digest(counts[0])}", failure=failure)
+                    lambda records: f"counts={records[0].digest()}", failure=failure)

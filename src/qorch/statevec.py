@@ -24,6 +24,23 @@ block and swap exchanges the 01 and 10 blocks; cx, swap and x exchange
 through tiles too, so they copy at most a tile at a time, and cz and the
 diagonal gates copy nothing.
 
+On a state of at least ``_FUSE_QUBITS`` (9) qubits, ``State.apply`` holds
+each one-qubit gate as a factor of its qubit's 2x2 product instead (the
+gate clustering of Haener & Steiger, SC17).  The first two-qubit gate,
+``p_one``, ``settle``, ``copy`` or read of ``amplitudes`` applies what is
+held: the qubits fall into blocks of ``_BLOCK`` (4) aligned qubits, and
+each block's products are applied as one Kronecker-product matrix of at
+most 16 x 16, tile by tile, each tile's ``np.matmul`` written into one
+tile-sized buffer and copied back.  A block that holds a single gate runs
+that gate's own kernel, and a block of one qubit holding several gates one
+dense update.  Fused amplitudes differ from per-gate ones by rounding, at
+most about 1e-16; ``apply`` still returns each gate's own trace delta.  The
+threshold is measured: on the feed-forward programs of at most 8 qubits the
+holding and flushing cost more than the per-gate updates they replace, and
+on layered programs of 9 qubits or more fusion is faster.  A flush that a
+two-qubit gate starts runs inside ``apply``; one that ``p_one``, ``settle``,
+``copy`` or ``amplitudes`` starts runs inside that call.
+
 ``run`` samples every circuit with one depth-first walk over classical
 histories: a branch of k shots splits by a binomial draw at each measure or
 reset before the last gate, and past it samples its remaining measures from
@@ -35,6 +52,7 @@ one pending sibling per measure level before the last gate is held, each a
 from __future__ import annotations
 
 import copy
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -99,9 +117,18 @@ class State:
         _check_workers(num_qubits, workers)
         self.num_qubits = num_qubits
         self.workers = workers
-        self.amplitudes = np.zeros(2**num_qubits, dtype=np.complex128)
-        self.amplitudes[0] = 1.0
+        self._amplitudes = np.zeros(2**num_qubits, dtype=np.complex128)
+        self._amplitudes[0] = 1.0
+        # qubit -> (entries of the product of its held gates, the gate if only one)
+        self._held: dict[int, tuple[tuple[complex, ...], Gate | None]] = {}
         self.classical: dict[str, int] = {}
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The amplitudes, after every held one-qubit gate is applied."""
+        if self._held:
+            self._flush()
+        return self._amplitudes
 
     @property
     def chunks(self) -> list[np.ndarray]:
@@ -124,7 +151,10 @@ class State:
                 name, value = instr.condition
                 if self.classical.get(name, 0) != value:
                     return delta
-            _KERNELS[instr.kind](self.amplitudes, instr)
+            if len(instr.qubits) == 1 and self.num_qubits >= _FUSE_QUBITS:
+                self._hold(instr)
+            else:
+                _KERNELS[instr.kind](self.amplitudes, instr)
             delta.gates_applied = 1
             if max(instr.qubits) >= self.local_qubits:
                 delta.exchanged_amplitudes = 2**self.num_qubits
@@ -140,9 +170,11 @@ class State:
     def settle(self, instr: Measure | Reset, bit: int) -> None:
         """Collapse the qubit onto ``bit`` and renormalize; a measure records
         the bit in its creg, and a reset then moves the qubit to 0."""
-        zeros, ones = _halves(self.amplitudes, instr.qubit)
+        amps = self.amplitudes
+        zeros, ones = _halves(amps, instr.qubit)
         (ones if bit == 0 else zeros)[...] = 0
-        self.amplitudes /= np.linalg.norm(self.amplitudes)
+        real, imag = amps.real, amps.imag
+        amps /= math.sqrt(real.dot(real) + imag.dot(imag))  # np.linalg.norm's arithmetic
         if isinstance(instr, Measure):
             current = self.classical.get(instr.creg, 0)
             self.classical[instr.creg] = (current & ~(1 << instr.bit)) | (bit << instr.bit)
@@ -153,9 +185,39 @@ class State:
     def copy(self) -> "State":
         """An independent copy of the amplitudes and classical registers."""
         other = copy.copy(self)
-        other.amplitudes = self.amplitudes.copy()
+        other._amplitudes = self.amplitudes.copy()
+        other._held = {}
         other.classical = dict(self.classical)
         return other
+
+    def _hold(self, gate: Gate) -> None:
+        """Multiply a one-qubit gate onto its qubit's held product."""
+        q = gate.qubits[0]
+        g00, g01, g10, g11 = gate_entries(gate.kind, gate.params)
+        if q not in self._held:
+            self._held[q] = ((g00, g01, g10, g11), gate)
+            return
+        (m00, m01, m10, m11), _ = self._held[q]
+        self._held[q] = ((g00 * m00 + g01 * m10, g00 * m01 + g01 * m11,
+                          g10 * m00 + g11 * m10, g10 * m01 + g11 * m11), None)
+
+    def _flush(self) -> None:
+        """Apply the held gates, block by block of _BLOCK aligned qubits."""
+        held, self._held = self._held, {}
+        blocks: dict[int, list[int]] = {}
+        for q in sorted(held):
+            blocks.setdefault(q // _BLOCK, []).append(q)
+        for qubits in blocks.values():
+            entries, gate = held[qubits[0]]
+            if gate is not None and len(qubits) == 1:
+                _KERNELS[gate.kind](self._amplitudes, gate)
+            elif len(qubits) == 1:
+                _dense(self._amplitudes, qubits[0], entries)
+            else:
+                lo, hi = qubits[0], qubits[-1]
+                factors = [held[q][0] if q in held else (1, 0, 0, 1)
+                           for q in range(hi, lo - 1, -1)]
+                _block(self._amplitudes, lo, _kron(factors))
 
 
 def _halves(amps: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -174,6 +236,8 @@ def _blocks(amps: np.ndarray, a: int, b: int) -> np.ndarray:
 
 
 _TILE = 1 << 12  # amplitudes per half in one step of a dense update or an exchange
+_FUSE_QUBITS = 9  # states this wide hold one-qubit gates and apply them in blocks
+_BLOCK = 4  # aligned qubits per fused block, one matrix of at most 16 x 16
 
 
 def _tiles(view: np.ndarray):
@@ -225,13 +289,17 @@ def _tiled_halves(amps: np.ndarray, qubit: int):
 
 
 def _mix(amps: np.ndarray, gate: Gate) -> None:
-    """A dense one-qubit gate: new0 = m00 a0 + m01 a1, new1 = m10 a0 + m11 a1.
+    """A dense one-qubit gate."""
+    _dense(amps, gate.qubits[0], gate_entries(gate.kind, gate.params))
+
+
+def _dense(amps: np.ndarray, q: int, entries: tuple[complex, ...]) -> None:
+    """new0 = m00 a0 + m01 a1, new1 = m10 a0 + m11 a1 on qubit q.
 
     On a middle qubit below the top one, each tile's halves are strided
     rows of 2^q amplitudes, which numpy walks slowly; they are updated in
     contiguous buffers instead, by the same steps, and copied back."""
-    m00, m01, m10, m11 = gate_entries(gate.kind, gate.params)
-    q = gate.qubits[0]
+    m00, m01, m10, m11 = entries
     if not (3 <= q <= 10 and amps.size > 2 << q):
         for zeros, ones in _tiled_halves(amps, q):
             carry = ones * m01
@@ -254,6 +322,41 @@ def _mix(amps: np.ndarray, gate: Gate) -> None:
         a0 += carry
         zeros[...] = a0
         ones[...] = a1
+
+
+def _kron(factors: list[tuple[complex, ...]]) -> np.ndarray:
+    """The Kronecker product of 2x2 matrices given by their entries, the
+    first factor on the most significant bit."""
+    matrix = np.ones((1, 1), dtype=np.complex128)
+    for entries in factors:
+        factor = np.array(entries, dtype=np.complex128).reshape(2, 2)
+        size = 2 * len(matrix)
+        matrix = (matrix[:, None, :, None] * factor[None, :, None, :]).reshape(size, size)
+    return matrix
+
+
+def _block(amps: np.ndarray, lo: int, matrix: np.ndarray) -> None:
+    """Apply a 2^k x 2^k matrix to qubits lo..lo+k-1, whose amplitudes sit
+    on the middle axis of ``reshape(-1, 2^k, 2^lo)``: each tile of at most
+    _TILE amplitudes is multiplied into one buffer and copied back."""
+    size = len(matrix)
+    view = amps.reshape(-1, size, 1 << lo)
+    rows, _, columns = view.shape
+    width = min(columns, max(_TILE // size, 1))
+    step = min(rows, max(_TILE // (size * width), 1))
+    buffer = np.empty((step, size, width), dtype=amps.dtype)
+    if columns == 1:  # rows of 2^k contiguous amplitudes: rows @ matrix^T
+        flat, out, transposed = view[:, :, 0], buffer[:, :, 0], matrix.T
+        for r in range(0, rows, step):
+            tile = flat[r:r + step]
+            np.matmul(tile, transposed, out=out)
+            tile[...] = out
+        return
+    for r in range(0, rows, step):
+        for c in range(0, columns, width):
+            tile = view[r:r + step, :, c:c + width]
+            np.matmul(matrix, tile, out=buffer)
+            tile[...] = buffer
 
 
 def _phase(amps: np.ndarray, gate: Gate) -> None:
@@ -329,20 +432,22 @@ def final_state(c: Circuit, seed: int = 0, workers: int = 1) -> State:
     return state
 
 
-def _static_distribution(state: State, instructions, cregs):
-    """Exact creg-bitstring distribution of reading ``state`` out through the
-    measures and resets in ``instructions``; gates there are ignored, and a
-    creg bit no measure writes keeps its value in ``state.classical``.
+def _static_distribution(instructions, cregs):
+    """The readout of a state through the measures and resets in
+    ``instructions``, as a function of the state; gates there are ignored,
+    and a creg bit no measure writes keeps its value in ``state.classical``.
 
-    Returns (keys_of, probabilities, measures).  ``probabilities`` lists the
-    outcomes in sorted-key order, and ``keys_of(indices)`` formats the keys of
-    the given entries.
+    The layout of the keys depends only on the instructions and the cregs,
+    so it is built once; the returned ``read(state)`` gives the exact
+    creg-bitstring distribution as (keys_of, probabilities, measures).
+    ``probabilities`` lists the outcomes in sorted-key order, and
+    ``keys_of(indices)`` formats the keys of the given entries.
     """
-    n = state.num_qubits
     # Everything left is diagonal, so each creg bit is either a function of
-    # the joint basis outcome or a constant: unwritten, or read after a reset.
+    # the joint basis outcome or a constant: 0 when a measure writes it after
+    # a reset, else its value in state.classical when no measure writes it.
     writers: dict[tuple[str, int], int] = {}
-    values = dict(state.classical)
+    written: set[tuple[str, int]] = set()
     reset_seen: set[int] = set()
     n_measures = 0
     for instr in instructions:
@@ -350,21 +455,12 @@ def _static_distribution(state: State, instructions, cregs):
             reset_seen.add(instr.qubit)
         elif isinstance(instr, Measure):
             n_measures += 1
-            values[instr.creg] = values.get(instr.creg, 0) & ~(1 << instr.bit)
+            written.add((instr.creg, instr.bit))
             if instr.qubit in reset_seen:
                 writers.pop((instr.creg, instr.bit), None)
             else:
                 writers[(instr.creg, instr.bit)] = instr.qubit
     measured = sorted(set(writers.values()))
-    probs = np.abs(state.amplitudes) ** 2
-    if measured:
-        view = probs.reshape((2,) * n)
-        drop = tuple(n - 1 - q for q in range(n) if q not in measured)
-        marginal = view.sum(axis=drop).reshape(-1) if drop else view.reshape(-1)
-        # marginal index bit i corresponds to measured[i] (little-endian:
-        # remaining axes keep their relative significance order)
-    else:
-        marginal = np.array([1.0])
 
     # Every measured qubit writes at least one creg bit, so outcome -> key is
     # a bijection.  Keys share their layout, so they sort like the bits they
@@ -376,28 +472,51 @@ def _static_distribution(state: State, instructions, cregs):
     rank: dict[int, int] = {}
     shifts = []  # per key character; shift m reads a bit that is always 0
     codes = []
+    kept = []  # (character, creg, bit) of the bits that keep their classical value
     for k, (name, size) in enumerate(cregs):
         if k:
             shifts.append(m)
             codes.append(ord(" "))
         for bit in reversed(range(size)):
             q = writers.get((name, bit))
+            if (name, bit) not in written:
+                kept.append((len(shifts), name, bit))
             shifts.append(m if q is None else m - 1 - rank.setdefault(q, len(rank)))
-            codes.append(ord("0") + (values.get(name, 0) >> bit & 1))
+            codes.append(ord("0"))
     axis_of = {q: m - 1 - i for i, q in enumerate(measured)}
     perm = [axis_of[q] for q in sorted(rank, key=rank.get)]
-    pvec = marginal.reshape((2,) * m).transpose(perm).reshape(-1)
-    pvec = pvec / pvec.sum()
 
     # m <= MAX_QUBITS, so indices, shifts and codes fit 32 bits, the width
     # of the code points format_keys reads
     shift = np.array(shifts, dtype=np.uint32)
-    base = np.array(codes, dtype=np.uint32)
+    zeros = np.array(codes, dtype=np.uint32)
+    characters = [index for index, _, _ in kept]
 
-    def keys_of(indices: np.ndarray) -> list[str]:
-        return format_keys(base + ((indices.astype(np.uint32)[:, None] >> shift) & 1))
+    def read(state: State):
+        n = state.num_qubits
+        probs = np.abs(state.amplitudes) ** 2
+        if measured:
+            view = probs.reshape((2,) * n)
+            drop = tuple(n - 1 - q for q in range(n) if q not in axis_of)
+            marginal = view.sum(axis=drop).reshape(-1) if drop else view.reshape(-1)
+            # marginal index bit i corresponds to measured[i] (little-endian:
+            # remaining axes keep their relative significance order)
+        else:
+            marginal = np.array([1.0])
+        pvec = marginal.reshape((2,) * m).transpose(perm).reshape(-1)
+        pvec = pvec / pvec.sum()
+        base = zeros
+        bits = [state.classical.get(name, 0) >> bit & 1 for _, name, bit in kept]
+        if any(bits):
+            base = zeros.copy()
+            base[characters] += np.array(bits, dtype=np.uint32)
 
-    return keys_of, pvec, n_measures
+        def keys_of(indices: np.ndarray) -> list[str]:
+            return format_keys(base + ((indices.astype(np.uint32)[:, None] >> shift) & 1))
+
+        return keys_of, pvec, n_measures
+
+    return read
 
 
 def format_keys(rows: np.ndarray) -> list[str]:
@@ -417,10 +536,11 @@ def run(c: Circuit, shots: int, seed: int = 0,
 
     A depth-first walk over classical histories: a branch of k shots splits
     at a measure or reset before the last gate by k1 ~ Binomial(k, p1), and
-    past the last gate draws its k shots from ``_static_distribution``.  All
-    draws share one stream, so a static circuit is one pass and one draw.
-    At most one pending sibling per measure level before the last gate is
-    held, each a 2^n copy.  The trace counts work per branch, not per shot.
+    past the last gate draws its k shots from ``_static_distribution``, whose
+    key layout is built once per call.  All draws share one stream, so a
+    static circuit is one pass and one draw.  At most one pending sibling per
+    measure level before the last gate is held, each a 2^n copy.  The trace
+    counts work per branch, not per shot.
     Identical (circuit, shots, seed, workers) always produces identical Counts.
     """
     if shots < 1:
@@ -430,6 +550,7 @@ def run(c: Circuit, shots: int, seed: int = 0,
     end = 1 + max((i for i, instr in enumerate(program) if isinstance(instr, Gate)),
                   default=-1)
     rng = np.random.default_rng(derive_seed(seed, "static"))
+    read = _static_distribution(program[end:], c.cregs)
     gates = measures = exchanged = 0
     drawn = []
     pending = [(State(c.num_qubits, workers), 0, shots)]
@@ -451,7 +572,7 @@ def run(c: Circuit, shots: int, seed: int = 0,
                 pending.append((sibling, pc + 1, ones))
                 k -= ones
             state.settle(instr, bit)
-        keys_of, pvec, read_out = _static_distribution(state, program[end:], c.cregs)
+        keys_of, pvec, read_out = read(state)
         measures += read_out
         draws = rng.multinomial(k, pvec)
         hits = np.flatnonzero(draws)

@@ -42,7 +42,7 @@ from pathlib import Path
 from . import qtm
 from .circuit import ValidationError
 from .qasm import QasmError
-from .report import RunReport, counts_digest
+from .report import RunReport, TaskRecord
 from .resman import Model
 from .scenarios import QuantumBatch, _run_job
 from .seeds import derive_seed
@@ -224,7 +224,7 @@ def run_workflow(file: str | Path, system: System, seed: int = 0) -> RunReport:
                     "kind": "quantum",
                     "placement": outcome.backend_id,
                     "service_time": f"{outcome.service_time:.9g}",
-                    "counts": counts_digest(outcome.counts),
+                    "counts": outcome.record().digest(),
                 })
             else:
                 value = _apply_builtin(stage, window)
@@ -237,7 +237,7 @@ def run_workflow(file: str | Path, system: System, seed: int = 0) -> RunReport:
                     "value": str(value),
                 })
 
-    def answer(counts: list[Counts]) -> str:
+    def answer(records: list[TaskRecord]) -> str:
         values = [line["value"] for line in stage_lines if line["kind"] == "classical"]
         return f"value={values[-1] if values else '-'}"
 

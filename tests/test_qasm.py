@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qorch.circuit import Barrier, Circuit, Gate, Measure, Reset, ValidationError
+from qorch.circuit import Barrier, Circuit, Gate, Measure, Reset, ValidationError, split_circuit
 from qorch.gates import GateKind
 from qorch.qasm import (
     QasmError,
@@ -269,7 +269,27 @@ def test_serialize_parse_round_trip(circuit):
     assert repr(again) == repr(circuit)  # angles bit-exact, -0.0 included
 
 
+@settings(max_examples=200, deadline=None)
+@given(_circuits())
+def test_trusted_constructor_equals_validating_one(circuit):
+    # parse_qasm and split_circuit build circuits without validating again,
+    # so what they build must pass validation and equal a validated circuit
+    parts = (circuit.num_qubits, circuit.cregs, circuit.instructions)
+    trusted = Circuit._trusted(*parts)
+    assert trusted == circuit and hash(trusted) == hash(circuit)
+    assert repr(trusted) == repr(circuit)
+    parsed = parse_qasm(serialize_qasm(circuit))
+    for built in [parsed] + [sub.circuit for sub in split_circuit(circuit)]:
+        assert Circuit(built.num_qubits, built.cregs, built.instructions) == built
+
+
 _VALID = sorted((CORPUS / "valid").glob("*.qasm"))
+
+
+@pytest.mark.parametrize("path", _VALID, ids=lambda path: path.stem)
+def test_parsed_corpus_passes_validation(path):
+    parsed = parse_qasm(path.read_text(encoding="utf-8"))
+    assert Circuit(parsed.num_qubits, parsed.cregs, parsed.instructions) == parsed
 # Single characters of the language and around it, plus the short fragments
 # that reach the number and angle rules: exponents, zero denominators,
 # overflowing literals and digits that are not ASCII.

@@ -1,7 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qorch.circuit import CircuitBuilder
 from qorch.qpm import (
@@ -16,6 +19,7 @@ from qorch.qpm import (
     StateVectorBackend,
     UnknownBackend,
     _pack_rows,
+    count_rows,
 )
 
 
@@ -186,3 +190,25 @@ def test_pack_rows_equals_row_wise_packbits_padded_to_words():
             words = _pack_rows(bits)
             assert words.dtype == np.dtype(">u8")
             assert np.array_equal(words, expected.view(">u8")), (width, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 20) | st.integers(60, 130), rows=st.integers(1, 400),
+       p=st.floats(0.02, 0.98), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_count_rows_tallies_keys_in_order(width, rows, p, seed, data):
+    # keys of up to 16 bits are tallied by value, wider ones by np.unique;
+    # both give the sorted keys of a plain tally, in the template's layout
+    rng = np.random.default_rng(seed)
+    bits = rng.random((rows, width)) < p
+    cuts = sorted(data.draw(st.sets(st.integers(1, width - 1), max_size=3)) if width > 1 else [])
+    spans = list(zip([0] + cuts, cuts + [width]))
+
+    def key(row):
+        text = "".join("1" if b else "0" for b in row)
+        return " ".join(text[a:b] for a, b in spans)
+
+    words = _pack_rows(bits)
+    if data.draw(st.booleans()):
+        words = words.astype(np.uint64)  # native words, as ``a | b`` gives
+    counts = count_rows(words, key(bits[0]))
+    assert list(counts.items()) == sorted(Counter(key(row) for row in bits).items())

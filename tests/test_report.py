@@ -2,6 +2,8 @@
 and the answer and stage lines carry the digest of their task."""
 import hashlib
 
+import pytest
+
 from qorch.report import TaskRecord, counts_fields
 from qorch.scenarios import run_submitted_circuit
 from qorch.statevec import Counts
@@ -72,3 +74,23 @@ def test_stage_lines_carry_their_task_digest(tmp_path):
     assert report.status == "ok"
     assert [stage["counts"] for stage in report.stages] == [
         _line_fields(record.counts)[0] for record in report.tasks]
+
+
+@pytest.mark.parametrize("stages", [1, 3])
+def test_each_task_line_is_built_once(tmp_path, monkeypatch, stages):
+    built = []
+    line = Counts.canonical_line
+    monkeypatch.setattr(Counts, "canonical_line", lambda self: built.append(1) or line(self))
+    if stages == 1:
+        report = run_submitted_circuit(TELEPORT, 500, 3, System())
+    else:
+        (tmp_path / "tp.qasm").write_text(TELEPORT, encoding="utf-8")
+        path = tmp_path / "flow.ini"
+        path.write_text("".join(f"[stage:s{k}]\nkind = quantum\nqasm = tp.qasm\nshots = 100\n\n"
+                                for k in range(stages)), encoding="utf-8")
+        report = run_workflow(path, System(), seed=4)
+    text = report.to_text()
+    assert report.status == "ok" and len(report.tasks) == stages
+    assert len(built) == stages
+    for record in report.tasks:
+        assert f"counts={_line_fields(record.counts)[0]} " in text

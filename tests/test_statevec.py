@@ -9,12 +9,14 @@ from scipy.stats import chi2_contingency, chisquare
 
 from helpers import feed_forward_programs, random_gate_circuit
 from oracle import oracle_probabilities, oracle_statevector
-from qorch.circuit import Circuit, CircuitBuilder, Gate
+from qorch.circuit import Circuit, CircuitBuilder, Gate, Measure, Reset
 from qorch.gates import GateKind, gate_entries, gate_unitary
 from qorch.statevec import (
     MAX_QUBITS,
     Counts,
     State,
+    _FUSE_QUBITS,
+    _TILE,
     _mix,
     _static_distribution,
     _tiled_halves,
@@ -198,14 +200,37 @@ def test_apply_peak_memory(kind, placement):
     state = State(n)
     state.amplitudes[:] = _random_state(n, 1)
     state.apply(gate)
+    state.amplitudes  # a one-qubit gate is held until the state is read
     tracemalloc.start()
     try:
         state.apply(gate)
+        state.amplitudes
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     limit = 0.5 if kind in _DIAGONAL else 1.5
     assert peak <= limit * 16 * 2**n
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_flush_peak_memory_is_tiles(n):
+    # a held u on every qubit flushes as 4-qubit blocks through one tile buffer
+    rng = np.random.default_rng(n)
+    layer = [Gate(GateKind.U, tuple(rng.uniform(0, 2 * math.pi, 3)), (q,)) for q in range(n)]
+    state = State(n)
+    state.amplitudes[:] = _random_state(n, 1)
+    for gate in layer:
+        state.apply(gate)
+    state.amplitudes
+    for gate in layer:
+        state.apply(gate)
+    tracemalloc.start()
+    try:
+        state.amplitudes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16 * _TILE
 
 
 @pytest.mark.parametrize("kind", [GateKind.CX, GateKind.SWAP])
@@ -247,6 +272,81 @@ def test_exchanges_permute_amplitudes_on_every_pair():
                 state.amplitudes[:] = psi
                 state.apply(Gate(kind, (), (a, b)))
                 assert np.array_equal(state.amplitudes, psi[source]), (kind, a, b)
+
+
+_ONE_QUBIT = [kind for kind in GateKind if kind.num_qubits == 1]
+
+
+@st.composite
+def fused_programs(draw):
+    """Runs of one-qubit gates on a wide state, cut by cx, cz, measures,
+    resets and gates conditioned on the creg the measures write."""
+    n = draw(st.integers(_FUSE_QUBITS, 16))
+    angle = st.floats(-2 * math.pi, 2 * math.pi)
+    program = []
+    for _ in range(draw(st.integers(1, 5))):
+        for _ in range(draw(st.integers(0, 2 * n))):
+            kind = draw(st.sampled_from(_ONE_QUBIT))
+            params = tuple(draw(angle) for _ in range(kind.num_params))
+            condition = (("c", draw(st.integers(0, 3))) if draw(st.integers(0, 5)) == 0
+                         else None)
+            program.append(Gate(kind, params, (draw(st.integers(0, n - 1)),), condition))
+        cut = draw(st.sampled_from(["cx", "cz", "measure", "reset", "none"]))
+        a, b = draw(st.permutations(range(n)))[:2]
+        if cut in ("cx", "cz"):
+            program.append(Gate(GateKind(cut), (), (a, b)))
+        elif cut == "measure":
+            program.append(Measure(a, "c", draw(st.integers(0, 1))))
+        elif cut == "reset":
+            program.append(Reset(a))
+    return n, program
+
+
+def _per_gate(n, program, bits):
+    """The program on a plain array, gate by gate through the reference
+    kernel, each measure or reset reading the given bit."""
+    amps = np.zeros(2**n, dtype=np.complex128)
+    amps[0] = 1.0
+    value = 0
+    bits = iter(bits)
+    for instr in program:
+        if isinstance(instr, Gate):
+            if instr.condition is None or instr.condition[1] == value:
+                _apply_unitary(amps, gate_unitary(instr.kind, instr.params), instr.qubits, n)
+            continue
+        bit = next(bits)
+        halves = amps.reshape(-1, 2, 2**instr.qubit)
+        halves[:, 1 - bit] = 0
+        amps /= np.linalg.norm(amps)
+        if isinstance(instr, Measure):
+            value = value & ~(1 << instr.bit) | bit << instr.bit
+        elif bit:
+            halves[:, 0] = halves[:, 1]
+            halves[:, 1] = 0
+    return amps, value
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=fused_programs())
+def test_fused_gates_match_per_gate_reference(case):
+    n, program = case
+    state, bits = State(n), []
+    for instr in program:
+        if isinstance(instr, (Measure, Reset)):
+            p = state.p_one(instr.qubit)  # reads the held gates too
+            ones = state.amplitudes.reshape(-1, 2, 2**instr.qubit)[:, 1]
+            assert p == pytest.approx(float(np.sum(np.abs(ones) ** 2)), abs=1e-12)
+            bits.append(int(p >= 0.5))
+            state.settle(instr, bits[-1])
+        else:
+            delta = state.apply(instr)
+            applied = instr.condition is None or instr.condition[1] == state.classical.get("c", 0)
+            assert delta.gates_applied == int(applied)
+    expected, value = _per_gate(n, program, bits)
+    copied = state.copy()  # applies what is held before it copies
+    for amps in (copied.amplitudes, state.amplitudes):
+        np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-13)
+    assert state.classical.get("c", 0) == value
 
 
 def _mix_in_place(amps, gate):
@@ -353,7 +453,7 @@ def test_static_distribution_matches_oracle_exactly():
         measured = random_gate_circuit(3, 2, seed=seed, measure=True)
         gate_only = random_gate_circuit(3, 2, seed=seed, measure=False)
         state = final_state(gate_only)
-        keys_of, pvec, _ = _static_distribution(state, measured.instructions, measured.cregs)
+        keys_of, pvec, _ = _static_distribution(measured.instructions, measured.cregs)(state)
         keys = keys_of(np.arange(len(pvec)))
         expected = oracle_probabilities(gate_only)
         assert len(keys) == 8

@@ -143,7 +143,7 @@ def test_static_distribution_matches_oracle_marginals(case):
     for q, (name, bit) in mapping.items():
         b.measure(q, name, bit)
     c = b.build()
-    keys_of, pvec, _ = _static_distribution(final_state(gate_only), c.instructions, c.cregs)
+    keys_of, pvec, _ = _static_distribution(c.instructions, c.cregs)(final_state(gate_only))
     keys = keys_of(np.arange(len(pvec)))
     assert len(keys) == 2 ** len(mapping)
     assert keys == sorted(set(keys))

@@ -7,7 +7,10 @@ shape changes.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from helpers import product_circuit
+from qorch.circuit import CircuitBuilder
 from qorch.config import default_config_text, parse_config
 from qorch.qasm import serialize_qasm
 from qorch.qtm import TaskManager
@@ -42,3 +45,33 @@ def test_tracer_patches_every_layer_it_names():
         "qasm.parse", "qtm.route", "qtm.aggregate", "qpm.readout", "simenv.plan",
         "simenv.execute", "scenarios.batch", "statevec.run",
     }
+
+
+@pytest.mark.parametrize("last", ["cx", "u"])
+def test_tracer_times_fused_gates_as_kernel_work(last):
+    # on 16 qubits one-qubit gates are held and applied in blocks; the
+    # tracer's kernel fold and amplitude-gate count still see every gate,
+    # also when a layer of held gates comes right before the measures
+    b = CircuitBuilder(16, (("c", 16),))
+    for layer in range(3):
+        for q in range(16):
+            b.u(0.3 * q, 0.1 * layer, 0.7, q)
+        for q in range(layer % 2, 15, 2):
+            b.cx(q, q + 1)
+    gates = 3 * (16 + 8) - 1
+    if last == "u":
+        for q in range(16):
+            b.h(q)
+        gates += 16
+    circuit = b.measure_all("c").build()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = run_submitted_circuit(serialize_qasm(circuit), 1000, seed=5, system=System())
+    finally:
+        tracer.uninstall()
+    assert report.status == "ok"
+    (run,) = [span for span in tracer.spans if span[tracing.NAME] == "statevec.run"]
+    assert run[tracing.ATTRS]["gates"] == gates
+    assert run[tracing.ATTRS]["statevec.kernel"] > 0
+    assert tracer.counters["statevec.amp_gates"] == gates * 2**16
