@@ -49,7 +49,7 @@ print("teleported P(1):    ", ones / 2000)
 # The amplitude array is stored as equal worker chunks; results never depend
 # on the worker count, only the exchange accounting does.
 state = State(3, workers=2)
-print("chunks:             ", [list(c) for c in state.chunks])
+print("chunks:             ", state.amplitudes.reshape(state.workers, -1).tolist())
 state.apply(Gate(GateKind.H, (), (0,), None))
 print("post-h probabilities:", probabilities(state)[:2])
 

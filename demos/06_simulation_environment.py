@@ -28,7 +28,7 @@ def sampled(n, seed):
 partitions = configure(sim_nodes=4)
 queue = [(t, tm.route(t)) for t in (sampled(3, i) for i in range(4))]
 timed = assess(queue, partitions, registry)
-print("throughput starts:", [(a.task.task_id, a.start, a.mode_label()) for a in timed.assignments])
+print("throughput starts:", [(a.task.task_id, a.start, a.run_mode) for a in timed.assignments])
 
 # A gang(4) task followed by a single-worker task: the gang takes the whole
 # partition first; FIFO keeps the small task from starving it.
@@ -38,7 +38,7 @@ small_task = sampled(3, 11)
 queue = [(gang_task, tm.route(gang_task)), (small_task, tm.route(small_task))]
 timed = assess(queue, partitions, registry)
 for a in timed.assignments:
-    print(f"{a.task.task_id}: {a.mode_label():12s} nodes={a.nodes} "
+    print(f"{a.task.task_id}: {a.run_mode:10s} workers={a.decision.workers} nodes={a.nodes} "
           f"start={a.start:.6f} duration={a.duration:.6f}")
 
 # Executing the plan runs each task through the task manager: real counts,

@@ -3,7 +3,9 @@
 Field order is fixed so identical (config, scenario, seed) runs produce
 byte-identical files.  No wall-clock timestamps appear anywhere; every time
 is a logical-model value.  Bitstring keys print the creg separator as '.'
-inside dist fields so task lines stay space-delimited.
+inside dist fields so task lines stay space-delimited.  A task line renders
+the task's ``TaskRecord``, the one record of the task from its batch
+(``scenarios.QuantumBatch.run_batch``) to its line.
 
     qorch-report 1
     scenario <id>
@@ -51,21 +53,30 @@ def _num(value: float) -> str:
 class TaskRecord:
     """One task of a run, rendered as its report line.
 
-    The line's ``counts=`` digest and ``dist=`` field come from one
-    canonical line of the counts.  ``digest()``, which a ``submit`` answer
-    and a workflow's stage line read before the report is rendered, builds
-    both and keeps them on the record; ``to_line`` renders the kept fields,
-    or builds them when none are kept, and drops them, so a rendered report
-    does not hold each dist twice.  Rendering a record therefore changes
-    it, and a later ``digest()`` builds the line again."""
+    ``QuantumBatch.run_batch`` makes the only record of each task and fills
+    in its backend, wait, service time, counts and error; a failed task
+    keeps a wait and service time of 0.  The line's ``counts=`` digest and
+    ``dist=`` field come from one canonical line of the counts.
+    ``digest()``, which a ``submit`` answer and a workflow's stage line read
+    before the report is rendered, builds both and keeps them on the
+    record; ``to_line`` renders the kept fields, or builds them when none
+    are kept, and drops them, so a rendered report does not hold each dist
+    twice.  Rendering a record therefore changes it, and a later
+    ``digest()`` builds the line again."""
 
     task_id: str
-    backend_id: str
-    queue_wait: float
-    service_time: float
+    backend_id: str = "-"
+    queue_wait: float = 0.0
+    service_time: float = 0.0
     counts: Counts | None = None
     error: str | None = None
     _fields: tuple[str, str] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def record(self) -> "TaskRecord":
+        """The record itself.  Kept only because the benchmark's cluster
+        workload (``bench/workloads.py``) builds its report from
+        ``outcome.record()``; it goes when that caller changes."""
+        return self
 
     def digest(self) -> str:
         """The ``counts=`` digest of the task line."""

@@ -17,11 +17,13 @@ runs through ``QuantumBatch.run_batch``: each task is routed, timed once by
 ``qtm.task_service_time`` and run by ``TaskManager.execute_task``.  Only the
 wait differs by model: per_job plans the tasks onto the job's own simulation
 partition (gang/throughput), and single_qc holds the cluster device for them.
+``run_batch`` writes each task's one ``report.TaskRecord``; the batch's
+``outcomes`` list is the report's ``tasks``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -85,28 +87,6 @@ def random_layered_circuit(n: int, layers: int, seed: int) -> Circuit:
 # -- job harness -----------------------------------------------------------------
 
 
-@dataclass
-class TaskOutcome:
-    task_id: str
-    backend_id: str = "-"
-    queue_wait: float = 0.0
-    service_time: float = 0.0
-    counts: Counts | None = None
-    error: str | None = None
-    _record: TaskRecord | None = field(default=None, init=False, repr=False, compare=False)
-
-    def record(self) -> TaskRecord:
-        """The task's report record, made on the first call once the task is
-        done and returned again on later calls, so the fields a ``digest()``
-        of it keeps are the ones its report renders."""
-        if self._record is None:
-            self._record = TaskRecord(
-                self.task_id, self.backend_id, self.queue_wait,
-                self.service_time, self.counts, self.error,
-            )
-        return self._record
-
-
 class QuantumBatch:
     """Task submission API handed to scenario bodies inside the job workload."""
 
@@ -115,7 +95,7 @@ class QuantumBatch:
         self.tm = tm
         self.model = model
         self.sim_nodes = sim_nodes
-        self.outcomes: list[TaskOutcome] = []
+        self.outcomes: list[TaskRecord] = []  # every task's report record, in submission order
         self.failure: str | None = None  # set by a body that ends the run itself
 
     def submit(self, source, shots, seed, preferences=None) -> QuantumTask:
@@ -138,22 +118,17 @@ class QuantumBatch:
         each waiting until its assignment's start for its duration; single_qc
         prices and runs each, then holds the device for those times, in one
         ``ParallelDeviceCalls`` or, when ``sequential``, a ``DeviceCall`` each.
-        Yields engine steps; returns the TaskOutcomes in task order.
+        Yields engine steps; returns each task's TaskRecord, in task order,
+        which it also appends to ``outcomes``.  A task that fails keeps a wait
+        and service time of 0.
         """
         single_qc = self.model is Model.SINGLE_QC
-        batch, queue = [], []
+        queue, results, times = [], {}, {}  # by task id: ExecuteResult or reason; (wait, service time)
         for task in tasks:
-            # a single_qc task names the device from submit, even if it fails to route
-            outcome = TaskOutcome(task.task_id, task.preferences.backend_id if single_qc else "-")
-            batch.append(outcome)
             try:
-                decision = self.tm.route(task)
+                queue.append((task, self.tm.route(task)))
             except Exception as exc:
-                outcome.error = f"{type(exc).__name__}: {exc}"
-                continue
-            outcome.backend_id = decision.backend_id
-            queue.append((task, decision))
-        results, times = {}, {}  # by task id: ExecuteResult or reason; (wait, service time)
+                results[task.task_id] = f"{type(exc).__name__}: {exc}"
         if single_qc:
             held = []
             for task, decision in queue:
@@ -175,18 +150,24 @@ class QuantumBatch:
             plan = assess(queue, configure(self.sim_nodes, self.system.config.partitions),
                           self.system.registry)
             times = {a.task.task_id: (a.start, a.duration) for a in plan.assignments}
-            results = execute_plan(plan, self.tm)
+            results.update(execute_plan(plan, self.tm))
             if plan.makespan > 0:
                 yield Advance(plan.makespan)
-        for outcome in batch:
-            result = results.get(outcome.task_id)
+        backends = {task.task_id: decision.backend_id for task, decision in queue}
+        records = []
+        for task in tasks:
+            # a single_qc task names the device from submit, even if it fails to route
+            record = TaskRecord(task.task_id, backends.get(
+                task.task_id, task.preferences.backend_id if single_qc else "-"))
+            result = results.get(task.task_id)
             if isinstance(result, str):
-                outcome.error = result
+                record.error = result
             elif result is not None:
-                outcome.queue_wait, outcome.service_time = times[outcome.task_id]
-                outcome.counts = result.counts
-        self.outcomes.extend(batch)
-        return batch
+                record.queue_wait, record.service_time = times[task.task_id]
+                record.counts = result.counts
+            records.append(record)
+        self.outcomes.extend(records)
+        return records
 
 
 def _run_job(system: System, scenario: str, seed: int, model, app_nodes: int,
@@ -219,11 +200,10 @@ def _run_job(system: System, scenario: str, seed: int, model, app_nodes: int,
     reasons = [failure]
     reasons += [rec.payload["reason"] for rec in cluster.log if rec.kind == "fail"]
     reasons.append(batch.failure)
-    reasons += [o.error for o in batch.outcomes]
+    reasons += [record.error for record in batch.outcomes]
     failure = next((reason for reason in reasons if reason), None)
-    records = [o.record() for o in batch.outcomes]
-    counted = [record for record in records if record.counts is not None]
-    waits = [o.queue_wait for o in batch.outcomes if o.error is None]
+    counted = [record for record in batch.outcomes if record.counts is not None]
+    waits = [record.queue_wait for record in batch.outcomes if record.error is None]
     return RunReport(
         scenario=scenario,
         seed=seed,
@@ -235,7 +215,7 @@ def _run_job(system: System, scenario: str, seed: int, model, app_nodes: int,
             "utilization": cluster.metrics()["utilization"],
             "mean_queue_wait": float(np.mean(waits)) if waits else 0.0,
         },
-        tasks=records,
+        tasks=batch.outcomes,
         iterations=list(iterations),
         stages=list(stages),
         config_text=system.config.text,

@@ -65,9 +65,6 @@ class Assignment:
     def run_mode(self) -> str:
         return "gang" if self.decision.workers > 1 else "throughput"
 
-    def mode_label(self) -> str:
-        return f"gang({self.decision.workers})" if self.run_mode == "gang" else "throughput"
-
 
 @dataclass
 class ExecutionPlan:

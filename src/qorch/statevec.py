@@ -131,11 +131,6 @@ class State:
         return self._amplitudes
 
     @property
-    def chunks(self) -> list[np.ndarray]:
-        """Views of the per-worker amplitude chunks (fixed boundaries)."""
-        return np.split(self.amplitudes, self.workers)
-
-    @property
     def local_qubits(self) -> int:
         """Qubit indices below this are chunk-local for every worker."""
         return self.num_qubits - (self.workers.bit_length() - 1)

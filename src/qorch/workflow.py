@@ -224,7 +224,7 @@ def run_workflow(file: str | Path, system: System, seed: int = 0) -> RunReport:
                     "kind": "quantum",
                     "placement": outcome.backend_id,
                     "service_time": f"{outcome.service_time:.9g}",
-                    "counts": outcome.record().digest(),
+                    "counts": outcome.digest(),
                 })
             else:
                 value = _apply_builtin(stage, window)

@@ -9,9 +9,10 @@ from oracle import oracle_probabilities
 from qorch.circuit import Circuit, Gate, Measure
 from qorch.qasm import serialize_qasm
 from qorch.qpm import BackendRegistry, StateVectorBackend
-from qorch.qtm import Preferences, piece_requests, task_service_time
+from qorch.qtm import Preferences, TaskManager, piece_requests, task_service_time
 from qorch.resman import Model
 from qorch.scenarios import (
+    QuantumBatch,
     ghz,
     random_layered_circuit,
     run_ensemble,
@@ -23,11 +24,26 @@ from qorch.scenarios import (
 from qorch.simenv import assess, configure
 from qorch.statevec import run
 from qorch.system import System
+from qorch.workflow import run_workflow
 
 
 @pytest.fixture(scope="module")
 def system():
     return System()
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """Every QuantumBatch made while the test runs."""
+    made = []
+    init = QuantumBatch.__init__
+
+    def keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(QuantumBatch, "__init__", keep)
+    return made
 
 
 # -- circuits ----------------------------------------------------------------
@@ -276,6 +292,61 @@ def test_single_qc_task_that_fails_to_route_names_the_device(system):
     (line,) = report.tasks
     assert line.to_line().startswith("task task-0001 backend=statevec queue_wait=0 ")
     assert line.error.startswith("IncompatiblePreference: ")
+
+
+# -- one record per task -------------------------------------------------------------
+
+
+def _same_records(report, batch):
+    assert len(report.tasks) == len(batch.outcomes) > 0
+    assert all(line is record for line, record in zip(report.tasks, batch.outcomes))
+    assert all(record.record() is record for record in batch.outcomes)
+
+
+@pytest.mark.parametrize("model", [Model.PER_JOB, Model.SINGLE_QC])
+def test_batch_outcomes_are_the_report_tasks(system, batches, model):
+    sim = 0 if model is Model.SINGLE_QC else 2
+    report = run_ensemble(3, 2, 1, 100, seed=2, system=system, model=model, sim_nodes=sim)
+    assert report.status == "ok"
+    (batch,) = batches
+    _same_records(report, batch)
+
+
+def test_workflow_stage_lines_read_the_task_records(tmp_path, system, batches):
+    (tmp_path / "bell.qasm").write_text(serialize_qasm(ghz(2)), encoding="utf-8")
+    flow = tmp_path / "flow.ini"
+    flow.write_text(
+        "[stage:a]\nkind = quantum\nqasm = bell.qasm\nshots = 100\n\n"
+        "[stage:b]\nkind = quantum\nqasm = bell.qasm\nshots = 50\n",
+        encoding="utf-8",
+    )
+    report = run_workflow(flow, system)
+    assert report.status == "ok"
+    (batch,) = batches
+    _same_records(report, batch)
+    assert [stage["counts"] for stage in report.stages] == [r.digest() for r in report.tasks]
+
+
+def test_per_job_task_that_fails_in_execution_keeps_zero_times(system, monkeypatch):
+    # three tasks planned onto one node; the last one's start and duration are not 0
+    execute_task = TaskManager.execute_task
+    calls = []
+
+    def third_fails(self, task, decision=None):
+        calls.append(task.task_id)
+        if len(calls) == 3:
+            raise RuntimeError("engine down")
+        return execute_task(self, task, decision)
+
+    monkeypatch.setattr(TaskManager, "execute_task", third_fails)
+    report = run_ensemble(3, 2, 1, 100, seed=2, system=system, sim_nodes=1)
+    assert report.status == "failed"
+    first, second, failed = report.tasks
+    assert failed.task_id == calls[2]
+    assert second.queue_wait > 0 and second.service_time > 0
+    assert failed.error == "RuntimeError: engine down"
+    assert failed.backend_id == "statevec" and failed.counts is None
+    assert (failed.queue_wait, failed.service_time) == (0, 0)
 
 
 # -- determinism --------------------------------------------------------------------

@@ -207,7 +207,7 @@ def test_routed_width_beyond_partition_runs_at_partition_width():
     assert decision.workers == 4
     plan = assess([(task, decision)], configure(2), tm.registry)
     (assignment,) = plan.assignments
-    assert assignment.mode_label() == "gang(2)"
+    assert assignment.run_mode == "gang"
     assert assignment.decision.workers == 2
     assert assignment.duration == task_service_time(tm.registry, task, assignment.decision)
     assert isinstance(execute_plan(plan, tm)[task.task_id], ExecuteResult)

@@ -68,10 +68,7 @@ def test_new_state_single():
 
 
 def test_new_state_chunks():
-    s = State(2, 2)
-    chunks = s.chunks
-    np.testing.assert_array_equal(chunks[0], [1, 0])
-    np.testing.assert_array_equal(chunks[1], [0, 0])
+    np.testing.assert_array_equal(State(2, 2).amplitudes, [1, 0, 0, 0])
 
 
 def test_new_state_worker_bound():
