@@ -10,7 +10,7 @@ from qorch.resman import (
     Advance,
     Cluster,
     ClusterConfig,
-    DeviceCall,
+    DeviceCalls,
     GeneratorWorkload,
     JobSpec,
     Model,
@@ -28,7 +28,7 @@ cluster.submit_job(JobSpec("small-C", 1, 1, Model.PER_JOB, workload=50.0, submit
 # A single-QC job computes classically, then queues for the shared device.
 def hybrid_body(ctx):
     yield Advance(5.0)
-    grant = yield DeviceCall(hold=10.0)
+    (grant,) = yield DeviceCalls((10.0,))
     print(f"  [{ctx.job_id}] device wait was {grant.wait}s")
 
 

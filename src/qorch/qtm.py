@@ -12,7 +12,7 @@ backend prices each piece once, and a cut task takes the sum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count
 
 import numpy as np
@@ -80,10 +80,10 @@ class RoutingDecision:
 
 @dataclass(frozen=True)
 class RoutingConfig:
-    sv_max: int = 24
-    tn_depth_max: int = 1000
-    local_qubits_per_worker: int = 20
-    gang_limit: int = 8
+    sv_max: int = field(default=24, metadata={"range": (0, None)})
+    tn_depth_max: int = field(default=1000, metadata={"range": (0, None)})
+    local_qubits_per_worker: int = field(default=20, metadata={"range": (0, None)})
+    gang_limit: int = field(default=8, metadata={"range": (1, None)})
 
 
 def check_shots(shots: int) -> None:

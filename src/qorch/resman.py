@@ -9,14 +9,15 @@ platform timing models, so whole scheduling experiments are deterministic.
 Job behavior is described by a workload object whose ``body(ctx)`` generator
 yields steps the engine interprets:
 
-    yield Advance(seconds)            # local classical compute
-    yield DeviceCall(hold, tag)       # FIFO device access; resumes after hold
-    yield ParallelDeviceCalls(holds)  # several outstanding requests at once
+    yield Advance(seconds)    # local classical compute
+    yield DeviceCalls(holds)  # FIFO device access, every hold queued at once
 
-A job reaches its nodes and the device only through these steps: it holds
-its nodes from its grant until its body returns or raises, and the device
-for each call's hold.  A plain float workload is shorthand for one Advance
-of that duration.
+``DeviceCalls`` resumes with one ``DeviceGrant`` per hold, in request order,
+once the last hold ends; an empty one resumes at once with ``[]``.  A job
+reaches its nodes and the device only through these steps: it holds its
+nodes from its grant until its body returns or raises, and the device for
+each hold.  A plain float workload is shorthand for one Advance of that
+duration.
 
 Scheduling is FIFO with optional EASY backfill (Lifka 1995; Mu'alem and
 Feitelson 2001): the head of the queue is granted as soon as its nodes are
@@ -36,7 +37,7 @@ free.  The grants, and so the event log, are those of a walk on every event.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import count, islice
 
@@ -110,13 +111,7 @@ class Advance:
 
 
 @dataclass(frozen=True)
-class DeviceCall:
-    hold: float
-    tag: str | None = None
-
-
-@dataclass(frozen=True)
-class ParallelDeviceCalls:
+class DeviceCalls:
     holds: tuple[float, ...]
 
 
@@ -124,17 +119,6 @@ class ParallelDeviceCalls:
 class DeviceGrant:
     granted_at: float
     wait: float
-    tag: str | None = None
-
-
-class FixedWorkload:
-    """Pure classical compute for a fixed duration."""
-
-    def __init__(self, duration: float):
-        self.projected_duration = float(duration)
-
-    def body(self, ctx):
-        yield Advance(self.projected_duration)
 
 
 class GeneratorWorkload:
@@ -174,14 +158,12 @@ class _JobRun:
     generator: object = None
     # the grants of the current step's device calls, None while one is outstanding
     grants: list = field(default_factory=list)
-    bare: bool = False  # a DeviceCall resumes with its grant, not a list
 
 
 @dataclass
 class _DeviceRequest:
     job_id: str
     hold: float
-    tag: str | None
     requested_at: float
     slot: int  # index into the job's grants
     granted_at: float = 0.0
@@ -230,6 +212,13 @@ class Cluster:
                 f"job needs {spec.app_nodes + spec.sim_nodes} nodes, cluster has "
                 f"{self.config.total_nodes}"
             )
+        if isinstance(spec.workload, (int, float)):
+            duration = float(spec.workload)
+
+            def advance(ctx):
+                yield Advance(duration)
+
+            spec = replace(spec, workload=GeneratorWorkload(advance, duration))
         run = _JobRun(spec=spec)
         self._jobs[spec.job_id] = run
         self._push(spec.submit_time, "submit", spec.job_id)
@@ -325,7 +314,7 @@ class Cluster:
 
     def _handle_submit(self, job_id: str) -> None:
         spec = self._jobs[job_id].spec
-        self._queue[job_id] = (spec.app_nodes + spec.sim_nodes, _projected_duration(spec.workload))
+        self._queue[job_id] = (spec.app_nodes + spec.sim_nodes, spec.workload.projected_duration)
         self._walk_due = True
         self._record("submit", job_id)
 
@@ -378,7 +367,7 @@ class Cluster:
             app=_nodeset(app), sim=_nodeset(sim),
         )
         ctx = JobContext(job_id, self, run.allocation)
-        run.generator = _as_workload(spec.workload).body(ctx)
+        run.generator = spec.workload.body(ctx)
         self._step(job_id, None)
 
     def _step(self, job_id: str, value) -> None:
@@ -400,22 +389,18 @@ class Cluster:
         if isinstance(item, Advance):
             self._push(self.now + item.seconds, "wake", job_id)
             return
-        if isinstance(item, DeviceCall):
-            calls, run.bare = (item,), True
-        elif isinstance(item, ParallelDeviceCalls):
-            calls, run.bare = tuple(DeviceCall(hold) for hold in item.holds), False
-            if not calls:
-                self._step(job_id, [])
-                return
-        else:
+        if not isinstance(item, DeviceCalls):
             self._end(job_id, f"workload yielded unknown step {item!r}")
+            return
+        if not item.holds:
+            self._step(job_id, [])
             return
         if Model(run.spec.model) is not Model.SINGLE_QC:
             self._step(job_id, NoDevice(f"job {job_id!r} has no device access"))
             return
-        run.grants = [None] * len(calls)
-        for slot, call in enumerate(calls):
-            self._device_queue.append(_DeviceRequest(job_id, call.hold, call.tag, self.now, slot))
+        run.grants = [None] * len(item.holds)
+        for slot, hold in enumerate(item.holds):
+            self._device_queue.append(_DeviceRequest(job_id, hold, self.now, slot))
         self._pump_device()
 
     def _pump_device(self) -> None:
@@ -426,23 +411,19 @@ class Cluster:
             self._device_holder = request
             self._record(
                 "device_acquire", request.job_id,
-                wait=request.wait, tag=request.tag or "",
-                device=self.config.single_qc_device,
+                wait=request.wait, device=self.config.single_qc_device,
             )
             self._push(self.now + request.hold, "device_release", request)
 
     def _release_device(self, request: _DeviceRequest) -> None:
         self._device_holder = None
-        self._record(
-            "device_release", request.job_id,
-            tag=request.tag or "", device=self.config.single_qc_device,
-        )
+        self._record("device_release", request.job_id, device=self.config.single_qc_device)
         self._pump_device()
         run = self._jobs[request.job_id]
-        run.grants[request.slot] = DeviceGrant(request.granted_at, request.wait, request.tag)
+        run.grants[request.slot] = DeviceGrant(request.granted_at, request.wait)
         if None not in run.grants:
             grants, run.grants = run.grants, []
-            self._step(request.job_id, grants[0] if run.bare else grants)
+            self._step(request.job_id, grants)
 
     def _end(self, job_id: str, reason: str | None = None) -> None:
         """Return the job's nodes: it completed, or it failed for ``reason``."""
@@ -458,18 +439,6 @@ class Cluster:
             self._record("fail", job_id, reason=reason)
         run.allocation = None
         run.generator = None
-
-
-def _as_workload(workload):
-    if isinstance(workload, (int, float)):
-        return FixedWorkload(float(workload))
-    return workload
-
-
-def _projected_duration(workload) -> float:
-    if isinstance(workload, (int, float)):
-        return float(workload)
-    return getattr(workload, "projected_duration", float("inf"))
 
 
 def _nodeset(nodes: frozenset[int]) -> str:

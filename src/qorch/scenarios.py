@@ -32,7 +32,7 @@ from .circuit import Circuit, CircuitBuilder
 from .qasm import QasmError
 from .qtm import Preferences, QuantumTask, TaskManager, check_shots, task_service_time
 from .report import RunReport, TaskRecord
-from .resman import Advance, DeviceCall, GeneratorWorkload, JobSpec, Model, ParallelDeviceCalls
+from .resman import Advance, DeviceCalls, GeneratorWorkload, JobSpec, Model
 from .seeds import derive_seed
 from .simenv import assess, configure, execute_plan
 from .statevec import Counts
@@ -100,7 +100,8 @@ class QuantumBatch:
 
     def submit(self, source, shots, seed, preferences=None) -> QuantumTask:
         """A task with a fresh id; under single_qc, placed on the cluster
-        device with one worker, and refused if it prefers another backend."""
+        device with one worker, and refused if it prefers another backend or
+        another worker count."""
         if self.model is Model.SINGLE_QC:
             device = self.system.config.device
             preferences = preferences or Preferences()
@@ -109,6 +110,9 @@ class QuantumBatch:
                     "single_qc jobs execute on the cluster device "
                     f"{device!r}; use per_job for backend overrides"
                 )
+            if preferences.workers not in (None, 1):
+                raise ValueError(f"single_qc jobs execute with workers=1, got workers="
+                                 f"{preferences.workers}; use per_job for worker overrides")
             preferences = replace(preferences, backend_id=device, workers=1)
         return self.tm.normalize(source, shots, seed, preferences)
 
@@ -116,8 +120,8 @@ class QuantumBatch:
         """Generator step: route every task and run the routed ones under the
         job's integration model.  per_job plans them onto the job's partition,
         each waiting until its assignment's start for its duration; single_qc
-        prices and runs each, then holds the device for those times, in one
-        ``ParallelDeviceCalls`` or, when ``sequential``, a ``DeviceCall`` each.
+        prices and runs each, then holds the device for those times in one
+        ``DeviceCalls`` for the batch or, when ``sequential``, one per task.
         Yields engine steps; returns each task's TaskRecord, in task order,
         which it also appends to ``outcomes``.  A task that fails keeps a wait
         and service time of 0.
@@ -139,12 +143,10 @@ class QuantumBatch:
                     results[task.task_id] = f"{type(exc).__name__}: {exc}"
                     continue
                 held.append((task.task_id, service))
-            if sequential:
-                grants = []
-                for _, service in held:
-                    grants.append((yield DeviceCall(hold=service)))
-            else:
-                grants = (yield ParallelDeviceCalls(tuple(s for _, s in held))) if held else []
+            holds = tuple(service for _, service in held)
+            grants = []
+            for calls in ([(hold,) for hold in holds] if sequential else [holds]):
+                grants += yield DeviceCalls(calls)
             times = {task_id: (grant.wait, s) for (task_id, s), grant in zip(held, grants)}
         elif queue:
             plan = assess(queue, configure(self.sim_nodes, self.system.config.partitions),

@@ -209,7 +209,9 @@ class State:
             elif len(qubits) == 1:
                 _dense(self._amplitudes, qubits[0], entries)
             else:
-                lo, hi = qubits[0], qubits[-1]
+                # from the block's aligned first qubit, identity below the held
+                # ones: a block from qubit 1-3 would run tiles 2-8 columns wide
+                lo, hi = qubits[0] - qubits[0] % _BLOCK, qubits[-1]
                 factors = [held[q][0] if q in held else (1, 0, 0, 1)
                            for q in range(hi, lo - 1, -1)]
                 _block(self._amplitudes, lo, _kron(factors))

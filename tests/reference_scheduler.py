@@ -8,7 +8,7 @@ then walks a copy of the whole queue, whether or not a node is free.  Grants,
 job bodies, completions, failures and the device queue are the cluster's
 own, so the two can be held to the same event log, event for event.
 """
-from qorch.resman import Cluster, JobSpec, JobState, _projected_duration
+from qorch.resman import Cluster, JobSpec, JobState
 
 
 class ReferenceCluster(Cluster):
@@ -22,7 +22,7 @@ class ReferenceCluster(Cluster):
 
     def _grant(self, job_id: str) -> None:
         run = self._jobs[job_id]
-        duration = _projected_duration(run.spec.workload)
+        duration = run.spec.workload.projected_duration
         run.projected_end = self.now + duration
         super()._grant(job_id, run.spec.app_nodes + run.spec.sim_nodes, duration)
 
@@ -40,7 +40,7 @@ class ReferenceCluster(Cluster):
                 run = self._jobs[job_id]
                 if not self._fits(run.spec):
                     continue
-                duration = _projected_duration(run.spec.workload)
+                duration = run.spec.workload.projected_duration
                 if self.now + duration <= head_start:
                     self._queue.remove(job_id)
                     self._grant(job_id)

@@ -33,7 +33,7 @@ from qorch.qtm import (
     TaskManager,
     piece_requests,
 )
-from qorch.resman import Cluster, ClusterConfig, DeviceCall, GeneratorWorkload, JobSpec, Model
+from qorch.resman import Cluster, ClusterConfig, DeviceCalls, GeneratorWorkload, JobSpec, Model
 from qorch.scenarios import ghz, run_ensemble, run_in_sequence, run_single_circuit, teleport_circuit
 from qorch.statevec import final_state, probabilities, run
 from qorch.system import System
@@ -246,7 +246,7 @@ def test_acceptance_6_scheduler_invariants():
                     from qorch.resman import Advance
 
                     yield Advance(compute)
-                    yield DeviceCall(hold=hold)
+                    yield DeviceCalls((hold,))
 
                 return body
 

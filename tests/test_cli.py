@@ -159,6 +159,21 @@ def test_single_qc_submit(tmp_path, bell_file):
     assert len(_task_lines(out_dir)) == 1
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--backend", "mock-hw", "single_qc jobs execute on the cluster device 'statevec'; "
+                             "use per_job for backend overrides"),
+    ("--workers", "2", "single_qc jobs execute with workers=1, got workers=2; "
+                       "use per_job for worker overrides"),
+], ids=["backend", "workers"])
+def test_single_qc_submit_refuses_an_override(tmp_path, capsys, bell_file, flag, value, message):
+    out_dir = tmp_path / "run"
+    code = cli_main(["submit", str(bell_file), "--model", "single_qc", "--sim-nodes", "0",
+                     flag, value, "--out", str(out_dir)])
+    assert code == 2
+    assert "status failed\n" in (out_dir / "report.txt").read_text()
+    assert capsys.readouterr().err == f"execution failed: ValueError: {message}\n"
+
+
 def test_single_qc_one_circuit_ensemble(tmp_path):
     out_dir = tmp_path / "ens"
     code = cli_main(

@@ -94,6 +94,11 @@ def test_bad_kind_rejected():
     ("[backend:fast]\nkind = state_vector\nbeta = inf\n", "[backend:fast]", "beta"),
     ("[backend:hw]\nkind = hardware\nreadout_flip_probability = nan\n",
      "[backend:hw]", "readout_flip_probability"),
+    ("[routing]\ngang_limit = 0\n", "[routing]", "gang_limit: must be >= 1"),
+    ("[routing]\nsv_max = -1\n", "[routing]", "sv_max: must be >= 0"),
+    ("[routing]\ntn_depth_max = -1\n", "[routing]", "tn_depth_max: must be >= 0"),
+    ("[routing]\nlocal_qubits_per_worker = -3\n", "[routing]",
+     "local_qubits_per_worker: must be >= 0"),
 ])
 def test_bad_value_names_section_and_key(text, section, key):
     with pytest.raises(ConfigError) as info:

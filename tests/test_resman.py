@@ -2,20 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qorch import resman
 from qorch.resman import (
     Advance,
     Cluster,
     ClusterConfig,
-    DeviceCall,
+    DeviceCalls,
     DeviceGrant,
-    FixedWorkload,
     GeneratorWorkload,
     InvalidSpec,
     JobSpec,
     JobState,
     Model,
-    ParallelDeviceCalls,
 )
 from reference_scheduler import ReferenceCluster
 
@@ -148,22 +145,22 @@ def test_sole_requester_immediate_grant():
 
     def body(ctx):
         yield Advance(2.0)
-        grants.append((yield DeviceCall(hold=3.0, tag="t")))
+        grants.append((yield DeviceCalls((3.0,))))
 
     cl = cluster(4, device="dev")
     cl.submit_job(job("A", 1, 0, Model.SINGLE_QC, GeneratorWorkload(body, 5.0)))
     cl.run()
-    assert grants == [DeviceGrant(granted_at=2.0, wait=0.0, tag="t")]
+    assert grants == [[DeviceGrant(granted_at=2.0, wait=0.0)]]
     assert cl.job_state("A") is JobState.COMPLETED
 
 
 def test_second_requester_waits_remaining_service():
     def body_a(ctx):
-        yield DeviceCall(hold=30.0)
+        yield DeviceCalls((30.0,))
 
     def body_b(ctx):
         yield Advance(10.0)
-        grant = yield DeviceCall(hold=5.0)
+        (grant,) = yield DeviceCalls((5.0,))
         assert grant.wait == 20.0  # holder took the device at 0 for 30s
 
     cl = cluster(4, device="dev")
@@ -177,7 +174,7 @@ def test_second_requester_waits_remaining_service():
 
 def test_per_job_acquire_raises_no_device():
     def body(ctx):
-        yield DeviceCall(hold=1.0)
+        yield DeviceCalls((1.0,))
 
     cl = cluster(4, device="dev")
     cl.submit_job(job("A", 1, 1, Model.PER_JOB, GeneratorWorkload(body, 1.0)))
@@ -189,11 +186,43 @@ def test_per_job_acquire_raises_no_device():
     assert not cl.live_allocations()
 
 
+def test_device_event_lines_end_in_device_and_wait():
+    def body(ctx):
+        yield DeviceCalls((3.0,))
+
+    cl = cluster(4, device="dev")
+    cl.submit_job(job("A", 1, 0, Model.SINGLE_QC, GeneratorWorkload(body, 3.0)))
+    cl.submit_job(job("B", 1, 0, Model.SINGLE_QC, GeneratorWorkload(body, 5.0), 1.0))
+    cl.run()
+    assert [line for line in cl.export_log().splitlines() if " device_" in line] == [
+        "0 device_acquire A device=dev,wait=0.0",
+        "3 device_release A device=dev",
+        "3 device_acquire B device=dev,wait=2.0",
+        "6 device_release B device=dev",
+    ]
+
+
+@pytest.mark.parametrize("model, sim", [(Model.SINGLE_QC, 0), (Model.PER_JOB, 1)])
+def test_empty_device_calls_resume_at_once(model, sim):
+    resumed = []
+
+    def body(ctx):
+        yield Advance(1.0)
+        resumed.append(((yield DeviceCalls(())), ctx.now))
+
+    cl = cluster(4, device="dev")
+    cl.submit_job(job("A", 1, sim, model, GeneratorWorkload(body, 1.0)))
+    cl.run()
+    assert resumed == [([], 1.0)]
+    assert cl.job_state("A") is JobState.COMPLETED
+    assert not any(r.kind.startswith("device_") for r in cl.log)
+
+
 def test_device_fifo_order():
     def body(delay, holds):
         def inner(ctx):
             yield Advance(delay)
-            yield ParallelDeviceCalls(tuple(holds))
+            yield DeviceCalls(tuple(holds))
 
         return inner
 
@@ -254,7 +283,7 @@ def test_conservation_every_event():
 
 def test_fixed_workload_runs_to_completion():
     cl = cluster(2)
-    cl.submit_job(job("A", 1, 1, workload=FixedWorkload(7.5)))
+    cl.submit_job(job("A", 1, 1, workload=7.5))
     cl.run()
     complete = next(r for r in cl.log if r.kind == "complete")
     assert complete.time == 7.5
@@ -282,7 +311,7 @@ def job_streams(draw):
     total = draw(st.integers(2, 8))
     backfill = draw(st.booleans())
     device = draw(st.sampled_from([None, "dev"]))
-    kinds = ["float", "fixed", "advance", "instant", "raise", "nodevice"]
+    kinds = ["float", "advance", "instant", "raise", "nodevice"]
     if device is not None:
         kinds += ["device", "parallel"]
     times = st.sampled_from([0.0, 0.0, 1.0, 2.0, 2.5, 4.0, 7.0])
@@ -301,21 +330,17 @@ def job_streams(draw):
         if kind == "float":
             specs.append(JobSpec(f"j{i}", app, sim, model, draw(durations), submit))
             continue
-        if kind == "fixed":
-            specs.append(JobSpec(f"j{i}", app, sim, model, FixedWorkload(draw(durations)), submit))
-            continue
         steps = []
         if kind == "advance":
             steps = [Advance(draw(durations)) for _ in range(draw(st.integers(1, 2)))]
         elif kind == "nodevice":
-            steps = [DeviceCall(draw(durations))]
+            steps = [DeviceCalls((draw(durations),))]
         elif kind == "device":
-            steps = [Advance(draw(durations)), DeviceCall(draw(durations), tag="t")]
+            steps = [Advance(draw(durations)), DeviceCalls((draw(durations),))]
         elif kind == "parallel":
             holds = tuple(draw(st.lists(durations, max_size=3)))
-            steps = [ParallelDeviceCalls(holds)]
-        actual = sum(getattr(s, "seconds", 0.0) + getattr(s, "hold", 0.0)
-                     + sum(getattr(s, "holds", ())) for s in steps)
+            steps = [DeviceCalls(holds)]
+        actual = sum(getattr(s, "seconds", 0.0) + sum(getattr(s, "holds", ())) for s in steps)
         projected = actual + draw(st.sampled_from([0.0, 0.0, 0.0, 1.0, 3.0, INF, -1.0]))
         workload = GeneratorWorkload(_body(kind, steps), max(projected, 0.0))
         specs.append(JobSpec(f"j{i}", app, sim, model, workload, submit))
@@ -348,7 +373,7 @@ def _earliest_start(need: int, free: int, now: float, running) -> float:
 def _check_log(log: str, specs, total: int) -> None:
     """Each job granted once and ended once, and no backfill grant pushes the
     head past its reservation when every job ran within its projection."""
-    projected = {s.job_id: resman._projected_duration(s.workload) for s in specs}
+    projected = {s.job_id: s.workload.projected_duration for s in specs}
     size = {s.job_id: s.app_nodes + s.sim_nodes for s in specs}
     queue, running, free = [], {}, total
     granted, ended, promises = {}, {}, []
@@ -399,4 +424,4 @@ def test_scheduler_matches_reference(stream):
         cl.run()
         logs.append(cl.export_log())
     assert logs[0] == logs[1]
-    _check_log(logs[0], specs, total)
+    _check_log(logs[0], [run.spec for run in cl._jobs.values()], total)

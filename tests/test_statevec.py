@@ -9,12 +9,14 @@ from scipy.stats import chi2_contingency, chisquare
 
 from helpers import feed_forward_programs, random_gate_circuit
 from oracle import oracle_probabilities, oracle_statevector
+from qorch import statevec
 from qorch.circuit import Circuit, CircuitBuilder, Gate, Measure, Reset
 from qorch.gates import GateKind, gate_entries, gate_unitary
 from qorch.statevec import (
     MAX_QUBITS,
     Counts,
     State,
+    _BLOCK,
     _FUSE_QUBITS,
     _TILE,
     _mix,
@@ -230,6 +232,30 @@ def test_flush_peak_memory_is_tiles(n):
     assert peak <= 4 * 16 * _TILE
 
 
+@pytest.mark.parametrize("qubits", [(1, 2), (2, 3), (1, 3), (1, 2, 3), (5, 6), (0, 2), (4, 7)])
+def test_flush_starts_each_block_at_an_aligned_qubit(monkeypatch, qubits):
+    # a block held from qubit 1-3 runs from its aligned qubit, through the
+    # contiguous rows of _block, with identity on the qubits below
+    starts = []
+
+    def recording_block(amps, lo, matrix):
+        starts.append(lo)
+        block(amps, lo, matrix)
+
+    block = statevec._block
+    monkeypatch.setattr(statevec, "_block", recording_block)
+    n = _FUSE_QUBITS + 1
+    psi = _random_state(n, 3)
+    state = State(n)
+    state.amplitudes[:] = psi
+    for q in qubits:
+        gate = Gate(GateKind.U, (0.3 * q, 0.7, 1.1 * q), (q,))
+        state.apply(gate)
+        _apply_unitary(psi, gate_unitary(gate.kind, gate.params), gate.qubits, n)
+    np.testing.assert_allclose(state.amplitudes, psi, rtol=0, atol=1e-13)
+    assert starts == [qubits[0] - qubits[0] % _BLOCK]
+
+
 @pytest.mark.parametrize("kind", [GateKind.CX, GateKind.SWAP])
 @pytest.mark.parametrize("placement", [0, 8, 15])
 def test_exchange_peak_memory_is_tiles(kind, placement):
@@ -282,12 +308,13 @@ def fused_programs(draw):
     angle = st.floats(-2 * math.pi, 2 * math.pi)
     program = []
     for _ in range(draw(st.integers(1, 5))):
+        low = draw(st.integers(0, 3))  # so some layers hold nothing below qubit 1-3
         for _ in range(draw(st.integers(0, 2 * n))):
             kind = draw(st.sampled_from(_ONE_QUBIT))
             params = tuple(draw(angle) for _ in range(kind.num_params))
             condition = (("c", draw(st.integers(0, 3))) if draw(st.integers(0, 5)) == 0
                          else None)
-            program.append(Gate(kind, params, (draw(st.integers(0, n - 1)),), condition))
+            program.append(Gate(kind, params, (draw(st.integers(low, n - 1)),), condition))
         cut = draw(st.sampled_from(["cx", "cz", "measure", "reset", "none"]))
         a, b = draw(st.permutations(range(n)))[:2]
         if cut in ("cx", "cz"):

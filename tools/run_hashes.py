@@ -9,10 +9,13 @@ the seed, runs the warm-up and one round, and wraps ``qorch.qpm.run`` (the
 name both engines call, as ``bench/tracing.py`` wraps it) meanwhile.  It
 prints one line per workload: the number of ``statevec.run`` calls, a
 SHA-256 over each call's sorted counts and ``ExecutionTrace`` fields, in
-call order, and the round's digest (``RoundSummary.digest``, over every
-report and event log the round rendered).  The last line is one JSON object
-with the same fields.  Two checkouts compute the same when their outputs are
-equal; so does one checkout under two ``PYTHONHASHSEED`` values.
+call order, the round's digest (``RoundSummary.digest``, over every report
+and event log the round rendered) and a digest over the round's report texts
+alone, each with its event log cut off, so a change that alters only
+``events.log`` can still show that ``report.txt`` did not change.  The last
+line is one JSON object with the same fields.  Two checkouts compute the same
+when their outputs are equal; so does one checkout under two
+``PYTHONHASHSEED`` values.
 """
 import os
 
@@ -57,10 +60,14 @@ def workload_hashes(name: str, seed: int) -> dict:
         try:
             workload = workloads.WORKLOADS[name](seed, Path(out))
             workload.warm_up()
-            digest = workload.run_round().summary().digest
+            result = workload.run_round()
         finally:
             qpm.run = original
-    return {"calls": calls, "runs": runs.hexdigest(), "round": digest}
+    reports = hashlib.sha256()
+    for text, (_, _, report, _) in zip(result.texts, result.outputs):
+        reports.update(text[:len(text) - len(report.event_lines)].encode("utf-8"))
+    return {"calls": calls, "runs": runs.hexdigest(), "reports": reports.hexdigest(),
+            "round": result.summary().digest}
 
 
 def main(argv=None) -> int:
@@ -74,7 +81,7 @@ def main(argv=None) -> int:
     for name in names:
         result[name] = workload_hashes(name, args.seed)
         print(f"{name} calls={result[name]['calls']} runs={result[name]['runs']} "
-              f"round={result[name]['round']}", flush=True)
+              f"reports={result[name]['reports']} round={result[name]['round']}", flush=True)
     print(json.dumps({"seed": args.seed, "workloads": result}, sort_keys=True))
     return 0
 
