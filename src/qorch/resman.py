@@ -74,7 +74,7 @@ class JobSpec:
     app_nodes: int
     sim_nodes: int
     model: Model
-    workload: object  # float duration or Workload-like
+    workload: object  # float duration, or an object with body(ctx) and projected_duration
     submit_time: float = 0.0
 
 
@@ -219,6 +219,8 @@ class Cluster:
                 yield Advance(duration)
 
             spec = replace(spec, workload=GeneratorWorkload(advance, duration))
+        elif not (hasattr(spec.workload, "body") and hasattr(spec.workload, "projected_duration")):
+            raise InvalidSpec(f"job {spec.job_id!r} workload needs body() and projected_duration")
         run = _JobRun(spec=spec)
         self._jobs[spec.job_id] = run
         self._push(spec.submit_time, "submit", spec.job_id)

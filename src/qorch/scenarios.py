@@ -121,10 +121,11 @@ class QuantumBatch:
         job's integration model.  per_job plans them onto the job's partition,
         each waiting until its assignment's start for its duration; single_qc
         prices and runs each, then holds the device for those times in one
-        ``DeviceCalls`` for the batch or, when ``sequential``, one per task.
-        Yields engine steps; returns each task's TaskRecord, in task order,
-        which it also appends to ``outcomes``.  A task that fails keeps a wait
-        and service time of 0.
+        ``DeviceCalls`` for the batch.  Yields engine steps; returns each
+        task's TaskRecord, in task order, which it also appends to
+        ``outcomes``.  A task that fails keeps a wait and service time of 0.
+        ``sequential`` is unused; it stays until the benchmark tracer stops
+        passing it positionally.
         """
         single_qc = self.model is Model.SINGLE_QC
         queue, results, times = [], {}, {}  # by task id: ExecuteResult or reason; (wait, service time)
@@ -143,10 +144,7 @@ class QuantumBatch:
                     results[task.task_id] = f"{type(exc).__name__}: {exc}"
                     continue
                 held.append((task.task_id, service))
-            holds = tuple(service for _, service in held)
-            grants = []
-            for calls in ([(hold,) for hold in holds] if sequential else [holds]):
-                grants += yield DeviceCalls(calls)
+            grants = yield DeviceCalls(tuple(service for _, service in held))
             times = {task_id: (grant.wait, s) for (task_id, s), grant in zip(held, grants)}
         elif queue:
             plan = assess(queue, configure(self.sim_nodes, self.system.config.partitions),
@@ -302,7 +300,7 @@ def run_in_sequence(theta: float, shots_per_iter: int, seed: int, system: System
             task = batch.submit(
                 teleport_circuit(angle), shots_per_iter, derive_seed(seed, "iter", i)
             )
-            (outcome,) = yield from batch.run_batch([task], sequential=True)
+            (outcome,) = yield from batch.run_batch([task])
             if outcome.error is not None:
                 return
             p1 = measured_p1(outcome.counts)

@@ -30,7 +30,8 @@ gate clustering of Haener & Steiger, SC17).  The first two-qubit gate,
 ``p_one``, ``settle``, ``copy`` or read of ``amplitudes`` applies what is
 held: the qubits fall into blocks of ``_BLOCK`` (4) aligned qubits, and
 each block's products are applied as one Kronecker-product matrix of at
-most 16 x 16, tile by tile, each tile's ``np.matmul`` written into one
+most 16 x 16, from qubit 0 in the lowest block and from the lowest held
+qubit in the others, tile by tile, each tile's ``np.matmul`` written into one
 tile-sized buffer and copied back.  A block that holds a single gate runs
 that gate's own kernel, and a block of one qubit holding several gates one
 dense update.  Fused amplitudes differ from per-gate ones by rounding, at
@@ -209,9 +210,9 @@ class State:
             elif len(qubits) == 1:
                 _dense(self._amplitudes, qubits[0], entries)
             else:
-                # from the block's aligned first qubit, identity below the held
-                # ones: a block from qubit 1-3 would run tiles 2-8 columns wide
-                lo, hi = qubits[0] - qubits[0] % _BLOCK, qubits[-1]
+                # block 0 runs from qubit 0 (from qubit 1-3, tiles would be 2-8
+                # columns wide); a higher block from its lowest held qubit
+                lo, hi = (0 if qubits[0] < _BLOCK else qubits[0]), qubits[-1]
                 factors = [held[q][0] if q in held else (1, 0, 0, 1)
                            for q in range(hi, lo - 1, -1)]
                 _block(self._amplitudes, lo, _kron(factors))

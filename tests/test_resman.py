@@ -55,6 +55,18 @@ def test_job_without_workload_rejected():
         cl.submit_job(job("A", 2, 4, workload=None))
 
 
+def test_workload_without_projected_duration_rejected():
+    class BodyOnly:
+        def body(self, ctx):
+            yield Advance(1.0)
+
+    cl = cluster(8)
+    with pytest.raises(InvalidSpec, match="projected_duration"):
+        cl.submit_job(job("A", 2, 4, workload=BodyOnly()))
+    cl.run()
+    assert cl.log == []
+
+
 def test_single_qc_without_device_rejected():
     cl = cluster(8, device=None)
     with pytest.raises(InvalidSpec):

@@ -233,9 +233,10 @@ def test_flush_peak_memory_is_tiles(n):
 
 
 @pytest.mark.parametrize("qubits", [(1, 2), (2, 3), (1, 3), (1, 2, 3), (5, 6), (0, 2), (4, 7)])
-def test_flush_starts_each_block_at_an_aligned_qubit(monkeypatch, qubits):
-    # a block held from qubit 1-3 runs from its aligned qubit, through the
-    # contiguous rows of _block, with identity on the qubits below
+def test_flush_starts_block_zero_at_qubit_zero(monkeypatch, qubits):
+    # a block held from qubit 1-3 runs from qubit 0, through the contiguous
+    # rows of _block, with identity on the qubits below; a higher block runs
+    # from its lowest held qubit
     starts = []
 
     def recording_block(amps, lo, matrix):
@@ -253,7 +254,7 @@ def test_flush_starts_each_block_at_an_aligned_qubit(monkeypatch, qubits):
         state.apply(gate)
         _apply_unitary(psi, gate_unitary(gate.kind, gate.params), gate.qubits, n)
     np.testing.assert_allclose(state.amplitudes, psi, rtol=0, atol=1e-13)
-    assert starts == [qubits[0] - qubits[0] % _BLOCK]
+    assert starts == [0 if qubits[0] < _BLOCK else qubits[0]]
 
 
 @pytest.mark.parametrize("kind", [GateKind.CX, GateKind.SWAP])
