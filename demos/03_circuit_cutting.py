@@ -7,7 +7,7 @@ subcircuits; executing the pieces and recombining their shot lists gives the
 same distribution as the uncut circuit.  Each piece prints keys in the
 circuit's layout, so one merged shot is the bitwise OR of one shot per piece.
 """
-from qorch import CircuitBuilder, Measure, split_circuit
+from qorch import CircuitBuilder, Measure, interaction_components, split_circuit
 from qorch.config import load_config
 from qorch.qtm import TaskManager
 from qorch.statevec import run
@@ -22,18 +22,18 @@ circuit = (
     .measure_all("c")
     .build()
 )
-# Every piece keeps the circuit's creg layout and writes only its own bits.
-for piece in split_circuit(circuit):
-    writes = sorted((i.creg, i.bit) for i in piece.circuit.instructions if isinstance(i, Measure))
-    print("subcircuit qubits:", piece.circuit.num_qubits,
-          " map:", piece.qubit_map, " writes:", writes)
+# Piece k holds the qubits of interaction component k, smallest first.  Every
+# piece keeps the circuit's creg layout and writes only its own bits.
+for qubits, piece in zip(interaction_components(circuit), split_circuit(circuit)):
+    writes = sorted((i.creg, i.bit) for i in piece.instructions if isinstance(i, Measure))
+    print("piece qubits:", sorted(qubits), " writes:", writes)
 
 # The task manager routes, cuts southbound, and aggregates northbound.
 system_config = load_config()
 tm = TaskManager(system_config.build_registry(), system_config.routing)
 task = tm.normalize(circuit, shots=20000, seed=5)
 decision = tm.route(task)
-print("\nrouted to:", decision.backend_id, " subtasks:", len(decision.cut.subtasks))
+print("\nrouted to:", decision.backend_id, " pieces:", len(decision.requests))
 
 result = tm.execute_task(task)
 uncut, _ = run(circuit, 20000, seed=5)

@@ -22,7 +22,6 @@ from .circuit import (
     Gate,
     Measure,
     Reset,
-    Subcircuit,
     ValidationError,
     depth,
     gate_count,
@@ -45,7 +44,6 @@ __all__ = [
     "QasmSyntaxError",
     "Reset",
     "State",
-    "Subcircuit",
     "UnsupportedFeature",
     "ValidationError",
     "depth",

@@ -8,7 +8,7 @@ cutting decisions in the task manager.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .gates import GateKind
 
@@ -328,15 +328,10 @@ def interaction_components(c: Circuit) -> list[set[int]]:
     return sorted(groups.values(), key=min)
 
 
-@dataclass
-class Subcircuit:
-    circuit: Circuit
-    # subcircuit qubit index -> original qubit index
-    qubit_map: dict[int, int] = field(default_factory=dict)
-
-
-def split_circuit(c: Circuit) -> list[Subcircuit]:
-    """Split a circuit into independent subcircuits, one per interaction component.
+def split_circuit(c: Circuit) -> list[Circuit]:
+    """Split a circuit into independent pieces, one per interaction component,
+    in ``interaction_components`` order.  Piece qubit j is the component's
+    j-th smallest original qubit.
 
     Every piece keeps the circuit's cregs verbatim and writes only the bits
     its own qubits are measured into, so every other bit reads 0 and all
@@ -344,7 +339,7 @@ def split_circuit(c: Circuit) -> list[Subcircuit]:
     pieces, and a condition's creg is written only inside the reading
     piece, so a piece sees the register values the whole circuit would.
     """
-    subs: list[Subcircuit] = []
+    pieces: list[Circuit] = []
     for comp in interaction_components(c):
         qubits = sorted(comp)
         local = {orig: new for new, orig in enumerate(qubits)}
@@ -361,6 +356,5 @@ def split_circuit(c: Circuit) -> list[Subcircuit]:
             elif instr.qubit in local:
                 instrs.append(Measure(local[instr.qubit], instr.creg, instr.bit)
                               if isinstance(instr, Measure) else Reset(local[instr.qubit]))
-        subs.append(Subcircuit(Circuit._trusted(len(qubits), c.cregs, tuple(instrs)),
-                               dict(enumerate(qubits))))
-    return subs
+        pieces.append(Circuit._trusted(len(qubits), c.cregs, tuple(instrs)))
+    return pieces

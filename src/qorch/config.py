@@ -54,6 +54,8 @@ _KEYS = {
     "routing": {f.name for f in fields(RoutingConfig)},
     "simenv": {"partitions"},
 }
+# the kinds a [simenv] partition can hold; hardware is never simulated there
+_SIMULATOR_KINDS = {kind.value: kind for kind in BackendKind if kind is not BackendKind.HARDWARE}
 
 
 def default_config_text() -> str:
@@ -192,17 +194,16 @@ def _number(raw, section: str, key: str, default, kind=float, low=None, high=Non
 
 
 def _parse_partitions(raw: str):
-    """``kind:count`` entries, or one ``kind:all`` that gives the kind every node."""
+    """Simulator ``kind:count`` entries, or one ``kind:all`` that gives the kind every node."""
     entries = [item.strip() for item in raw.split(",") if item.strip()]
     if not entries:
         raise ConfigError("[simenv] partitions: no entries")
     plan = []
     for entry in entries:
         kind, _, count = (part.strip() for part in entry.partition(":"))
-        try:
-            kind = BackendKind(kind)
-        except ValueError:
-            raise ConfigError(f"[simenv] partitions: unknown kind in {entry!r}") from None
+        kind = _SIMULATOR_KINDS.get(kind)
+        if kind is None:
+            raise ConfigError(f"[simenv] partitions: {entry!r} names no simulator kind")
         if count == "all" and len(entries) == 1:
             plan.append((kind, None))
             continue

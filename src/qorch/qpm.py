@@ -9,7 +9,7 @@ NotImplementedError until an external plugin provides one.
 
 Each backend owns its timing model: ``service_time(circuit, shots, workers)``
 is a pure function of the request and the one price of a piece, which
-``qtm.task_service_time`` reads once per piece; ``execute`` only runs.  All
+``qtm.task_service_time`` reads once per request; ``execute`` only runs.  All
 service times are logical model values (seconds), never wall clock, so the
 schedulers stay deterministic.
 

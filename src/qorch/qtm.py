@@ -7,17 +7,17 @@ circuits routed to simulator backends are cut into independent subcircuits
 southbound and their shot lists are recombined northbound.
 
 ``execute_task`` is the one way a task runs, whichever integration model
-placed it.  ``task_service_time`` is the one way a task is timed: the
-backend prices each piece once, and a cut task takes the sum.
+placed it, and ``task_service_time`` the one way it is timed; both read the
+one piece list that routing builds, ``RoutingDecision.requests``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import count
 
 import numpy as np
 
-from .circuit import Circuit, Subcircuit, interaction_components, split_circuit, depth
+from .circuit import Circuit, interaction_components, split_circuit, depth
 from .qasm import parse_qasm
 from .qpm import (
     BackendDescriptor,
@@ -65,17 +65,16 @@ class QuantumTask:
 
 
 @dataclass(frozen=True)
-class CutPlan:
-    subtasks: tuple[Subcircuit, ...]
-    seed: int  # the task's; piece k samples with derive_seed(seed, "subtask", k)
-
-
-@dataclass(frozen=True)
 class RoutingDecision:
     backend_id: str
     backend_kind: BackendKind
     workers: int
-    cut: CutPlan | None = None
+    requests: tuple[ExecuteRequest, ...]  # one per cut piece, or the whole circuit
+
+    def at_width(self, workers: int) -> RoutingDecision:
+        """This decision at ``workers`` workers, every request narrowed to it."""
+        requests = tuple(replace(r, workers=_piece_width(workers, r.circuit)) for r in self.requests)
+        return replace(self, workers=workers, requests=requests)
 
 
 @dataclass(frozen=True)
@@ -96,31 +95,32 @@ def _floor_pow2(x: int) -> int:
     return 1 if x < 1 else 1 << (x.bit_length() - 1)
 
 
-def piece_requests(task: QuantumTask, decision: RoutingDecision) -> list[ExecuteRequest]:
-    """The backend requests that run a routed task: one per cut piece, or the
-    whole circuit when it was not cut.  ``task_service_time`` prices this
-    list and ``execute_task`` runs it."""
-    if decision.cut is None:
-        return [ExecuteRequest(
-            task.task_id, task.circuit, task.shots, task.seed, decision.workers,
-        )]
-    return [
+def _piece_width(workers: int, circuit: Circuit) -> int:
+    """A piece runs on at most one worker per amplitude."""
+    return min(workers, 2**circuit.num_qubits)
+
+
+def piece_requests(task: QuantumTask, pieces: tuple[Circuit, ...] | None,
+                   workers: int) -> tuple[ExecuteRequest, ...]:
+    """The backend requests that run a task at ``workers`` workers: one per
+    cut piece, piece k sampling with ``derive_seed(task.seed, "subtask", k)``,
+    or the whole circuit when ``pieces`` is None."""
+    if pieces is None:
+        return (ExecuteRequest(task.task_id, task.circuit, task.shots, task.seed, workers),)
+    return tuple(
         ExecuteRequest(
-            f"{task.task_id}.{index}", piece.circuit, task.shots,
-            derive_seed(task.seed, "subtask", index),
-            min(decision.workers, 2**piece.circuit.num_qubits),
+            f"{task.task_id}.{index}", piece, task.shots,
+            derive_seed(task.seed, "subtask", index), _piece_width(workers, piece),
         )
-        for index, piece in enumerate(decision.cut.subtasks)
-    ]
+        for index, piece in enumerate(pieces)
+    )
 
 
-def task_service_time(registry: BackendRegistry, task: QuantumTask,
-                      decision: RoutingDecision) -> float:
+def task_service_time(registry: BackendRegistry, decision: RoutingDecision) -> float:
     """The modeled seconds a routed task takes: the backend's service time
-    of each piece, summed."""
+    of each of its requests, summed."""
     return sum(
-        registry.service_time(decision.backend_id, request)
-        for request in piece_requests(task, decision)
+        registry.service_time(decision.backend_id, request) for request in decision.requests
     )
 
 
@@ -195,14 +195,14 @@ class TaskManager:
                 )
 
         workers = self._pick_workers(desc, n, prefs)
-        cut = None
+        pieces = None
         if (
             prefs.allow_cutting
             and desc.kind is not BackendKind.HARDWARE
             and len(interaction_components(c)) > 1
         ):
-            cut = self.cut(task)
-        return RoutingDecision(desc.id, desc.kind, workers, cut)
+            pieces = self.cut(task)
+        return RoutingDecision(desc.id, desc.kind, workers, piece_requests(task, pieces, workers))
 
     def _pick_workers(self, desc: BackendDescriptor, n: int, prefs: Preferences) -> int:
         if prefs.workers is not None:
@@ -221,15 +221,17 @@ class TaskManager:
 
     # -- cut ----------------------------------------------------------------
 
-    def cut(self, task: QuantumTask) -> CutPlan:
-        """Separability cut along interaction components; singleton when whole."""
-        return CutPlan(tuple(split_circuit(task.circuit)), task.seed)
+    def cut(self, task: QuantumTask) -> tuple[Circuit, ...]:
+        """Separability cut along interaction components, in
+        ``interaction_components`` order; one piece when whole."""
+        return tuple(split_circuit(task.circuit))
 
     # -- aggregate ------------------------------------------------------------
 
     @staticmethod
-    def aggregate(plan: CutPlan, results: list[Counts]) -> Counts:
-        """Recombine subtask counts into the circuit's counts.
+    def aggregate(seed: int, results: list[Counts]) -> Counts:
+        """Recombine the pieces' counts, in piece order, into the whole
+        circuit's counts; ``seed`` is the task's.
 
         Every piece prints keys in the circuit's layout and writes bits no
         other piece writes, so a merged shot is the OR of one shot of each
@@ -237,10 +239,6 @@ class TaskManager:
         rows, shuffled by a seed-derived permutation so pairing introduces
         no spurious correlations; shot i of every piece merges into shot i.
         """
-        if len(results) != len(plan.subtasks):
-            raise ShotMismatch(
-                f"{len(results)} results for {len(plan.subtasks)} subtasks"
-            )
         totals = {counts.total() for counts in results}
         if len(totals) > 1:
             raise ShotMismatch(f"subtask shot totals differ: {sorted(totals)}")
@@ -250,7 +248,7 @@ class TaskManager:
         for k, counts in enumerate(results):
             keys = sorted(counts)
             rows = np.repeat(pack_keys(keys), [counts[key] for key in keys], axis=0)
-            rng = np.random.default_rng(derive_seed(plan.seed, "aggregate", k))
+            rng = np.random.default_rng(derive_seed(seed, "aggregate", k))
             rows = rows[rng.permutation(shots)]
             if merged is None:
                 merged = rows
@@ -262,17 +260,16 @@ class TaskManager:
 
     def execute_task(self, task: QuantumTask,
                      decision: RoutingDecision | None = None) -> ExecuteResult:
-        """Run one task: route it unless a decision is given, execute each
-        piece, and aggregate the pieces' shots."""
+        """Run one task: route it unless a decision is given, execute each of
+        the decision's requests, and aggregate the pieces' shots."""
         if decision is None:
             decision = self.route(task)
         results = [
-            self.registry.execute(decision.backend_id, request)
-            for request in piece_requests(task, decision)
+            self.registry.execute(decision.backend_id, request) for request in decision.requests
         ]
         if len(results) == 1:
             return results[0]
-        counts = self.aggregate(decision.cut, [r.counts for r in results])
+        counts = self.aggregate(task.seed, [r.counts for r in results])
         trace = ExecutionTrace(seed=task.seed)
         for r in results:
             trace = trace + r.trace

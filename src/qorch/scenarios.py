@@ -13,12 +13,13 @@ runs.  It then runs as one hybrid job through ``_run_job``, which returns
 the run's only result, a RunReport: a job or task that failed, a loop that
 did not converge (``NonConvergence: ...``) and a program or workflow stage
 refused at admission all end as a failed report that says why.  Every batch
-runs through ``QuantumBatch.run_batch``: each task is routed, timed once by
-``qtm.task_service_time`` and run by ``TaskManager.execute_task``.  Only the
-wait differs by model: per_job plans the tasks onto the job's own simulation
-partition (gang/throughput), and single_qc holds the cluster device for them.
-``run_batch`` writes each task's one ``report.TaskRecord``; the batch's
-``outcomes`` list is the report's ``tasks``.
+runs through ``QuantumBatch.run_batch``: routing builds each task's requests
+once, ``qtm.task_service_time`` prices them and ``TaskManager.execute_task``
+runs them.  Only the wait differs by model: per_job plans the tasks onto the
+job's own simulation partition (gang/throughput), and single_qc holds the
+cluster device for them.  ``run_batch`` writes each task's one
+``report.TaskRecord``; the batch's ``outcomes`` list is the report's
+``tasks``.
 """
 from __future__ import annotations
 
@@ -87,6 +88,19 @@ def random_layered_circuit(n: int, layers: int, seed: int) -> Circuit:
 # -- job harness -----------------------------------------------------------------
 
 
+def single_qc_preferences(device: str, preferences: Preferences | None) -> Preferences:
+    """The preferences a single_qc task runs with: the cluster device and one
+    worker.  Refuses a preference for another backend or worker count."""
+    preferences = preferences or Preferences()
+    if preferences.backend_id not in (None, device):
+        raise ValueError(f"single_qc jobs execute on the cluster device {device!r}; "
+                         "use per_job for backend overrides")
+    if preferences.workers not in (None, 1):
+        raise ValueError(f"single_qc jobs execute with workers=1, got workers="
+                         f"{preferences.workers}; use per_job for worker overrides")
+    return replace(preferences, backend_id=device, workers=1)
+
+
 class QuantumBatch:
     """Task submission API handed to scenario bodies inside the job workload."""
 
@@ -99,21 +113,9 @@ class QuantumBatch:
         self.failure: str | None = None  # set by a body that ends the run itself
 
     def submit(self, source, shots, seed, preferences=None) -> QuantumTask:
-        """A task with a fresh id; under single_qc, placed on the cluster
-        device with one worker, and refused if it prefers another backend or
-        another worker count."""
+        """A task with a fresh id; under single_qc, with ``single_qc_preferences``."""
         if self.model is Model.SINGLE_QC:
-            device = self.system.config.device
-            preferences = preferences or Preferences()
-            if preferences.backend_id not in (None, device):
-                raise ValueError(
-                    "single_qc jobs execute on the cluster device "
-                    f"{device!r}; use per_job for backend overrides"
-                )
-            if preferences.workers not in (None, 1):
-                raise ValueError(f"single_qc jobs execute with workers=1, got workers="
-                                 f"{preferences.workers}; use per_job for worker overrides")
-            preferences = replace(preferences, backend_id=device, workers=1)
+            preferences = single_qc_preferences(self.system.config.device, preferences)
         return self.tm.normalize(source, shots, seed, preferences)
 
     def run_batch(self, tasks: list[QuantumTask], sequential: bool = False):
@@ -138,7 +140,7 @@ class QuantumBatch:
             held = []
             for task, decision in queue:
                 try:
-                    service = task_service_time(self.system.registry, task, decision)
+                    service = task_service_time(self.system.registry, decision)
                     results[task.task_id] = self.tm.execute_task(task, decision)
                 except Exception as exc:
                     results[task.task_id] = f"{type(exc).__name__}: {exc}"
@@ -329,15 +331,17 @@ def run_submitted_circuit(source: str, shots: int, seed: int, system: System,
                           workers: int | None = None) -> RunReport:
     """One user-provided QASM program run as a hybrid job (the submit command).
 
-    The program is parsed and its shot count checked at admission, before
-    the job is submitted, so a refused program fails with no job and an
-    empty event log."""
+    The program is parsed and its shot count and single_qc preferences
+    checked at admission, before the job is submitted, so a refused program
+    fails with no job and an empty event log."""
     prefs = Preferences(backend_id=backend_id, workers=workers)
     failure = None
     try:
         # qtm's name, which normalize also parses through, so one hook sees every parse
         circuit = qtm.parse_qasm(source)
         check_shots(shots)
+        if Model(model) is Model.SINGLE_QC:
+            single_qc_preferences(system.config.device, prefs)
     except (QasmError, ValueError) as exc:  # a circuit's ValidationError is a ValueError
         failure = f"{type(exc).__name__}: {exc}"
 

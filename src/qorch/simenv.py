@@ -7,14 +7,14 @@ the task ahead of it in its kind partition and the time the w-th node of
 that partition frees, on the lowest-numbered nodes free then.  A task with
 w > 1 is a gang assignment spanning w nodes; a single-worker task takes one
 node (throughput).  A task routed wider than its kind partition runs at the
-widest power of two that fits, unless a ``workers`` preference asked for
-that width.  An assignment's duration is ``qtm.task_service_time``, the
-task's one price; executing the plan runs each task through the task
-manager, which runs it and does not price it again.
+widest power of two that fits (``RoutingDecision.at_width``), unless a
+``workers`` preference asked for that width.  An assignment's duration is
+``qtm.task_service_time`` of its decision, the task's one price; executing
+the plan runs that decision's requests, which are not priced again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .qpm import BackendKind, BackendRegistry, ExecuteResult, UnknownBackend
 from .qtm import QuantumTask, RoutingDecision, TaskManager, _floor_pow2, task_service_time
@@ -119,9 +119,9 @@ def assess(queue, partitions, registry: BackendRegistry) -> ExecutionPlan:
                 )
                 out.failures.append((task.task_id, f"WorkersExceedPartition: {reason}"))
                 continue
-            decision = replace(decision, workers=_floor_pow2(len(ids)))
+            decision = decision.at_width(_floor_pow2(len(ids)))
         try:
-            duration = task_service_time(registry, task, decision)
+            duration = task_service_time(registry, decision)
         except (UnknownBackend, NotImplementedError) as exc:
             out.failures.append((task.task_id, f"{type(exc).__name__}: {exc}"))
             continue

@@ -4,9 +4,11 @@ reference that planner is tested against.
 
 It advances a clock through a heap of completions, frees every node that
 finishes at an instant before it schedules again, and starts each kind's
-FIFO head once its gang fits the sorted free-node list.  The only edit is
-its second argument: the ``(kind, count)`` pairs ``configure`` returns,
-where it took the one-field ``SimPartitionPlan`` that held them.  It keeps
+FIFO head once its gang fits the sorted free-node list.  Two edits: its
+second argument is the ``(kind, count)`` pairs ``configure`` returns, where
+it took the one-field ``SimPartitionPlan`` that held them, and it narrows
+a decision's own requests to the planned width, with its own ``replace``,
+where it rebuilt them from the decision's cut.  It keeps
 its own ``Assignment``, which stored ``kind``, ``workers`` and ``run_mode``
 beside the decision.
 """
@@ -16,7 +18,7 @@ import heapq
 from dataclasses import dataclass, field, replace
 
 from qorch.qpm import BackendKind, BackendRegistry, UnknownBackend
-from qorch.qtm import QuantumTask, RoutingDecision, _floor_pow2, piece_requests
+from qorch.qtm import QuantumTask, RoutingDecision, _floor_pow2
 from qorch.simenv import WorkersExceedPartition
 
 
@@ -83,11 +85,15 @@ def reference_assess(queue, partitions, registry: BackendRegistry) -> ExecutionP
                 )
                 out.failures.append((task.task_id, f"WorkersExceedPartition: {reason}"))
                 continue
-            decision = replace(decision, workers=_floor_pow2(totals[kind]))
+            workers = _floor_pow2(totals[kind])
+            decision = replace(decision, workers=workers, requests=tuple(
+                replace(request, workers=min(workers, 2**request.circuit.num_qubits))
+                for request in decision.requests
+            ))
         try:
             duration = sum(
                 registry.service_time(decision.backend_id, request)
-                for request in piece_requests(task, decision)
+                for request in decision.requests
             )
         except (UnknownBackend, NotImplementedError) as exc:
             out.failures.append((task.task_id, f"{type(exc).__name__}: {exc}"))

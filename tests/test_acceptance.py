@@ -14,7 +14,7 @@ import pytest
 
 from helpers import product_circuit, random_gate_circuit
 from oracle import oracle_probabilities
-from qorch.circuit import CircuitBuilder, Gate, ValidationError
+from qorch.circuit import CircuitBuilder, Gate, ValidationError, interaction_components
 from qorch.cli import cli_main
 from qorch.qasm import QasmError, parse_qasm, serialize_qasm
 from qorch.qpm import (
@@ -31,7 +31,6 @@ from qorch.qtm import (
     Preferences,
     RoutingConfig,
     TaskManager,
-    piece_requests,
 )
 from qorch.resman import Cluster, ClusterConfig, DeviceCalls, GeneratorWorkload, JobSpec, Model
 from qorch.scenarios import ghz, run_ensemble, run_in_sequence, run_single_circuit, teleport_circuit
@@ -114,21 +113,21 @@ def test_acceptance_3_cut_aggregate_exactness():
             tuple(i for i in circuit.instructions if isinstance(i, Gate)),
         )
         whole = probabilities(final_state(gate_only, seed=0))
-        plan = tm.cut(tm.normalize(circuit, 10, 0))
-        assert 2 <= len(plan.subtasks) <= 4
+        cut = tm.cut(tm.normalize(circuit, 10, 0))
+        assert 2 <= len(cut) <= 4
         pieces = []
-        for sub in plan.subtasks:
-            sub_gates = sub.circuit.__class__(
-                sub.circuit.num_qubits, (),
-                tuple(i for i in sub.circuit.instructions if isinstance(i, Gate)),
+        for sub in cut:
+            sub_gates = sub.__class__(
+                sub.num_qubits, (),
+                tuple(i for i in sub.instructions if isinstance(i, Gate)),
             )
             pieces.append(probabilities(final_state(sub_gates, seed=0)))
         rebuilt = np.zeros_like(whole)
         for idx in range(2**circuit.num_qubits):
             p = 1.0
-            for sub, piece in zip(plan.subtasks, pieces):
+            for comp, piece in zip(interaction_components(circuit), pieces):
                 sub_idx = 0
-                for new_q, orig_q in sub.qubit_map.items():
+                for new_q, orig_q in enumerate(sorted(comp)):
                     sub_idx |= ((idx >> orig_q) & 1) << new_q
                 p *= piece[sub_idx]
             rebuilt[idx] = p
@@ -140,9 +139,8 @@ def test_acceptance_3_cut_aggregate_exactness():
     for seed in range(10):
         circuit = small[seed % len(small)]
         task = tm.normalize(circuit, shots, 9000 + seed)
-        plan = tm.cut(task)
-        results = [run(r.circuit, shots, r.seed)[0] for r in piece_requests(task, tm.route(task))]
-        merged = tm.aggregate(plan, results)
+        results = [run(r.circuit, shots, r.seed)[0] for r in tm.route(task).requests]
+        merged = tm.aggregate(task.seed, results)
         assert merged.total() == shots
         exact_counts, _ = run(circuit, 10**6, seed=1)  # high-shot reference
         keys = set(merged) | set(exact_counts)

@@ -175,38 +175,35 @@ def test_components_partition_everything():
 # -- split_circuit --------------------------------------------------------
 
 
-def _written_bits(sub):
-    return {(i.creg, i.bit) for i in sub.circuit.instructions if isinstance(i, Measure)}
+def _written_bits(piece):
+    return {(i.creg, i.bit) for i in piece.instructions if isinstance(i, Measure)}
 
 
 def test_split_single_component_identity():
-    subs = split_circuit(bell())
-    assert len(subs) == 1
-    assert subs[0].qubit_map == {0: 0, 1: 1}
-    assert subs[0].circuit == bell()
-    assert subs[0].circuit.cregs == (("c", 2),)
-    assert _written_bits(subs[0]) == {("c", 0), ("c", 1)}
+    pieces = split_circuit(bell())
+    assert pieces == [bell()]
+    assert interaction_components(bell()) == [{0, 1}]
+    assert pieces[0].cregs == (("c", 2),)
+    assert _written_bits(pieces[0]) == {("c", 0), ("c", 1)}
 
 
 def test_split_disconnected_three_qubits():
     c = CircuitBuilder(3).h(0).h(2).cx(0, 1).build()
-    subs = split_circuit(c)
-    assert [s.circuit.num_qubits for s in subs] == [2, 1]
-    assert subs[0].qubit_map == {0: 0, 1: 1}
-    assert subs[1].qubit_map == {0: 2}
+    pieces = split_circuit(c)
+    assert [p.num_qubits for p in pieces] == [2, 1]
+    # piece k holds component k's qubits, smallest first
+    assert interaction_components(c) == [{0, 1}, {2}]
+    assert pieces[0] == CircuitBuilder(2).h(0).cx(0, 1).build()
+    assert pieces[1] == CircuitBuilder(1).h(0).build()
 
 
 def test_split_two_cx_blocks():
-    c = CircuitBuilder(4).cx(0, 1).cx(2, 3).build()
-    subs = split_circuit(c)
-    assert [s.circuit.num_qubits for s in subs] == [2, 2]
-    maps = {}
-    for s in subs:
-        maps.update({s.qubit_map[k]: None for k in s.qubit_map})
-        assert all(0 <= k < 2 for k in s.qubit_map)
-    # jointly a bijection onto the original qubits
-    joint = sorted(orig for s in subs for orig in s.qubit_map.values())
-    assert joint == [0, 1, 2, 3]
+    c = CircuitBuilder(4).cx(0, 2).cx(1, 3).h(3).build()
+    pieces = split_circuit(c)
+    assert [p.num_qubits for p in pieces] == [2, 2]
+    assert interaction_components(c) == [{0, 2}, {1, 3}]
+    assert pieces[0] == CircuitBuilder(2).cx(0, 1).build()
+    assert pieces[1] == CircuitBuilder(2).cx(0, 1).h(1).build()
 
 
 def test_split_creg_bitwise_by_writer():
@@ -218,12 +215,12 @@ def test_split_creg_bitwise_by_writer():
         .measure(1, "c", 1)
         .build()
     )
-    subs = split_circuit(c)
-    assert len(subs) == 2
+    pieces = split_circuit(c)
+    assert len(pieces) == 2
     # every piece keeps the circuit's layout and writes only its own bits
-    assert [s.circuit.cregs for s in subs] == [(("c", 2),), (("c", 2),)]
-    assert _written_bits(subs[0]) == {("c", 0)}
-    assert _written_bits(subs[1]) == {("c", 1)}
+    assert [p.cregs for p in pieces] == [(("c", 2),), (("c", 2),)]
+    assert _written_bits(pieces[0]) == {("c", 0)}
+    assert _written_bits(pieces[1]) == {("c", 1)}
 
 
 def test_split_feedforward_uncuttable():
@@ -233,15 +230,13 @@ def test_split_feedforward_uncuttable():
         .x(1, condition=("c", 1))
         .build()
     )
-    subs = split_circuit(c)
-    assert len(subs) == 1
+    assert len(split_circuit(c)) == 1
 
 
 def test_split_barrier_restricted_per_component():
     c = CircuitBuilder(4, ()).cx(0, 1).cx(2, 3).barrier(0, 1, 2, 3).build()
-    subs = split_circuit(c)
-    for s in subs:
-        barriers = [i for i in s.circuit.instructions if isinstance(i, Barrier)]
+    for piece in split_circuit(c):
+        barriers = [i for i in piece.instructions if isinstance(i, Barrier)]
         assert len(barriers) == 1
         assert barriers[0].qubits == (0, 1)
 
@@ -255,6 +250,5 @@ def test_split_same_bit_written_by_two_groups_merges():
         .measure(1, "c", 0)
         .build()
     )
-    subs = split_circuit(c)
-    assert len(subs) == 1
-    assert subs[0].circuit.num_qubits == 2
+    (piece,) = split_circuit(c)
+    assert piece.num_qubits == 2

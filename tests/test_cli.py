@@ -172,6 +172,8 @@ def test_single_qc_submit_refuses_an_override(tmp_path, capsys, bell_file, flag,
     assert code == 2
     assert "status failed\n" in (out_dir / "report.txt").read_text()
     assert capsys.readouterr().err == f"execution failed: ValueError: {message}\n"
+    # refused at admission: no job was submitted, so nothing was granted
+    assert (out_dir / "events.log").read_text() == ""
 
 
 def test_single_qc_one_circuit_ensemble(tmp_path):

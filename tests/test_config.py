@@ -188,7 +188,8 @@ def test_partitions_all_honours_its_kind():
 
 
 @pytest.mark.parametrize("entry", ["bogus:all", "bogus:3", "state_vector:2,bogus:1",
-                                   "state_vector:all,tensor_network:1", "state_vector:two", ""])
+                                   "state_vector:all,tensor_network:1", "state_vector:two", "",
+                                   "hardware:all", "state_vector:2,hardware:1"])
 def test_bad_partition_entry_rejected(entry):
     with pytest.raises(ConfigError) as info:
         parse_config(f"[backend:sv]\nkind = state_vector\n\n[simenv]\npartitions = {entry}\n")

@@ -279,7 +279,7 @@ def test_trusted_constructor_equals_validating_one(circuit):
     assert trusted == circuit and hash(trusted) == hash(circuit)
     assert repr(trusted) == repr(circuit)
     parsed = parse_qasm(serialize_qasm(circuit))
-    for built in [parsed] + [sub.circuit for sub in split_circuit(circuit)]:
+    for built in [parsed] + split_circuit(circuit):
         assert Circuit(built.num_qubits, built.cregs, built.instructions) == built
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import cuttable_programs, feed_forward_programs, product_circuit
 from oracle import oracle_probabilities
-from qorch.circuit import CircuitBuilder, Measure
+from qorch.circuit import CircuitBuilder, Measure, interaction_components
 from qorch.qasm import QasmSyntaxError
 from qorch.qpm import (
     BackendDescriptor,
@@ -22,7 +22,6 @@ from qorch.qtm import (
     RoutingConfig,
     ShotMismatch,
     TaskManager,
-    piece_requests,
     task_service_time,
 )
 from qorch.scenarios import teleport_circuit
@@ -103,7 +102,7 @@ def test_route_small_circuit_default():
     decision = tm.route(tm.normalize(CircuitBuilder(5).h(0).build(), 10, 0))
     assert decision.backend_id == "statevec"
     assert decision.workers == 1
-    assert decision.cut is None or len(decision.cut.subtasks) >= 1
+    assert [r.circuit.num_qubits for r in decision.requests] == [1] * 5
 
 
 def test_route_no_feasible_backend():
@@ -197,7 +196,7 @@ def test_hardware_never_cut():
     tm = manager()
     c = product_circuit([2, 2], 1, seed=0)
     task = tm.normalize(c, 10, 0, Preferences(backend_id="mock-hw"))
-    assert tm.route(task).cut is None
+    assert [r.circuit for r in tm.route(task).requests] == [c]
 
 
 def test_routing_deterministic():
@@ -213,19 +212,18 @@ def test_routing_deterministic():
 
 def test_cut_bell_singleton():
     tm = manager()
-    plan = tm.cut(tm.normalize(bell(), 10, 0))
-    assert len(plan.subtasks) == 1
+    assert tm.cut(tm.normalize(bell(), 10, 0)) == (bell(),)
 
 
 def test_cut_two_blocks():
     tm = manager()
     c = CircuitBuilder(4, (("c", 4),)).cx(0, 1).cx(2, 3).measure_all("c").build()
     task = tm.normalize(c, 10, 0)
-    plan = tm.cut(task)
-    assert len(plan.subtasks) == 2
-    assert all(s.circuit.num_qubits == 2 for s in plan.subtasks)
-    seeds = {r.seed for r in piece_requests(task, tm.route(task))}
-    assert len(seeds) == 2
+    pieces = tm.cut(task)
+    assert [piece.num_qubits for piece in pieces] == [2, 2]
+    requests = tm.route(task).requests
+    assert [r.circuit for r in requests] == list(pieces)
+    assert len({r.seed for r in requests}) == 2
 
 
 def test_cut_feedforward_uncuttable():
@@ -237,8 +235,7 @@ def test_cut_feedforward_uncuttable():
         .x(1, condition=("c", 1))
         .build()
     )
-    plan = tm.cut(tm.normalize(c, 10, 0))
-    assert len(plan.subtasks) == 1
+    assert tm.cut(tm.normalize(c, 10, 0)) == (c,)
 
 
 # -- aggregate ------------------------------------------------------------------
@@ -247,9 +244,8 @@ def test_cut_feedforward_uncuttable():
 def test_aggregate_singleton_identity():
     tm = manager()
     task = tm.normalize(bell(), 100, 5)
-    plan = tm.cut(task)
     counts = Counts({"00": 60, "11": 40})
-    assert tm.aggregate(plan, [counts]) == counts
+    assert tm.aggregate(task.seed, [counts]) == counts
 
 
 def test_aggregate_deterministic_components():
@@ -263,20 +259,19 @@ def test_aggregate_deterministic_components():
         .build()
     )
     task = tm.normalize(c, 50, 1)
-    plan = tm.cut(task)
-    assert len(plan.subtasks) == 2
+    assert len(tm.cut(task)) == 2
     results = [Counts({"00": 50}), Counts({"10": 50})]
-    merged = tm.aggregate(plan, results)
+    merged = tm.aggregate(task.seed, results)
     assert merged == Counts({"10": 50})
 
 
 def test_aggregate_shot_mismatch():
     tm = manager()
     c = CircuitBuilder(2, (("c", 2),)).measure_all("c").h(0).build()
-    plan = tm.cut(tm.normalize(c, 10, 0))
+    task = tm.normalize(c, 10, 0)
+    assert len(tm.cut(task)) == 2
     with pytest.raises(ShotMismatch):
-        tm.aggregate(plan, [Counts({"0": 5})] * len(plan.subtasks) if len(plan.subtasks) == 1
-                     else [Counts({"0": 5}), Counts({"0": 7})])
+        tm.aggregate(task.seed, [Counts({"0": 5}), Counts({"0": 7})])
 
 
 def test_aggregate_bell_halves_close_to_uncut():
@@ -285,11 +280,8 @@ def test_aggregate_bell_halves_close_to_uncut():
     tm = manager()
     c = product_circuit([2, 2], 1, seed=42)
     task = tm.normalize(c, 10000, 3)
-    plan = tm.cut(task)
-    results = [
-        run(r.circuit, 10000, r.seed)[0] for r in piece_requests(task, tm.route(task))
-    ]
-    merged = tm.aggregate(plan, results)
+    results = [run(r.circuit, 10000, r.seed)[0] for r in tm.route(task).requests]
+    merged = tm.aggregate(task.seed, results)
     uncut, _ = run(c, 10000, 3)
     keys = set(merged) | set(uncut)
     tv = 0.5 * sum(
@@ -316,15 +308,15 @@ def test_execute_task_cut_vs_uncut_probabilities():
     from qorch.statevec import final_state, probabilities
 
     whole = probabilities(final_state(c, seed=0))
-    plan = tm.cut(tm.normalize(c, 10, 0))
-    pieces = [probabilities(final_state(s.circuit, seed=0)) for s in plan.subtasks]
+    cut = tm.cut(tm.normalize(c, 10, 0))
+    pieces = [probabilities(final_state(piece, seed=0)) for piece in cut]
     rebuilt = np.zeros_like(whole)
     n = c.num_qubits
     for idx in range(2**n):
         p = 1.0
-        for sub, piece in zip(plan.subtasks, pieces):
+        for comp, piece in zip(interaction_components(c), pieces):
             sub_idx = 0
-            for new_q, orig_q in sub.qubit_map.items():
+            for new_q, orig_q in enumerate(sorted(comp)):
                 sub_idx |= ((idx >> orig_q) & 1) << new_q
             p *= piece[sub_idx]
         rebuilt[idx] = p
@@ -361,11 +353,27 @@ def test_cut_service_time_is_sum_of_pieces():
     tm = manager()
     task = tm.normalize(product_circuit([2, 2, 1], 1, seed=10), 500, 6)
     decision = tm.route(task)
-    pieces = piece_requests(task, decision)
+    pieces = decision.requests
     assert len(pieces) == 3
     backend = StateVectorBackend()
     expected = sum(backend.service_time(p.circuit, p.shots, p.workers) for p in pieces)
-    assert task_service_time(tm.registry, task, decision) == expected
+    assert task_service_time(tm.registry, decision) == expected
+
+
+def test_execute_task_runs_the_requests_routing_priced():
+    tm = manager()
+    task = tm.normalize(product_circuit([2, 2, 1], 1, seed=10), 500, 6)
+    decision = tm.route(task)
+    priced, executed = [], []
+    service_time, execute = tm.registry.service_time, tm.registry.execute
+    tm.registry.service_time = lambda backend_id, request: service_time(
+        backend_id, priced.append(request) or request)
+    tm.registry.execute = lambda backend_id, request: execute(
+        backend_id, executed.append(request) or request)
+    task_service_time(tm.registry, decision)
+    tm.execute_task(task, decision)
+    assert len(decision.requests) == 3
+    assert [id(r) for r in priced] == [id(r) for r in executed] == list(map(id, decision.requests))
 
 
 @settings(max_examples=40, deadline=None)
@@ -399,18 +407,17 @@ def test_cut_plan_bijection_and_bit_ownership():
     for seed in range(10):
         sizes = [1 + (seed % 2), 2, 1 + ((seed + 1) % 2)]
         c = product_circuit(sizes, 1, seed=100 + seed)
-        plan = tm.cut(tm.normalize(c, 10, seed))
-        # qubit maps are jointly a bijection onto the original qubits
-        originals = sorted(
-            orig for s in plan.subtasks for orig in s.qubit_map.values()
-        )
-        assert originals == list(range(c.num_qubits))
+        pieces = tm.cut(tm.normalize(c, 10, seed))
+        # piece k holds component k, and the components partition the qubits
+        components = interaction_components(c)
+        assert [piece.num_qubits for piece in pieces] == [len(comp) for comp in components]
+        assert sorted(q for comp in components for q in comp) == list(range(c.num_qubits))
         # every piece keeps the layout, and each creg bit is measured in at
         # most one piece
-        assert all(s.circuit.cregs == c.cregs for s in plan.subtasks)
+        assert all(piece.cregs == c.cregs for piece in pieces)
         written = [
-            {(i.creg, i.bit) for i in s.circuit.instructions if isinstance(i, Measure)}
-            for s in plan.subtasks
+            {(i.creg, i.bit) for i in piece.instructions if isinstance(i, Measure)}
+            for piece in pieces
         ]
         assert sum(len(bits) for bits in written) == len(set().union(*written))
 
@@ -429,6 +436,6 @@ def test_cut_past_63_classical_bits():
     c = b.measure(0, "c", 69).measure(1, "c", 35).measure(2, "c", 0).build()
     tm = manager()
     task = tm.normalize(c, 20, 4)
-    assert len(tm.route(task).cut.subtasks) == 3
+    assert len(tm.route(task).requests) == 3
     expected = "1" + "0" * 68 + "1"
     assert tm.execute_task(task).counts == Counts({expected: 20})

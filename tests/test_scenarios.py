@@ -8,8 +8,8 @@ from helpers import product_circuit
 from oracle import oracle_probabilities
 from qorch.circuit import Circuit, Gate, Measure
 from qorch.qasm import serialize_qasm
-from qorch.qpm import BackendRegistry, StateVectorBackend
-from qorch.qtm import Preferences, TaskManager, piece_requests, task_service_time
+from qorch.qpm import BackendRegistry, ExecuteRequest, StateVectorBackend
+from qorch.qtm import Preferences, TaskManager, task_service_time
 from qorch.resman import Model
 from qorch.scenarios import (
     QuantumBatch,
@@ -230,7 +230,7 @@ def test_separable_task_same_under_both_models(system):
     tm = system.task_manager()
     task = tm.normalize(src, 500, 4)
     direct = tm.execute_task(task)
-    service = task_service_time(system.registry, task, tm.route(task))
+    service = task_service_time(system.registry, tm.route(task))
     for report in (per_job, single):
         (line,) = report.tasks
         assert line.counts == direct.counts
@@ -249,16 +249,22 @@ class _CountingStateVector(StateVectorBackend):
 
 
 @pytest.mark.parametrize("model", [Model.PER_JOB, Model.SINGLE_QC])
-def test_each_piece_is_priced_once(model):
+def test_each_piece_is_priced_once(model, monkeypatch):
     system = System()
     descriptor = system.registry.descriptor("statevec")
     engine = _CountingStateVector()
     system.registry = BackendRegistry()
     system.registry.register(descriptor, engine)
+    built = []
+    post_init = ExecuteRequest.__post_init__
+    monkeypatch.setattr(ExecuteRequest, "__post_init__",
+                        lambda request: built.append(request) or post_init(request))
     src = serialize_qasm(product_circuit([2, 2, 1], 1, seed=5))
     report = run_submitted_circuit(src, 200, seed=4, system=system, model=model)
     assert report.status == "ok"
     assert sorted(engine.priced) == [1, 2, 2]
+    # routing builds each piece's request once; pricing and running reuse it
+    assert sorted(request.circuit.num_qubits for request in built) == [1, 2, 2]
 
 
 def test_task_lines_report_the_price_of_their_pieces(system):
@@ -269,7 +275,7 @@ def test_task_lines_report_the_price_of_their_pieces(system):
     report = run_submitted_circuit(src, 200, seed=4, system=system, sim_nodes=4, workers=4)
     task = tm.normalize(src, 200, 4, Preferences(workers=4))
     decision = tm.route(task)
-    assert len(decision.cut.subtasks) == 3
+    assert len(decision.requests) == 3
     plan = assess([(task, decision)], configure(4, system.config.partitions), system.registry)
     (assignment,) = plan.assignments
     (line,) = report.tasks
@@ -279,7 +285,7 @@ def test_task_lines_report_the_price_of_their_pieces(system):
     # single_qc: the line's service time is the device's price of each piece, summed
     report = run_submitted_circuit(src, 200, seed=4, system=system, model=Model.SINGLE_QC)
     task = tm.normalize(src, 200, 4, Preferences(backend_id="statevec", workers=1))
-    requests = piece_requests(task, tm.route(task))
+    requests = tm.route(task).requests
     assert len(requests) == 3
     (line,) = report.tasks
     assert line.service_time == sum(system.registry.service_time("statevec", r) for r in requests)

@@ -17,6 +17,7 @@ from qorch.qtm import (
     RoutingConfig,
     RoutingDecision,
     TaskManager,
+    piece_requests,
     task_service_time,
 )
 from qorch.simenv import Oversubscribed, assess, configure, execute_plan
@@ -209,8 +210,33 @@ def test_routed_width_beyond_partition_runs_at_partition_width():
     (assignment,) = plan.assignments
     assert assignment.run_mode == "gang"
     assert assignment.decision.workers == 2
-    assert assignment.duration == task_service_time(tm.registry, task, assignment.decision)
+    assert assignment.duration == task_service_time(tm.registry, assignment.decision)
     assert isinstance(execute_plan(plan, tm)[task.task_id], ExecuteResult)
+
+    # a cut task: every piece runs at the partition width or at one worker
+    # per amplitude, whichever is fewer
+    tm = TaskManager(registry(), RoutingConfig(local_qubits_per_worker=2))
+    task = tm.normalize(
+        CircuitBuilder(5, (("c", 5),)).h(0).cx(0, 1).cx(1, 2).cx(2, 3).h(4)
+        .measure_all("c").build(),
+        200, 3,
+    )
+    decision = tm.route(task)
+    assert (decision.workers, len(decision.requests)) == (8, 2)
+    plan = assess([(task, decision)], configure(4), tm.registry)
+    (assignment,) = plan.assignments
+    narrowed = assignment.decision
+    assert narrowed.workers == 4
+    assert [r.workers for r in narrowed.requests] == [4, 2]
+    assert [r.workers for r in narrowed.requests] == [
+        min(4, 2**r.circuit.num_qubits) for r in narrowed.requests]
+    assert assignment.duration == task_service_time(tm.registry, narrowed)
+    executed = []
+    execute = tm.registry.execute
+    tm.registry.execute = lambda backend_id, request: execute(
+        backend_id, executed.append(request) or request)
+    assert isinstance(execute_plan(plan, tm)[task.task_id], ExecuteResult)
+    assert executed == list(narrowed.requests)
 
 
 # -- one pass against the event-loop reference ------------------------------------
@@ -254,8 +280,9 @@ def planner_inputs(draw):
         task = QuantumTask(f"task-{i:04d}", circuit, 10, i,
                            Preferences(workers=workers if preferred else None))
         backend_id = draw(st.sampled_from(["sv-a", "sv-a", "sv-b", "sv-b", "tn", "hw"]))
-        cut = tm.cut(task) if draw(st.booleans()) else None
-        queue.append((task, RoutingDecision(backend_id, _KINDS[backend_id], workers, cut)))
+        pieces = tm.cut(task) if draw(st.booleans()) else None
+        queue.append((task, RoutingDecision(backend_id, _KINDS[backend_id], workers,
+                                            piece_requests(task, pieces, workers))))
     return partitions, queue
 
 

@@ -14,6 +14,14 @@ the pairs the change won (direction from ``BENCHMARK.json``; ties count for
 neither side) and the ratio of the medians.  ``--append`` adds the runs to
 an existing file and summarises all of them again; traced runs
 (``--trace 1``) are summarised apart, under ``<workload> traced``.
+
+Each end-to-end metric with a ``bound`` in ``BENCHMARK.json`` also gets the
+no-regression verdict: ``worse_by``, the change's median against the
+parent's as a fraction of the parent's, positive when worse;
+``beyond_bound``; ``parent_spread``, the parent's (q3 - q1) / median; and
+``unresolved``, a spread wider than the bound where not every change run
+beats every parent run.  After the last pair one verdict line per workload
+is printed.
 """
 from __future__ import annotations
 
@@ -59,9 +67,9 @@ def _run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> di
     return result
 
 
-def _directions() -> dict[str, str]:
+def _metrics() -> dict[str, dict]:
     spec = json.loads((CHANGE / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
 
 
 def _side(values: list[float]) -> dict:
@@ -70,7 +78,7 @@ def _side(values: list[float]) -> dict:
 
 
 def summarise(runs: list[dict]) -> dict:
-    better = _directions()
+    metrics = _metrics()
     groups: dict[str, list[dict]] = {}
     for run in runs:
         key = run["workload"] + (" traced" if run["traced"] else "")
@@ -83,7 +91,8 @@ def summarise(runs: list[dict]) -> dict:
         for name in names:
             parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
             change = [p["change"]["metrics"][name]["value"] for p in pairs]
-            sign = -1 if better.get(name, "lower") == "lower" else 1
+            spec = metrics.get(name, {})
+            sign = -1 if spec.get("better", "lower") == "lower" else 1
             p_mid, c_mid = float(np.median(parent)), float(np.median(change))
             out[name] = {
                 "parent": _side(parent),
@@ -91,12 +100,45 @@ def summarise(runs: list[dict]) -> dict:
                 "change_better": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
                 "ratio_of_medians": round(c_mid / p_mid, 4) if p_mid else None,
             }
+            bound = spec.get("bound")
+            if bound is not None and p_mid:
+                q1, q3 = np.percentile(parent, [25, 75])
+                worse_by = -sign * (c_mid - p_mid) / p_mid
+                spread = float(q3 - q1) / p_mid
+                beats_all = all(sign * (c - p) > 0 for p in parent for c in change)
+                out[name].update({
+                    "bound": bound,
+                    "worse_by": round(worse_by, 4),
+                    "beyond_bound": worse_by > bound,
+                    "parent_spread": round(spread, 4),
+                    "unresolved": spread > bound and not beats_all,
+                })
         sides = [p[side] for p in pairs for side in ("parent", "change")]
         out["failed"] = sum(s["failed"] for s in sides)
         out["correct"] = all(s["correct"] for s in sides)
         out["exits"] = sorted({s["exit"] for s in sides})
         summary[key] = out
     return summary
+
+
+def verdicts(summary: dict) -> list[str]:
+    """One line per workload: the bounded metrics whose change median is
+    worse than the bound, and those the parent's spread leaves unresolved."""
+    lines = []
+    for key, out in summary.items():
+        judged = {name: m for name, m in out.items() if isinstance(m, dict) and "bound" in m}
+        parts = []
+        beyond = [f"{name} worse by {m['worse_by']:.3f} > {m['bound']}"
+                  for name, m in judged.items() if m["beyond_bound"]]
+        unresolved = [f"{name} parent spread {m['parent_spread']:.3f} > {m['bound']}"
+                      for name, m in judged.items() if m["unresolved"]]
+        if beyond:
+            parts.append("beyond bound: " + ", ".join(beyond))
+        if unresolved:
+            parts.append("unresolved: " + ", ".join(unresolved))
+        verdict = "; ".join(parts) or f"no regression on {len(judged)} bounded metrics"
+        lines.append(f"{key} over {out['pairs']} pairs: {verdict}")
+    return lines
 
 
 def main() -> int:
@@ -144,6 +186,8 @@ def main() -> int:
             seed += 1
             data["summary"] = summarise(data["runs"])
             args.out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+    for line in verdicts(data["summary"]):
+        print(line)
     return 0
 
 
