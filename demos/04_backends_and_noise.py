@@ -5,7 +5,9 @@ Backend plugins and mock-hardware noise
 The platform manager exposes every backend through one execute/calibration
 contract.  The mock hardware backend reuses the ideal simulation and flips
 readout bits with its calibrated probability; with p=0 it is bit-identical
-to the state-vector backend.
+to the state-vector backend.  Routing asks the backends: a task goes to the
+first simulator whose descriptor accepts the circuit, and when none does the
+error lists each refusal.
 """
 from qorch.circuit import CircuitBuilder
 from qorch.qpm import (
@@ -16,6 +18,7 @@ from qorch.qpm import (
     MockHardwareBackend,
     StateVectorBackend,
 )
+from qorch.qtm import NoFeasibleBackend, TaskManager
 
 registry = BackendRegistry()
 registry.register(
@@ -29,9 +32,6 @@ registry.register(
     ),
     MockHardwareBackend(readout_flip_probability=0.1, alpha_q=1.0, beta_q=1e-6),
 )
-# A tensor-network slot can be declared now and implemented by a plugin later.
-registry.register(BackendDescriptor("tn", BackendKind.TENSOR_NETWORK, max_qubits=40))
-
 for desc in registry.list():
     cal = registry.get_calibration(desc.id)
     print(f"{desc.id:10s} kind={desc.kind.value:15s} p={cal.readout_flip_probability}")
@@ -55,7 +55,10 @@ odd = noisy.counts.frequency("01") + noisy.counts.frequency("10")
 print("odd-parity rate:", round(odd, 4), " (2p(1-p) = 0.18 expected)")
 print("hardware service time:", registry.service_time("noisy-hw", request), "s (logical)")
 
+# Hardware takes only tasks that name it, so a 30-qubit circuit has one
+# candidate, statevec, and its refusal is the error.
+tm = TaskManager(registry)
 try:
-    registry.execute("tn", ExecuteRequest("t3", bell, 10, seed=0))
-except NotImplementedError as exc:
-    print("tensor-network slot:", exc)
+    tm.route(tm.normalize(CircuitBuilder(30).h(0).build(), 10, seed=0))
+except NoFeasibleBackend as exc:
+    print("\nno feasible backend:", exc)

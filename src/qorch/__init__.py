@@ -7,8 +7,8 @@ Layers, bottom to top:
 - statevec: exact chunked state-vector execution with mid-circuit collapse.
 - qpm: the platform manager; a uniform backend plugin contract with shipped
   state-vector and mock-hardware backends.
-- qtm: the task manager; routing by qubit count and depth, circuit cutting,
-  and northbound result aggregation.
+- qtm: the task manager; routing to the first backend that accepts a
+  circuit, circuit cutting, and northbound result aggregation.
 - resman: a discrete-event cluster with co-allocated hybrid jobs and a
   shared-device queue (single-QC and per-job integration models).
 - simenv: simulation-partition planning with gang and throughput run modes.

@@ -36,7 +36,7 @@ class SystemConfig:
     nodes: int
     device: str | None
     backfill: bool
-    backends: tuple[tuple[BackendDescriptor, object | None], ...]  # (descriptor, engine)
+    backends: tuple[tuple[BackendDescriptor, object], ...]  # (descriptor, engine)
     routing: RoutingConfig
     partitions: tuple[tuple[BackendKind, int | None], ...]  # count None = every sim node
     text: str = ""  # verbatim snapshot for run directories
@@ -93,14 +93,8 @@ def parse_config(text: str) -> SystemConfig:
 
     if not backends:
         raise ConfigError("config declares no [backend:*] sections")
-    if device is not None:
-        by_id = {desc.id: (desc, engine) for desc, engine in backends}
-        if device not in by_id:
-            raise ConfigError(f"[cluster] device: {device!r} is not a configured backend")
-        desc, engine = by_id[device]
-        if engine is None:
-            raise ConfigError(f"[cluster] device: {device!r} is a {desc.kind.value} backend, "
-                              "which has no engine")
+    if device is not None and device not in {desc.id for desc, _ in backends}:
+        raise ConfigError(f"[cluster] device: {device!r} is not a configured backend")
 
     routing = RoutingConfig(**_field_values(RoutingConfig, section("routing"), "routing"))
 
@@ -117,9 +111,9 @@ def parse_config(text: str) -> SystemConfig:
     )
 
 
-def _parse_backend(name: str, raw) -> tuple[BackendDescriptor, object | None]:
+def _parse_backend(name: str, raw) -> tuple[BackendDescriptor, object]:
     """One [backend:<id>] section: its descriptor, and an engine of the class
-    its kind maps to in ``ENGINES``, or None for a kind without one."""
+    its kind maps to in ``ENGINES``."""
     backend_id = name.split(":", 1)[1]
     if not backend_id:
         raise ConfigError(f"[{name}]: a backend section needs an id, as in [backend:<id>]")
@@ -127,18 +121,17 @@ def _parse_backend(name: str, raw) -> tuple[BackendDescriptor, object | None]:
         kind = BackendKind(raw.get("kind", "state_vector"))
     except ValueError as exc:
         raise ConfigError(f"[{name}] kind: {exc}") from exc
-    engine = ENGINES.get(kind)
-    classes = (BackendDescriptor,) if engine is None else (BackendDescriptor, engine)
-    _check_keys(name, raw, {f.name for cls in classes for f in fields(cls)} - {"id"})
+    engine = ENGINES[kind]
+    _check_keys(name, raw, {f.name for cls in (BackendDescriptor, engine)
+                            for f in fields(cls)} - {"id"})
     descriptor = BackendDescriptor(backend_id, kind,
                                    **_field_values(BackendDescriptor, raw, name))
-    # a tensor-network slot is not simulated by statevec, so it keeps its own bound
-    if kind is not BackendKind.TENSOR_NETWORK and descriptor.max_qubits > MAX_QUBITS:
+    if descriptor.max_qubits > MAX_QUBITS:
         raise ConfigError(
             f"[{name}] max_qubits: a {kind.value} backend simulates at most "
             f"{MAX_QUBITS} qubits, got {descriptor.max_qubits}"
         )
-    return descriptor, None if engine is None else engine(**_field_values(engine, raw, name))
+    return descriptor, engine(**_field_values(engine, raw, name))
 
 
 def _check_keys(name: str, raw, known: set[str] | None) -> None:

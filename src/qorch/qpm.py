@@ -3,9 +3,9 @@
 A registry maps backend descriptors to implementations behind one execute /
 calibration API.  Two backends ship with the system: an ideal state-vector
 simulator and a mock hardware device that reuses the ideal simulation and
-flips readout bits with a calibrated probability.  A tensor-network
-descriptor can be registered without an implementation; executing it raises
-NotImplementedError until an external plugin provides one.
+flips readout bits with a calibrated probability.  Every backend registers
+with an implementation; an external plugin is any object with ``execute``
+and ``service_time``.
 
 Each backend owns its timing model: ``service_time(circuit, shots, workers)``
 is a pure function of the request and the one price of a piece, which
@@ -15,8 +15,8 @@ schedulers stay deterministic.
 
 ``BackendDescriptor`` and each engine are frozen dataclasses whose fields with
 a default are the keys of a ``[backend:<id>]`` config section, each with one
-default and its ``range`` bounds.  ``ENGINES`` maps a kind to its engine
-class; tensor_network has none.
+default and its ``range`` bounds.  ``ENGINES`` maps each kind to its engine
+class.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ from .statevec import MAX_QUBITS, Counts, ExecutionTrace, exchange_cost, format_
 
 class BackendKind(str, Enum):
     STATE_VECTOR = "state_vector"
-    TENSOR_NETWORK = "tensor_network"
     HARDWARE = "hardware"
 
 
@@ -226,7 +225,7 @@ def count_rows(words: np.ndarray, template: str) -> Counts:
 @dataclass
 class _Entry:
     descriptor: BackendDescriptor
-    implementation: object | None
+    implementation: object
 
 
 class BackendRegistry:
@@ -235,7 +234,7 @@ class BackendRegistry:
     def __init__(self):
         self._entries: dict[str, _Entry] = {}
 
-    def register(self, descriptor: BackendDescriptor, implementation=None) -> None:
+    def register(self, descriptor: BackendDescriptor, implementation) -> None:
         if descriptor.id in self._entries:
             raise DuplicateId(f"backend {descriptor.id!r} already registered")
         self._entries[descriptor.id] = _Entry(descriptor, implementation)
@@ -247,20 +246,17 @@ class BackendRegistry:
         return self._entry(backend_id).descriptor
 
     def get_calibration(self, backend_id: str) -> CalibrationInfo:
-        entry = self._entry(backend_id)
-        impl = entry.implementation
-        if impl is None or not hasattr(impl, "calibration"):
-            return CalibrationInfo(0.0)
-        return impl.calibration()
+        impl = self._entry(backend_id).implementation
+        return impl.calibration() if hasattr(impl, "calibration") else CalibrationInfo(0.0)
 
     def execute(self, backend_id: str, request: ExecuteRequest) -> ExecuteResult:
         entry = self._entry(backend_id)
         check_compatible(entry.descriptor, request.circuit)
-        return self._engine(entry).execute(request, entry.descriptor)
+        return entry.implementation.execute(request, entry.descriptor)
 
     def service_time(self, backend_id: str, request: ExecuteRequest) -> float:
         """The modeled seconds the backend takes to run this request."""
-        engine = self._engine(self._entry(backend_id))
+        engine = self._entry(backend_id).implementation
         return engine.service_time(request.circuit, request.shots, request.workers)
 
     def _entry(self, backend_id: str) -> _Entry:
@@ -269,22 +265,12 @@ class BackendRegistry:
         except KeyError:
             raise UnknownBackend(backend_id) from None
 
-    @staticmethod
-    def _engine(entry: _Entry):
-        if entry.implementation is None:
-            desc = entry.descriptor
-            raise NotImplementedError(
-                f"backend {desc.id!r} ({desc.kind.value}) has no execution engine; "
-                "register an external plugin implementation"
-            )
-        return entry.implementation
-
 
 def check_compatible(desc: BackendDescriptor, c: Circuit) -> None:
     """Raise if the backend cannot take the circuit at all."""
     if c.num_qubits > desc.max_qubits:
         raise CircuitTooLarge(
-            f"circuit has {c.num_qubits} qubits; backend {desc.id!r} "
+            f"circuit has {c.num_qubits} qubits, backend {desc.id!r} "
             f"supports at most {desc.max_qubits}"
         )
     if not desc.supports_mid_circuit and has_mid_circuit(c):

@@ -1,8 +1,9 @@
 """Quantum Task Manager: normalize, route, cut, execute, aggregate.
 
 Incoming programs (QASM text or IR) become tasks with fresh ids.  Routing
-follows qubit-count and depth heuristics unless user preferences name a
-backend, in which case the preference wins or fails loudly.  Separable
+asks the backends: a task goes to the first registered simulator whose
+descriptor accepts the circuit, or to the backend or kind its preferences
+name, and fails naming every backend it tried and why.  Separable
 circuits routed to simulator backends are cut into independent subcircuits
 southbound and their shot lists are recombined northbound.
 
@@ -17,7 +18,7 @@ from itertools import count
 
 import numpy as np
 
-from .circuit import Circuit, interaction_components, split_circuit, depth
+from .circuit import Circuit, interaction_components, split_circuit
 from .qasm import parse_qasm
 from .qpm import (
     BackendDescriptor,
@@ -79,8 +80,6 @@ class RoutingDecision:
 
 @dataclass(frozen=True)
 class RoutingConfig:
-    sv_max: int = field(default=24, metadata={"range": (0, None)})
-    tn_depth_max: int = field(default=1000, metadata={"range": (0, None)})
     local_qubits_per_worker: int = field(default=20, metadata={"range": (0, None)})
     gang_limit: int = field(default=8, metadata={"range": (1, None)})
 
@@ -156,45 +155,39 @@ class TaskManager:
     # -- route -------------------------------------------------------------
 
     def route(self, task: QuantumTask) -> RoutingDecision:
-        """Pick a backend and worker count; user preferences supersede heuristics."""
-        if not self.registry.list():
-            raise NoFeasibleBackend("no backends registered")
+        """Pick a backend and worker count: the first candidate, in
+        registration order, that ``check_compatible`` accepts.  The candidates
+        are the preferred backend, else the backends of the preferred kind,
+        else every simulator; the error names each one refused and why."""
         c = task.circuit
-        n = c.num_qubits
         prefs = task.preferences
-
-        desc = None
+        backends = self.registry.list()
         if prefs.backend_id is not None:
-            try:
-                desc = self.registry.descriptor(prefs.backend_id)
-            except KeyError:
-                raise IncompatiblePreference(
-                    f"preferred backend {prefs.backend_id!r} is not registered"
-                ) from None
-            _check_preferred(desc, c)
+            wanted = f"preferred backend {prefs.backend_id!r}"
+            candidates = [d for d in backends if d.id == prefs.backend_id]
         elif prefs.backend_kind is not None:
             kind = BackendKind(prefs.backend_kind)
-            candidates = [d for d in self.registry.list() if d.kind is kind]
-            if not candidates:
-                raise IncompatiblePreference(f"no backend of kind {kind.value!r}")
-            desc = candidates[0]
-            _check_preferred(desc, c)
+            wanted = f"backend of kind {kind.value!r}"
+            candidates = [d for d in backends if d.kind is kind]
         else:
-            # Only backends wide enough, so depth() never walks a circuit none can take.
-            fit = [d for d in self.registry.list() if n <= d.max_qubits]
-            svs = [d for d in fit if d.kind is BackendKind.STATE_VECTOR]
-            tns = [d for d in fit if d.kind is BackendKind.TENSOR_NETWORK]
-            if svs and n <= self.routing.sv_max:
-                desc = svs[0]
-            elif tns and depth(c) <= self.routing.tn_depth_max:
-                desc = tns[0]
+            wanted = None
+            candidates = [d for d in backends if d.kind is not BackendKind.HARDWARE]
+        refusals = []
+        for desc in candidates:
+            try:
+                check_compatible(desc, c)
+            except (CircuitTooLarge, MidCircuitUnsupported) as exc:
+                refusals.append(str(exc))
             else:
-                raise NoFeasibleBackend(
-                    f"no backend can take a {n}-qubit circuit "
-                    f"(sv_max={self.routing.sv_max})"
-                )
+                break
+        else:
+            error = NoFeasibleBackend if wanted is None else IncompatiblePreference
+            if not candidates:
+                raise error(f"no {wanted or 'simulator backend'} is registered")
+            raise error(f"no {wanted or 'backend'} can take a {c.num_qubits}-qubit circuit: "
+                        + "; ".join(refusals))
 
-        workers = self._pick_workers(desc, n, prefs)
+        workers = self._pick_workers(desc, c.num_qubits, prefs)
         pieces = None
         if (
             prefs.allow_cutting
@@ -274,11 +267,4 @@ class TaskManager:
         for r in results:
             trace = trace + r.trace
         return ExecuteResult(task.task_id, counts, trace, decision.backend_id)
-
-
-def _check_preferred(desc: BackendDescriptor, c: Circuit) -> None:
-    try:
-        check_compatible(desc, c)
-    except (CircuitTooLarge, MidCircuitUnsupported) as exc:
-        raise IncompatiblePreference(f"preferred backend incompatible: {exc}") from None
 

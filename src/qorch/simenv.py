@@ -122,7 +122,7 @@ def assess(queue, partitions, registry: BackendRegistry) -> ExecutionPlan:
             decision = decision.at_width(_floor_pow2(len(ids)))
         try:
             duration = task_service_time(registry, decision)
-        except (UnknownBackend, NotImplementedError) as exc:
+        except UnknownBackend as exc:
             out.failures.append((task.task_id, f"{type(exc).__name__}: {exc}"))
             continue
         width = decision.workers

@@ -95,7 +95,7 @@ def reference_assess(queue, partitions, registry: BackendRegistry) -> ExecutionP
                 registry.service_time(decision.backend_id, request)
                 for request in decision.requests
             )
-        except (UnknownBackend, NotImplementedError) as exc:
+        except UnknownBackend as exc:
             out.failures.append((task.task_id, f"{type(exc).__name__}: {exc}"))
             continue
         queues.setdefault(kind, []).append((task, decision, duration))

@@ -310,10 +310,10 @@ def test_acceptance_7_model_comparison():
 
 
 def test_acceptance_8_routing_contract():
-    def registry(with_tn=False):
+    def registry(sv_width=26):
         reg = BackendRegistry()
         reg.register(
-            BackendDescriptor("statevec", BackendKind.STATE_VECTOR, 26),
+            BackendDescriptor("statevec", BackendKind.STATE_VECTOR, sv_width),
             StateVectorBackend(),
         )
         reg.register(
@@ -323,16 +323,10 @@ def test_acceptance_8_routing_contract():
             ),
             MockHardwareBackend(),
         )
-        if with_tn:
-            reg.register(BackendDescriptor("tn", BackendKind.TENSOR_NETWORK, 40))
         return reg
 
-    def circuit(n, layers=0):
-        b = CircuitBuilder(n)
-        b.h(0)
-        for _ in range(layers):
-            b.x(0)
-        return b.build()
+    def circuit(n):
+        return CircuitBuilder(n).h(0).build()
 
     no_cut = Preferences(allow_cutting=False)
     cases = [
@@ -347,7 +341,7 @@ def test_acceptance_8_routing_contract():
          Preferences(backend_kind=BackendKind.HARDWARE, allow_cutting=False), ("mock-hw", 1)),
         ("worker override", {}, {}, 4, Preferences(workers=2, allow_cutting=False),
          ("statevec", 2)),
-        ("over sv_max falls to tn", {"with_tn": True}, {}, 25, no_cut, ("tn", 8)),
+        ("n=25 fits a 26-qubit statevec", {}, {}, 25, no_cut, ("statevec", 8)),
     ]
     for label, reg_kwargs, cfg_kwargs, n, prefs, expected in cases:
         tm = TaskManager(registry(**reg_kwargs), RoutingConfig(**cfg_kwargs))
@@ -361,13 +355,15 @@ def test_acceptance_8_routing_contract():
         got = tm.route(tm.normalize(circuit(n), 10, 0, no_cut)).workers
         assert got == 2 ** max(0, n - 20), f"n={n}: w={got}"
 
-    # NoFeasibleBackend cases
+    # NoFeasibleBackend cases: wider than every simulator, with or without a preference
     tm = TaskManager(registry(), RoutingConfig())
     with pytest.raises(NoFeasibleBackend):
-        tm.route(tm.normalize(circuit(25), 10, 0, no_cut))
-    tm_tn = TaskManager(registry(with_tn=True), RoutingConfig(tn_depth_max=3))
-    with pytest.raises(NoFeasibleBackend):
-        tm_tn.route(tm_tn.normalize(circuit(25, layers=10), 10, 0, no_cut))
+        tm.route(tm.normalize(circuit(27), 10, 0, no_cut))
+    tm_24 = TaskManager(registry(sv_width=24), RoutingConfig())
+    with pytest.raises(NoFeasibleBackend, match="backend 'statevec' supports at most 24"):
+        tm_24.route(tm_24.normalize(circuit(25), 10, 0, no_cut))
+    with pytest.raises(IncompatiblePreference, match="backend 'statevec' supports at most 24"):
+        tm_24.route(tm_24.normalize(circuit(25), 10, 0, Preferences(backend_id="statevec")))
 
     # incompatible preferences
     with pytest.raises(IncompatiblePreference):

@@ -124,6 +124,34 @@ def test_custom_config_flag(tmp_path, bell_file):
     assert "backend=sv" in (out_dir / "report.txt").read_text()
 
 
+def test_config_with_a_kind_without_engine_exits_two(tmp_path, capsys, bell_file):
+    cfg = tmp_path / "sys.ini"
+    cfg.write_text("[backend:sv]\nkind = state_vector\n\n[backend:tn]\nkind = tensor_network\n",
+                   encoding="utf-8")
+    out_dir = tmp_path / "run"
+    code = cli_main(["--config", str(cfg), "submit", str(bell_file), "--out", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "execution failed: [backend:tn] kind: 'tensor_network' is not a valid ")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("model, error", [("per_job", "NoFeasibleBackend"),
+                                          ("single_qc", "IncompatiblePreference")])
+def test_ghz25_submit_is_refused_under_both_models(tmp_path, capsys, model, error):
+    # the default statevec's max_qubits is the one width bound routing checks
+    path = tmp_path / "ghz25.qasm"
+    path.write_text("OPENQASM 2.0;\nqreg q[25];\ncreg c[25];\nh q[0];\n"
+                    + "".join(f"cx q[0],q[{i}];\n" for i in range(1, 25))
+                    + "measure q -> c;\n", encoding="utf-8")
+    code = cli_main(["submit", str(path), "--shots", "10", "--model", model,
+                     "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"execution failed: {error}: ")
+    assert err.endswith("circuit has 25 qubits, backend 'statevec' supports at most 24\n")
+
+
 def test_in_sequence_scenario_cli(tmp_path):
     out_dir = tmp_path / "seq"
     code = cli_main(

@@ -67,11 +67,6 @@ def test_duplicate_id_rejected(registry):
     assert [d.id for d in registry.list()] == ["statevec", "mock-hw"]
 
 
-def test_register_tensor_network_stub(registry):
-    registry.register(BackendDescriptor("tn", BackendKind.TENSOR_NETWORK, max_qubits=40))
-    assert registry.list()[-1].kind is BackendKind.TENSOR_NETWORK
-
-
 # -- calibration -------------------------------------------------------------
 
 
@@ -136,14 +131,8 @@ def test_mid_circuit_unsupported_on_hardware(registry):
         registry.execute("mock-hw", ExecuteRequest("t", c, 10, seed=0))
 
 
-def test_tensor_network_stub_not_implemented(registry):
-    registry.register(BackendDescriptor("tn", BackendKind.TENSOR_NETWORK, 40))
-    with pytest.raises(NotImplementedError):
-        registry.execute("tn", ExecuteRequest("t", bell(), 10, seed=0))
-
-
 def test_external_plugin_runs_when_registered(registry):
-    class FakeTNPlugin:
+    class FakePlugin:
         def execute(self, request, descriptor):
             from qorch.qpm import ExecuteResult
             from qorch.statevec import Counts, ExecutionTrace
@@ -153,9 +142,10 @@ def test_external_plugin_runs_when_registered(registry):
                 ExecutionTrace(), descriptor.id,
             )
 
-    registry.register(BackendDescriptor("tn", BackendKind.TENSOR_NETWORK, 40), FakeTNPlugin())
-    res = registry.execute("tn", ExecuteRequest("t", bell(), 7, seed=0))
+    registry.register(sv_descriptor("plugin"), FakePlugin())
+    res = registry.execute("plugin", ExecuteRequest("t", bell(), 7, seed=0))
     assert res.counts == {"0": 7}
+    assert registry.get_calibration("plugin").readout_flip_probability == 0.0
 
 
 def test_service_time_monotonicity():

@@ -31,10 +31,10 @@ from reference_cutting import reference_execute
 BELL_SRC = 'OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\ncx q[0],q[1];\nmeasure q -> c;\n'
 
 
-def make_registry(with_tn=False, sv_max_qubits=26):
+def make_registry():
     reg = BackendRegistry()
     reg.register(
-        BackendDescriptor("statevec", BackendKind.STATE_VECTOR, sv_max_qubits),
+        BackendDescriptor("statevec", BackendKind.STATE_VECTOR, 26),
         StateVectorBackend(),
     )
     reg.register(
@@ -44,14 +44,11 @@ def make_registry(with_tn=False, sv_max_qubits=26):
         ),
         MockHardwareBackend(readout_flip_probability=0.0),
     )
-    if with_tn:
-        reg.register(BackendDescriptor("tn", BackendKind.TENSOR_NETWORK, 40))
     return reg
 
 
 def manager(**kwargs):
-    return TaskManager(make_registry(**kwargs.pop("registry_kwargs", {})),
-                       RoutingConfig(**kwargs))
+    return TaskManager(make_registry(), RoutingConfig(**kwargs))
 
 
 def bell():
@@ -106,38 +103,79 @@ def test_route_small_circuit_default():
 
 
 def test_route_no_feasible_backend():
+    # wider than every registered backend; hardware is never a candidate
     tm = manager()
-    big = CircuitBuilder(25).build()
-    with pytest.raises(NoFeasibleBackend):
+    big = CircuitBuilder(27).build()
+    with pytest.raises(NoFeasibleBackend) as info:
         tm.route(tm.normalize(big, 10, 0))
+    assert str(info.value) == (
+        "no backend can take a 27-qubit circuit: "
+        "circuit has 27 qubits, backend 'statevec' supports at most 26")
 
 
-def test_route_falls_through_to_tensor_network():
-    tm = TaskManager(make_registry(with_tn=True), RoutingConfig())
-    big = CircuitBuilder(25).h(0).build()
-    decision = tm.route(tm.normalize(big, 10, 0, Preferences(allow_cutting=False)))
-    assert decision.backend_id == "tn"
-
-
-@pytest.mark.parametrize("kind", [BackendKind.STATE_VECTOR, BackendKind.TENSOR_NETWORK])
-def test_route_skips_backends_narrower_than_the_circuit(kind):
+def test_route_with_no_simulator_registered():
     reg = BackendRegistry()
-    reg.register(BackendDescriptor("narrow", kind, 4))
-    tm = TaskManager(reg, RoutingConfig())
-    assert tm.route(tm.normalize(CircuitBuilder(4).h(0).build(), 10, 0)).backend_id == "narrow"
-    with pytest.raises(NoFeasibleBackend):
-        tm.route(tm.normalize(CircuitBuilder(5).h(0).build(), 10, 0))
+    reg.register(BackendDescriptor("hw", BackendKind.HARDWARE, 12), MockHardwareBackend())
+    tm = TaskManager(reg)
+    with pytest.raises(NoFeasibleBackend, match="^no simulator backend is registered$"):
+        tm.route(tm.normalize(bell(), 10, 0))
+    with pytest.raises(IncompatiblePreference, match="^no preferred backend 'ghost' is registered$"):
+        tm.route(tm.normalize(bell(), 10, 0, Preferences(backend_id="ghost")))
+    with pytest.raises(IncompatiblePreference,
+                       match="^no backend of kind 'state_vector' is registered$"):
+        tm.route(tm.normalize(bell(), 10, 0,
+                              Preferences(backend_kind=BackendKind.STATE_VECTOR)))
+
+
+def _route_case_circuit(n, mid, cond):
+    """An ``n``-qubit circuit with a mid-circuit measurement and a
+    conditioned gate exactly when asked."""
+    b = CircuitBuilder(n, (("c", 1),)).h(0)
+    if mid:
+        b.measure(0, "c", 0).h(0)
+    if cond:
+        b.x(0, condition=("c", 1))
+    return b.measure(0, "c", 0).build()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    backends=st.lists(
+        st.tuples(st.sampled_from([BackendKind.STATE_VECTOR, BackendKind.HARDWARE]),
+                  st.integers(1, 8), st.booleans(), st.booleans()),
+        max_size=5),
+    n=st.integers(1, 9), mid=st.booleans(), cond=st.booleans(),
+)
+def test_route_takes_the_first_simulator_that_accepts_the_circuit(backends, n, mid, cond):
+    reg = BackendRegistry()
+    for i, (kind, width, mid_ok, cond_ok) in enumerate(backends):
+        engine = StateVectorBackend() if kind is BackendKind.STATE_VECTOR else MockHardwareBackend()
+        reg.register(BackendDescriptor(f"b{i}", kind, width, mid_ok, cond_ok), engine)
+    tm = TaskManager(reg)
+    task = tm.normalize(_route_case_circuit(n, mid, cond), 10, 0)
+    simulators = [d for d in reg.list() if d.kind is BackendKind.STATE_VECTOR]
+    feasible = [d for d in simulators if n <= d.max_qubits
+                and (d.supports_mid_circuit or not mid)
+                and (d.supports_conditionals or not cond)]
+    if feasible:
+        assert tm.route(task).backend_id == feasible[0].id
+        return
+    with pytest.raises(NoFeasibleBackend) as info:
+        tm.route(task)
+    for d in simulators:
+        assert repr(d.id) in str(info.value)
 
 
 def test_route_refuses_a_huge_circuit_before_walking_it():
-    # 100000 qubits: a tensor-network descriptor at the default max_qubits
-    # (26) must not take it, and neither depth nor the cut may run over it.
+    # 100000 qubits: the width check refuses it before the support checks
+    # or the cut walk the circuit.
     reg = BackendRegistry()
     reg.register(BackendDescriptor("statevec", BackendKind.STATE_VECTOR), StateVectorBackend())
-    reg.register(BackendDescriptor("tn", BackendKind.TENSOR_NETWORK))
+    reg.register(BackendDescriptor("strict", BackendKind.STATE_VECTOR,
+                                   supports_mid_circuit=False), StateVectorBackend())
     tm = TaskManager(reg, RoutingConfig())
     src = "OPENQASM 2.0;\nqreg q[100000];\ncreg c[1];\nh q[0];\nmeasure q[0] -> c[0];\n"
-    with pytest.raises(NoFeasibleBackend):
+    with pytest.raises(NoFeasibleBackend, match="'statevec'.*'strict'"):
         tm.route(tm.normalize(src, 10, 0))
 
 

@@ -9,6 +9,7 @@ from qorch.qpm import (
     BackendKind,
     BackendRegistry,
     ExecuteResult,
+    MockHardwareBackend,
     StateVectorBackend,
 )
 from qorch.qtm import (
@@ -58,15 +59,12 @@ def test_configure_default_all_state_vector():
 
 
 def test_configure_user_plan_honored():
-    assert configure(8, [("state_vector", 6), ("tensor_network", 2)]) == (
-        (BackendKind.STATE_VECTOR, 6),
-        (BackendKind.TENSOR_NETWORK, 2),
-    )
+    assert configure(8, [("state_vector", 6)]) == ((BackendKind.STATE_VECTOR, 6),)
 
 
 def test_configure_oversubscribed():
     with pytest.raises(Oversubscribed):
-        configure(8, [("state_vector", 6), ("tensor_network", 4)])
+        configure(8, [("state_vector", 6), ("state_vector", 4)])
 
 
 # -- assess ---------------------------------------------------------------------
@@ -245,31 +243,30 @@ def test_routed_width_beyond_partition_runs_at_partition_width():
 _POOL = [product_circuit(sizes, 1, seed=i)
          for i, sizes in enumerate([[3], [2, 1], [1, 1, 1], [4], [2, 2], [3, 1, 1]])]
 _KINDS = {"sv-a": BackendKind.STATE_VECTOR, "sv-b": BackendKind.STATE_VECTOR,
-          "tn": BackendKind.TENSOR_NETWORK, "hw": BackendKind.HARDWARE}
+          "gone": BackendKind.STATE_VECTOR, "hw": BackendKind.HARDWARE}
 
 
 def planner_registry(zero_durations=False):
     """Two state-vector backends with different timing models, and a
-    tensor-network and a hardware backend that the planner refuses."""
+    hardware backend that the planner refuses; "gone" is not registered,
+    so pricing a task routed to it fails."""
     timings = [(0.0, 0.0, 0.0)] * 2 if zero_durations else [(1e-3, 1e-9, 1e-9), (2e-3, 3e-9, 5e-9)]
     reg = BackendRegistry()
     for backend_id, timing in zip(("sv-a", "sv-b"), timings):
         reg.register(BackendDescriptor(backend_id, BackendKind.STATE_VECTOR, 26),
                      StateVectorBackend(*timing))
-    reg.register(BackendDescriptor("tn", BackendKind.TENSOR_NETWORK, 40))
-    reg.register(BackendDescriptor("hw", BackendKind.HARDWARE, 12))
+    reg.register(BackendDescriptor("hw", BackendKind.HARDWARE, 12), MockHardwareBackend())
     return reg
 
 
 @st.composite
 def planner_inputs(draw):
-    """(partitions, queue): 1-3 kind partitions of 1-9 nodes, and up to 14
-    routed tasks of width 1-8, with or without a ``workers`` preference,
-    cut or whole."""
+    """(partitions, queue): 0-3 state-vector partitions of 1-9 nodes, and
+    up to 14 routed tasks of width 1-8, with or without a ``workers``
+    preference, cut or whole."""
     partitions = tuple(
-        (draw(st.sampled_from([BackendKind.STATE_VECTOR, BackendKind.TENSOR_NETWORK])),
-         draw(st.integers(1, 9)))
-        for _ in range(draw(st.integers(1, 3)))
+        (BackendKind.STATE_VECTOR, draw(st.integers(1, 9)))
+        for _ in range(draw(st.integers(0, 3)))
     )
     tm = TaskManager(planner_registry())
     queue = []
@@ -279,7 +276,7 @@ def planner_inputs(draw):
         preferred = draw(st.booleans())
         task = QuantumTask(f"task-{i:04d}", circuit, 10, i,
                            Preferences(workers=workers if preferred else None))
-        backend_id = draw(st.sampled_from(["sv-a", "sv-a", "sv-b", "sv-b", "tn", "hw"]))
+        backend_id = draw(st.sampled_from(["sv-a", "sv-a", "sv-b", "sv-b", "gone", "hw"]))
         pieces = tm.cut(task) if draw(st.booleans()) else None
         queue.append((task, RoutingDecision(backend_id, _KINDS[backend_id], workers,
                                             piece_requests(task, pieces, workers))))
