@@ -29,11 +29,9 @@ from .qpm import (
     ExecuteResult,
     MidCircuitUnsupported,
     check_compatible,
-    count_rows,
-    pack_keys,
 )
 from .seeds import derive_seed
-from .statevec import Counts, ExecutionTrace
+from .statevec import Counts, ExecutionTrace, format_keys
 
 
 class NoFeasibleBackend(RuntimeError):
@@ -134,6 +132,24 @@ class SubtaskRunner:
         return [call() for call in calls]
 
 
+def _format_values(values: np.ndarray, template: str) -> list[str]:
+    """Keys in the layout of the ``template`` key whose bits, read with the
+    spaces dropped, are the given integers, first key bit most significant."""
+    width = len(template) - template.count(" ")
+    if " " not in template and width and len(values) <= 64:
+        return [format(v, f"0{width}b") for v in values.tolist()]
+    if values.dtype == object:  # wider than 64 bits
+        nbytes = -(-width // 8)
+        data = b"".join([v.to_bytes(nbytes, "big") for v in values.tolist()])
+    else:
+        nbytes, data = 8, values.astype(">u8").tobytes()
+    octets = np.frombuffer(data, dtype=np.uint8).reshape(len(values), nbytes)
+    bits = np.unpackbits(octets, axis=1)[:, nbytes * 8 - width:]
+    rows = np.full((len(values), len(template)), ord(" "), dtype=np.uint32)
+    rows[:, [i for i, ch in enumerate(template) if ch != " "]] = ord("0") + bits
+    return format_keys(rows)
+
+
 class TaskManager:
     """Stateful front door: holds the registry, routing config, and task ids."""
 
@@ -228,26 +244,41 @@ class TaskManager:
 
         Every piece prints keys in the circuit's layout and writes bits no
         other piece writes, so a merged shot is the OR of one shot of each
-        piece.  Each piece's counts expand into a sorted list of packed
-        rows, shuffled by a seed-derived permutation so pairing introduces
-        no spurious correlations; shot i of every piece merges into shot i.
+        piece.  Each piece's distinct keys become integers, the first key
+        bit most significant, and expand by their counts into a sorted row
+        per shot, shuffled by the ``derive_seed(seed, "aggregate", k)``
+        permutation so pairing introduces no spurious correlations; shot i
+        of every piece merges into shot i.  Keys of up to 64 bits are
+        ``uint64`` rows, wider ones Python integers.  The merged rows are
+        tallied by value at up to 16 bits, else by ``np.unique``, and each
+        distinct key is formatted once, after the merge.
         """
         totals = {counts.total() for counts in results}
         if len(totals) > 1:
             raise ShotMismatch(f"subtask shot totals differ: {sorted(totals)}")
         shots = totals.pop() if totals else 0
+        template = next(iter(results[0]))
+        width = len(template) - template.count(" ")
+        dtype = np.uint64 if width <= 64 else object
 
         merged = None
         for k, counts in enumerate(results):
             keys = sorted(counts)
-            rows = np.repeat(pack_keys(keys), [counts[key] for key in keys], axis=0)
+            values = np.array([int("0" + key.replace(" ", ""), 2) for key in keys], dtype=dtype)
+            rows = np.repeat(values, [counts[key] for key in keys])
             rng = np.random.default_rng(derive_seed(seed, "aggregate", k))
             rows = rows[rng.permutation(shots)]
             if merged is None:
                 merged = rows
             else:
                 merged |= rows
-        return count_rows(merged, keys[0])
+        if width <= 16:
+            tally = np.bincount(merged.astype(np.intp))
+            distinct = np.flatnonzero(tally)
+            tally = tally[distinct]
+        else:
+            distinct, tally = np.unique(merged, return_counts=True)
+        return Counts(zip(_format_values(distinct, template), tally.tolist()))
 
     # -- end to end -----------------------------------------------------------
 

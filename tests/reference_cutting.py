@@ -3,10 +3,10 @@
 ``split_circuit`` and ``aggregate`` here are the code that cut circuits
 before every piece kept the circuit's cregs: a piece's cregs were sliced
 to the bits it owned and re-indexed (``CregSlice``), and ``aggregate``
-parsed every key back into one integer of the circuit's bits, so it
-stopped at 63 classical bits.  They are kept unchanged so the packed-row
-pipeline can be held to them bit for bit: same keys, same key order, same
-counts.  ``reference_execute`` is the task path around them: run the
+parsed every key back into one integer of the circuit's bits, held as a
+Python integer so a layout may be of any width.  They are kept so the
+integer-row merge can be held to them bit for bit: same keys, same key
+order, same counts.  ``reference_execute`` is the task path around them: run the
 whole circuit when it does not cut, else run each piece on its derived
 seed and aggregate.
 """
@@ -186,21 +186,19 @@ def aggregate(seed, pieces, original_cregs, results):
     for name, size in original_cregs:
         offsets[name] = acc
         acc += size
-    total_bits = acc
-    if total_bits > 63:
-        raise ValueError("aggregation supports up to 63 classical bits")
 
-    merged = np.zeros(shots, dtype=np.uint64)
+    # one Python integer per shot, so a layout may hold any number of bits
+    merged = np.zeros(shots, dtype=object)
     for k, (piece, counts) in enumerate(zip(pieces, results)):
         contribution = {
             key: _owned_bits_value(key, piece, offsets) for key in counts
         }
         expanded = np.concatenate(
             [
-                np.full(counts[key], contribution[key], dtype=np.uint64)
+                np.full(counts[key], contribution[key], dtype=object)
                 for key in sorted(counts)
             ]
-        ) if counts else np.zeros(0, dtype=np.uint64)
+        ) if counts else np.zeros(0, dtype=object)
         rng = np.random.default_rng(derive_seed(seed, "aggregate", k))
         merged |= expanded[rng.permutation(shots)]
 

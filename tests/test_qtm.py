@@ -312,6 +312,39 @@ def test_aggregate_shot_mismatch():
         tm.aggregate(task.seed, [Counts({"0": 5}), Counts({"0": 7})])
 
 
+def _no_bits():
+    return CircuitBuilder(4, ()).h(0).ry(0.7, 1).cx(1, 2).h(3).build()
+
+
+def _two_cregs():
+    b = CircuitBuilder(4, (("a", 3), ("b", 2))).h(0).ry(1.1, 1).cx(1, 2).ry(2.0, 3)
+    return b.measure(0, "b", 1).measure(1, "a", 2).measure(2, "a", 0).measure(3, "b", 0).build()
+
+
+def _past_64_bits():
+    b = CircuitBuilder(4, (("c", 70), ("d", 3))).h(0).ry(0.9, 1).h(2).cx(2, 3)
+    return b.measure(0, "c", 69).measure(1, "c", 35).measure(2, "c", 0).measure(3, "d", 1).build()
+
+
+@pytest.mark.parametrize("layout", [_no_bits, _two_cregs, _past_64_bits])
+@pytest.mark.parametrize("shots", [1, 200])
+def test_aggregate_matches_reference_cutting(layout, shots):
+    # no classical bits (every key is ""), keys with a space between two
+    # cregs, and keys wider than one 64-bit row
+    from qorch.statevec import run
+
+    tm = manager()
+    c = layout()
+    task = tm.normalize(c, shots, 11)
+    requests = tm.route(task).requests
+    assert len(requests) == 3
+    results = [run(r.circuit, r.shots, r.seed, r.workers)[0] for r in requests]
+    merged = tm.aggregate(task.seed, results)
+    assert list(merged.items()) == list(reference_execute(c, shots, 11).items())
+    assert merged.total() == shots
+    assert len(merged) > 1 or shots == 1 or not c.cregs
+
+
 def test_aggregate_bell_halves_close_to_uncut():
     from qorch.statevec import run
 

@@ -75,3 +75,28 @@ def test_tracer_times_fused_gates_as_kernel_work(last):
     assert run[tracing.ATTRS]["gates"] == gates
     assert run[tracing.ATTRS]["statevec.kernel"] > 0
     assert tracer.counters["statevec.amp_gates"] == gates * 2**16
+
+
+def test_tracer_times_small_state_gates_as_kernel_work():
+    # below 9 qubits every gate runs at once through State.apply, dense
+    # one-qubit gates as the small-state update; the tracer must see each
+    b = CircuitBuilder(4, (("c", 4),))
+    for layer in range(3):
+        for q in range(4):
+            b.u(0.3 * q, 0.1 * layer, 0.7, q)
+            b.ry(0.2 + 0.1 * q, q)
+        for q in range(layer % 2, 3, 2):
+            b.cx(q, q + 1)
+    circuit = b.h(0).measure_all("c").build()
+    gates = 3 * 8 + 5 + 1  # u and ry per qubit and layer, five cx, the last h
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = run_submitted_circuit(serialize_qasm(circuit), 1000, seed=5, system=System())
+    finally:
+        tracer.uninstall()
+    assert report.status == "ok"
+    (run,) = [span for span in tracer.spans if span[tracing.NAME] == "statevec.run"]
+    assert run[tracing.ATTRS]["gates"] == gates
+    assert run[tracing.ATTRS]["statevec.kernel"] > 0
+    assert tracer.counters["statevec.amp_gates"] == gates * 2**4
