@@ -122,9 +122,10 @@ class MockHardwareBackend:
 
     Flip draws come from one counter-keyed stream indexed by (shot, bit), so
     they are a pure function of (request seed, shot, bit) regardless of how
-    the shot list is enumerated.  They are applied as one XOR of packed flip
-    rows over the expanded shot list (each sorted key repeated by its count),
-    and only the distinct results are formatted as keys.
+    the shot list is enumerated.  They are applied as one XOR of the flip
+    rows, as ``key_values`` integers, over the expanded shot list (each
+    sorted key repeated by its count), and only the distinct results are
+    formatted as keys.
     """
 
     readout_flip_probability: float = field(default=0.0, metadata={"range": (0.0, 1.0)})
@@ -142,16 +143,16 @@ class MockHardwareBackend:
 
     def _flip(self, counts: Counts, shots: int, seed: int) -> Counts:
         keys = sorted(counts)
-        if not keys or keys == [""]:
+        width = len(keys[0]) - keys[0].count(" ")
+        if not width:
             return counts
         rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, "readout")))
-        bits = len(keys[0]) - keys[0].count(" ")
-        flips = rng.random((shots, bits)) < self.readout_flip_probability
+        flips = rng.random((shots, width)) < self.readout_flip_probability
         # Shot s reads the s-th key of the sorted keys, each repeated by its
         # count, so its readout is that key XOR flip row s.
-        words = np.repeat(pack_keys(keys), [counts[k] for k in keys], axis=0)
-        words ^= _pack_rows(flips)
-        return count_rows(words, keys[0])
+        values = np.repeat(key_values(keys, width), [counts[k] for k in keys])
+        values ^= _bit_values(flips)
+        return count_values(values, keys[0])
 
     def calibration(self) -> CalibrationInfo:
         return CalibrationInfo(self.readout_flip_probability)
@@ -187,39 +188,55 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
     return packed.view(">u8")
 
 
-def pack_keys(keys: list[str]) -> np.ndarray:
-    """Pack keys of one layout into ``_pack_rows`` words, one row per key;
-    the spaces between cregs are dropped."""
-    chars = np.frombuffer("".join(keys).encode("ascii"), dtype=np.uint8)
-    chars = chars.reshape(len(keys), -1)
-    return _pack_rows(chars[:, chars[0] != ord(" ")] == ord("1"))
+def _bit_values(bits: np.ndarray) -> np.ndarray:
+    """Rows of bits as ``key_values`` integers, first bit most significant."""
+    width = bits.shape[1]
+    words = _pack_rows(bits)
+    if width <= 64:
+        return words[:, 0].astype(np.uint64) >> np.uint64(64 - width)
+    pad = words.shape[1] * 64 - width
+    return np.array([int.from_bytes(row.tobytes(), "big") >> pad for row in words], dtype=object)
 
 
-def count_rows(words: np.ndarray, template: str) -> Counts:
-    """Tally packed rows into Counts, keys sorted, printed in the layout of
-    the ``template`` key.  Rows compare as big-endian words, so words of
-    another byte order (``a | b`` of two ``>u8`` arrays gives native ones)
-    are converted first."""
-    words = words.astype(">u8", copy=False)
-    positions = [i for i, ch in enumerate(template) if ch != " "]
-    width = len(positions)
-    # Keys of at most 16 bits are tallied by value, which lists them in
-    # order with no sort.  Wider keys of one word sort as plain integers;
-    # the row-wise unique that keys wider than 64 bits need compares field
-    # by field and is about a hundred times slower.
-    if 0 < width <= 16:
-        tally = np.bincount((words[:, 0] >> np.uint64(64 - width)).astype(np.intp))
-        values = np.flatnonzero(tally)
-        tally = tally[values]
-        distinct = (values.astype(np.uint64) << np.uint64(64 - width)).astype(">u8")[:, None]
-    elif words.shape[1] == 1:
-        distinct, tally = np.unique(words[:, 0], return_counts=True)
+def key_values(keys: list[str], width: int) -> np.ndarray:
+    """Keys of one layout of ``width`` bits as integers of their bits, the
+    spaces dropped and the first bit most significant, so they sort as the
+    keys do: ``uint64`` up to 64 bits, Python integers above."""
+    return np.array([int("0" + key.replace(" ", ""), 2) for key in keys],
+                    dtype=np.uint64 if width <= 64 else object)
+
+
+def count_values(values: np.ndarray, template: str) -> Counts:
+    """Tally ``key_values`` integers into Counts, keys sorted, printed in
+    the layout of the ``template`` key.  Up to 16 bits the tally is by
+    value, which lists the keys in order with no sort; wider ones sort."""
+    width = len(template) - template.count(" ")
+    if width <= 16:
+        tally = np.bincount(values.astype(np.intp))
+        distinct = tally.nonzero()[0]
+        tally = tally[distinct]
     else:
-        distinct, tally = np.unique(words, axis=0, return_counts=True)
-    rows = np.full((len(distinct), len(template)), ord(" "), dtype=np.uint32)
-    rows[:, positions] = ord("0") + np.unpackbits(
-        distinct.view(np.uint8).reshape(len(distinct), -1), axis=1, count=len(positions))
-    return Counts(zip(format_keys(rows), tally.tolist()))
+        distinct, tally = np.unique(values, return_counts=True)
+    if " " not in template and width and len(distinct) <= 64:
+        keys = [format(v, f"0{width}b") for v in distinct.tolist()]
+    else:
+        keys = _layout_keys(distinct, template)
+    return Counts(zip(keys, tally.tolist()))
+
+
+def _layout_keys(values: np.ndarray, template: str) -> list[str]:
+    """The keys of distinct ``key_values`` integers in the template's layout."""
+    width = len(template) - template.count(" ")
+    if values.dtype == object:  # wider than 64 bits
+        nbytes = -(-width // 8)
+        data = b"".join([v.to_bytes(nbytes, "big") for v in values.tolist()])
+    else:
+        nbytes, data = 8, values.astype(">u8").tobytes()
+    octets = np.frombuffer(data, dtype=np.uint8).reshape(len(values), nbytes)
+    bits = np.unpackbits(octets, axis=1)[:, nbytes * 8 - width:]
+    rows = np.full((len(values), len(template)), ord(" "), dtype=np.uint32)
+    rows[:, [i for i, ch in enumerate(template) if ch != " "]] = ord("0") + bits
+    return format_keys(rows)
 
 
 @dataclass

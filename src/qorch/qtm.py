@@ -29,9 +29,11 @@ from .qpm import (
     ExecuteResult,
     MidCircuitUnsupported,
     check_compatible,
+    count_values,
+    key_values,
 )
 from .seeds import derive_seed
-from .statevec import Counts, ExecutionTrace, format_keys
+from .statevec import Counts, ExecutionTrace
 
 
 class NoFeasibleBackend(RuntimeError):
@@ -130,24 +132,6 @@ class SubtaskRunner:
 
     def run_all(self, calls):
         return [call() for call in calls]
-
-
-def _format_values(values: np.ndarray, template: str) -> list[str]:
-    """Keys in the layout of the ``template`` key whose bits, read with the
-    spaces dropped, are the given integers, first key bit most significant."""
-    width = len(template) - template.count(" ")
-    if " " not in template and width and len(values) <= 64:
-        return [format(v, f"0{width}b") for v in values.tolist()]
-    if values.dtype == object:  # wider than 64 bits
-        nbytes = -(-width // 8)
-        data = b"".join([v.to_bytes(nbytes, "big") for v in values.tolist()])
-    else:
-        nbytes, data = 8, values.astype(">u8").tobytes()
-    octets = np.frombuffer(data, dtype=np.uint8).reshape(len(values), nbytes)
-    bits = np.unpackbits(octets, axis=1)[:, nbytes * 8 - width:]
-    rows = np.full((len(values), len(template)), ord(" "), dtype=np.uint32)
-    rows[:, [i for i, ch in enumerate(template) if ch != " "]] = ord("0") + bits
-    return format_keys(rows)
 
 
 class TaskManager:
@@ -259,26 +243,18 @@ class TaskManager:
         shots = totals.pop() if totals else 0
         template = next(iter(results[0]))
         width = len(template) - template.count(" ")
-        dtype = np.uint64 if width <= 64 else object
 
         merged = None
         for k, counts in enumerate(results):
             keys = sorted(counts)
-            values = np.array([int("0" + key.replace(" ", ""), 2) for key in keys], dtype=dtype)
-            rows = np.repeat(values, [counts[key] for key in keys])
+            rows = np.repeat(key_values(keys, width), [counts[key] for key in keys])
             rng = np.random.default_rng(derive_seed(seed, "aggregate", k))
             rows = rows[rng.permutation(shots)]
             if merged is None:
                 merged = rows
             else:
                 merged |= rows
-        if width <= 16:
-            tally = np.bincount(merged.astype(np.intp))
-            distinct = np.flatnonzero(tally)
-            tally = tally[distinct]
-        else:
-            distinct, tally = np.unique(merged, return_counts=True)
-        return Counts(zip(_format_values(distinct, template), tally.tolist()))
+        return count_values(merged, template)
 
     # -- end to end -----------------------------------------------------------
 

@@ -295,13 +295,12 @@ def _tiled_halves(amps: np.ndarray, qubit: int):
 def _mix(amps: np.ndarray, gate: Gate) -> None:
     """A dense one-qubit gate.
 
-    On a state of 2 <= n < _FUSE_QUBITS qubits it is two numpy calls on the
-    halves axis of ``reshape(-1, 2, 2^q)``: one broadcast multiply of the
-    amplitudes by the 2x2 matrix, amplitudes first, as ``_dense`` multiplies
-    (complex products round differently with the operands swapped), and one
-    add of the two products into the view.  That equals ``_dense`` bit for
-    bit.  At n = 1 the halves hold one amplitude each, which numpy's scalar
-    loop multiplies with other rounding, so one qubit keeps ``_dense``."""
+    On 2 <= n < _FUSE_QUBITS qubits: one broadcast multiply of the halves by
+    the 2x2 matrix, amplitudes first as ``_dense`` multiplies (numpy's
+    complex product rounds differently with its operands swapped), and one
+    add of the two products into the view, equal to ``_dense`` bit for bit.
+    At n = 1 each half is one amplitude, which numpy's scalar loop
+    multiplies with other rounding, so one qubit keeps ``_dense``."""
     q = gate.qubits[0]
     entries = gate_entries(gate.kind, gate.params)
     if not 4 <= amps.size < 1 << _FUSE_QUBITS:
@@ -431,6 +430,8 @@ def exchange_cost(c: Circuit, num_qubits: int, workers: int) -> int:
     modeled as reductions and cost nothing.
     """
     _check_workers(num_qubits, workers)
+    if workers == 1:  # one chunk: every qubit is local
+        return 0
     local = num_qubits - (workers.bit_length() - 1)
     cost = 0
     for instr in c.instructions:
@@ -521,16 +522,15 @@ def _static_distribution(instructions, cregs):
         probs = np.abs(state.amplitudes) ** 2
         if in_order and m == n:  # every qubit measured, in key order
             pvec = probs
-        else:
-            if measured:
-                view = probs.reshape((2,) * n)
-                drop = tuple(n - 1 - q for q in range(n) if q not in axis_of)
-                marginal = view.sum(axis=drop).reshape(-1) if drop else view.reshape(-1)
-                # marginal index bit i corresponds to measured[i] (little-endian:
-                # remaining axes keep their relative significance order)
-            else:
-                marginal = np.array([1.0])
+        elif measured:
+            view = probs.reshape((2,) * n)
+            drop = tuple(n - 1 - q for q in range(n) if q not in axis_of)
+            marginal = view.sum(axis=drop).reshape(-1) if drop else view.reshape(-1)
+            # marginal index bit i corresponds to measured[i] (little-endian:
+            # remaining axes keep their relative significance order)
             pvec = marginal.reshape((2,) * m).transpose(perm).reshape(-1)
+        else:
+            pvec = np.array([1.0])
         pvec = pvec / pvec.sum()
         base = zeros
         bits = [state.classical.get(name, 0) >> bit & 1 for _, name, bit in kept]
@@ -605,7 +605,7 @@ def run(c: Circuit, shots: int, seed: int = 0,
         keys_of, pvec, read_out = read(state)
         measures += read_out
         draws = rng.multinomial(k, pvec)
-        hits = np.flatnonzero(draws)
+        hits = draws.nonzero()[0]
         drawn.append(zip(keys_of(hits), draws[hits].tolist()))
     trace = ExecutionTrace(gates, measures, exchanged, seed)
     if len(drawn) == 1:  # one branch draws distinct keys in sorted order

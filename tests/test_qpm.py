@@ -18,8 +18,10 @@ from qorch.qpm import (
     MockHardwareBackend,
     StateVectorBackend,
     UnknownBackend,
+    _bit_values,
     _pack_rows,
-    count_rows,
+    count_values,
+    key_values,
 )
 
 
@@ -185,9 +187,10 @@ def test_pack_rows_equals_row_wise_packbits_padded_to_words():
 @settings(max_examples=200, deadline=None)
 @given(width=st.integers(1, 20) | st.integers(60, 130), rows=st.integers(1, 400),
        p=st.floats(0.02, 0.98), seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_count_rows_tallies_keys_in_order(width, rows, p, seed, data):
-    # keys of up to 16 bits are tallied by value, wider ones by np.unique;
-    # both give the sorted keys of a plain tally, in the template's layout
+def test_count_values_tallies_keys_in_order(width, rows, p, seed, data):
+    # rows of bits and the keys they print give the same integers; keys of
+    # up to 16 bits are tallied by value, wider ones by np.unique, and both
+    # give the sorted keys of a plain tally, in the template's layout
     rng = np.random.default_rng(seed)
     bits = rng.random((rows, width)) < p
     cuts = sorted(data.draw(st.sets(st.integers(1, width - 1), max_size=3)) if width > 1 else [])
@@ -197,8 +200,7 @@ def test_count_rows_tallies_keys_in_order(width, rows, p, seed, data):
         text = "".join("1" if b else "0" for b in row)
         return " ".join(text[a:b] for a, b in spans)
 
-    words = _pack_rows(bits)
-    if data.draw(st.booleans()):
-        words = words.astype(np.uint64)  # native words, as ``a | b`` gives
-    counts = count_rows(words, key(bits[0]))
+    values = _bit_values(bits)
+    assert np.array_equal(values, key_values([key(row) for row in bits], width))
+    counts = count_values(values, key(bits[0]))
     assert list(counts.items()) == sorted(Counter(key(row) for row in bits).items())
