@@ -472,15 +472,16 @@ def _static_distribution(instructions, cregs):
     reset_seen: set[int] = set()
     n_measures = 0
     for instr in instructions:
-        if isinstance(instr, Reset):
-            reset_seen.add(instr.qubit)
-        elif isinstance(instr, Measure):
+        if isinstance(instr, Measure):
             n_measures += 1
-            written.add((instr.creg, instr.bit))
+            slot = (instr.creg, instr.bit)
+            written.add(slot)
             if instr.qubit in reset_seen:
-                writers.pop((instr.creg, instr.bit), None)
+                writers.pop(slot, None)
             else:
-                writers[(instr.creg, instr.bit)] = instr.qubit
+                writers[slot] = instr.qubit
+        elif isinstance(instr, Reset):
+            reset_seen.add(instr.qubit)
     measured = sorted(set(writers.values()))
 
     # Every measured qubit writes at least one creg bit, so outcome -> key is
@@ -492,29 +493,33 @@ def _static_distribution(instructions, cregs):
     m = len(measured)
     rank: dict[int, int] = {}
     shifts = []  # per key character; shift m reads a bit that is always 0
-    codes = []
+    spaces = []  # the characters between cregs
     kept = []  # (character, creg, bit) of the bits that keep their classical value
     for k, (name, size) in enumerate(cregs):
         if k:
+            spaces.append(len(shifts))
             shifts.append(m)
-            codes.append(ord(" "))
         for bit in reversed(range(size)):
-            q = writers.get((name, bit))
-            if (name, bit) not in written:
-                kept.append((len(shifts), name, bit))
-            shifts.append(m if q is None else m - 1 - rank.setdefault(q, len(rank)))
-            codes.append(ord("0"))
+            slot = (name, bit)
+            q = writers.get(slot)
+            if q is not None:
+                shifts.append(m - 1 - rank.setdefault(q, len(rank)))
+            else:
+                if slot not in written:
+                    kept.append((len(shifts), name, bit))
+                shifts.append(m)
     axis_of = {q: m - 1 - i for i, q in enumerate(measured)}
     perm = [axis_of[q] for q in sorted(rank, key=rank.get)]
     in_order = perm == list(range(m))  # the marginal needs no transpose
-    # one creg whose bits are written by distinct qubits in key order: the
-    # key of index i is i in binary
-    binary = bool(m) and shifts == list(range(m - 1, -1, -1))
+    # One creg whose written bits are adjacent, each by its own qubit in key
+    # order: when its other bits read 0, the key of index i is i << low in
+    # binary.
+    width = len(shifts)
+    lead = shifts.index(m - 1) if m else 0
+    low = width - lead - m
+    binary = (len(cregs) == 1 and m > 0
+              and shifts == [m] * lead + list(range(m - 1, -1, -1)) + [m] * low)
 
-    # m <= MAX_QUBITS, so indices, shifts and codes fit 32 bits, the width
-    # of the code points format_keys reads
-    shift = np.array(shifts, dtype=np.uint32)
-    zeros = np.array(codes, dtype=np.uint32)
     characters = [index for index, _, _ in kept]
 
     def read(state: State):
@@ -532,15 +537,17 @@ def _static_distribution(instructions, cregs):
         else:
             pvec = np.array([1.0])
         pvec = pvec / pvec.sum()
-        base = zeros
         bits = [state.classical.get(name, 0) >> bit & 1 for _, name, bit in kept]
-        if any(bits):
-            base = zeros.copy()
-            base[characters] += np.array(bits, dtype=np.uint32)
 
         def keys_of(indices: np.ndarray) -> list[str]:
-            if binary and len(indices) <= 64:
-                return [format(i, f"0{m}b") for i in indices.tolist()]
+            if binary and not any(bits) and len(indices) <= 64:
+                return [format(i << low, f"0{width}b") for i in indices.tolist()]
+            # m <= MAX_QUBITS, so indices, shifts and codes fit 32 bits, the
+            # width of the code points format_keys reads
+            base = np.full(width, ord("0"), dtype=np.uint32)
+            base[spaces] = ord(" ")
+            base[characters] += np.array(bits, dtype=np.uint32)
+            shift = np.array(shifts, dtype=np.uint32)
             return format_keys(base + ((indices.astype(np.uint32)[:, None] >> shift) & 1))
 
         return keys_of, pvec, n_measures

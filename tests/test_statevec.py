@@ -407,6 +407,19 @@ def test_mix_on_every_qubit_equals_in_place_steps(n):
                 assert np.array_equal(got, want), (kind, q)
 
 
+@pytest.mark.parametrize("first", [0, 1])
+def test_readout_keys_keep_a_bit_measured_before_the_last_gate(first):
+    # c[2] c[1] are read past the last gate, an adjacent run in key order;
+    # c[0] holds the earlier measure and prints as it was read
+    b = CircuitBuilder(3, (("c", 3),))
+    if first:
+        b.x(0)
+    c = b.measure(0, "c", 0).h(1).h(2).measure(1, "c", 1).measure(2, "c", 2).build()
+    counts, _ = run(c, 400, seed=3)
+    assert sorted(counts) == [f"{i:02b}{first}" for i in range(4)]
+    assert counts.total() == 400
+
+
 def test_format_keys_zero_width():
     assert format_keys(np.zeros((3, 0), dtype=np.uint8)) == ["", "", ""]
     assert format_keys(np.zeros((0, 0), dtype=np.uint8)) == []
