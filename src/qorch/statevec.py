@@ -29,7 +29,7 @@ broadcast multiply of the halves by its 2x2 matrix and one add of the two
 products into the view, equal to the per-half steps bit for bit and about
 5.6 against 9.0 us per gate on a middle qubit (2-vCPU Xeon, numpy 2.4).  A
 one-qubit state keeps the per-half steps, since numpy's scalar loop rounds
-its one-amplitude halves differently (up to 2.2e-16 on u).
+its one-amplitude halves differently (on u, by up to 1.1e-16).
 
 On a state of at least ``_FUSE_QUBITS`` (9) qubits, ``State.apply`` holds
 each one-qubit gate as a factor of its qubit's 2x2 product instead (the

@@ -393,7 +393,7 @@ def test_mix_on_every_qubit_equals_in_place_steps(n):
     # Below 9 qubits _mix is one broadcast multiply and one add; the golden
     # file depends on it matching the per-half steps bit for bit.  At n = 1
     # each half is one amplitude, and numpy's scalar loop multiplies that
-    # with other rounding (up to 2.2e-16 on u), so one qubit keeps the steps.
+    # with other rounding (up to 1.1e-16 on u), so one qubit keeps the steps.
     rng = np.random.default_rng(n)
     states = 100 if n <= 8 else 1
     for kind in _DENSE_KINDS:
